@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
+
+from .errors import ConfigError
 
 THREADS_ENV = "LATENT_KRIG_THREADS"
 
@@ -22,13 +24,18 @@ R = TypeVar("R")
 
 
 def worker_count() -> int:
-    """Worker threads to use, from LATENT_KRIG_THREADS (default 1)."""
-    raw = os.environ.get(THREADS_ENV, "")
+    """Worker threads from LATENT_KRIG_THREADS: unset or empty is 1, and
+    anything but an integer >= 1 raises ConfigError."""
+    raw = os.environ.get(THREADS_ENV, "").strip()
+    if not raw:
+        return 1
     try:
         value = int(raw)
     except ValueError:
-        return 1
-    return max(1, value)
+        raise ConfigError(f"{THREADS_ENV}={raw!r} is not an integer") from None
+    if value < 1:
+        raise ConfigError(f"{THREADS_ENV}={raw!r} must be >= 1")
+    return value
 
 
 def ordered_map(fn: Callable[[T], R], items: Sequence[T],
@@ -54,8 +61,3 @@ def member_seeds(rng_seed: int, count: int) -> list[int]:
     ss = np.random.SeedSequence(rng_seed)
     return [int(s) for s in ss.generate_state(count, np.uint64)]
 
-
-def chunk_indices(values: Iterable[int], size: int) -> list[list[int]]:
-    """Split values into consecutive chunks of ``size`` (last may be short)."""
-    vals = list(values)
-    return [vals[i:i + size] for i in range(0, len(vals), size)]

@@ -228,22 +228,19 @@ def cmd_forecast(args) -> int:
     if not horizons:
         raise ParseError("--j must list at least one horizon")
     tau = _resolve_cli_tau(frame, args)
-    preds: dict[int, np.ndarray] = {}
     if args.J is not None and args.J > 1:
-        for j in horizons:
-            preds[j] = forecast_ensemble(frame, args.J, j, args.j0, tau=tau,
-                                         k0=args.k0, p_star=args.p_star,
-                                         d_override=args.d,
-                                         rng_seed=args.seed, ridge=args.ridge)
+        preds = forecast_ensemble(frame, args.J, horizons, args.j0, tau=tau,
+                                  k0=args.k0, p_star=args.p_star,
+                                  d_override=args.d, rng_seed=args.seed,
+                                  ridge=args.ridge)
     else:
         part = random_partition(frame.p, args.seed)
         fit = fit_factors(frame, part, tau, k0=args.k0, p_star=args.p_star,
                           d_override=args.d)
-        for j in horizons:
-            preds[j] = forecast_op(frame, fit, j, args.j0, ridge=args.ridge)
+        preds = forecast_op(frame, fit, horizons, args.j0, ridge=args.ridge)
     ids = frame.locations.ids
-    rows = [(j, ids[i], _fmt(preds[j][i]))
-            for j in horizons for i in range(frame.p)]
+    rows = [(j, ids[i], _fmt(preds[row, i]))
+            for row, j in enumerate(horizons) for i in range(frame.p)]
     _write_value_rows(Path(args.out), ["horizon", "id", "value"], rows)
     print(f"tau={_fmt(tau)}")
     print(f"wrote {args.out}")

@@ -122,17 +122,22 @@ def lagged_auto_covariance(frame: SpatioTemporalFrame, cols, max_lag: int) -> li
     """Autocovariance matrices of the given columns for lags 0..max_lag.
 
     Lag-k block: (1/n) * sum_{t=1..n-k} (y_{t+k} - ybar)(y_t - ybar)'.
-    Used by the temporal predictor, which feeds these through loading
-    projections to get latent autocovariances.
+    The temporal predictor projects the readouts first (_autocovariances
+    with a basis) and never forms these p x p blocks.
     """
+    return _autocovariances(frame, cols, max_lag)
+
+
+def _autocovariances(frame: SpatioTemporalFrame, cols, max_lag: int,
+                     basis: np.ndarray | None = None) -> list[np.ndarray]:
+    """Lags 0..max_lag of z = Y_c (or Y_c basis): z[k:]' z[:n-k] / n."""
     if int(max_lag) != max_lag or max_lag < 0:
         raise ValueError("max_lag must be an integer >= 0")
     max_lag = int(max_lag)
     if max_lag >= frame.n / 2:
         raise LagTooLarge(f"max_lag={max_lag} needs n > 2*max_lag (n={frame.n})")
     n = frame.n
-    yc = _centered_columns(frame, cols)
-    out = []
-    for k in range(max_lag + 1):
-        out.append((yc[k:].T @ yc[:n - k]) / n)
-    return out
+    z = _centered_columns(frame, cols)
+    if basis is not None:
+        z = z @ basis
+    return [(z[k:].T @ z[:n - k]) / n for k in range(max_lag + 1)]

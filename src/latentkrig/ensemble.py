@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _util
 from .errors import BlockTooLarge
-from .factors import FactorModelFit, fit_factors
+from .factors import FactorModelFit, _matrix_doc, _matrix_from_doc, fit_factors
 from .stdata import (LocationSet, Partition, SpatioTemporalFrame,
                      locations_from_doc, locations_to_doc, random_partition)
 
@@ -235,7 +235,6 @@ def divide_and_conquer_fit(frame: SpatioTemporalFrame, q: int,
 
 def ensemble_to_document(ens: EnsembleFit,
                          locations: LocationSet | None = None) -> dict:
-    n, p = ens.xi_tilde.shape
     doc = {
         "format": "latentkrig-ensemble",
         "version": 1,
@@ -244,8 +243,7 @@ def ensemble_to_document(ens: EnsembleFit,
         "member_seeds": list(ens.member_seeds),
         "d_hats": list(ens.d_hats),
         "per_location_counts": [int(c) for c in ens.per_location_counts],
-        "xi_tilde": {"rows": n, "cols": p,
-                     "data": [float(v) for v in ens.xi_tilde.ravel()]},
+        "xi_tilde": _matrix_doc(ens.xi_tilde),
     }
     if locations is not None:
         doc["locations"] = locations_to_doc(locations)
@@ -255,12 +253,9 @@ def ensemble_to_document(ens: EnsembleFit,
 def ensemble_from_document(doc: dict) -> tuple[EnsembleFit, LocationSet | None]:
     if doc.get("format") != "latentkrig-ensemble":
         raise ValueError("not an ensemble document")
-    block = doc["xi_tilde"]
-    xi = np.asarray(block["data"], dtype=np.float64).reshape(
-        block["rows"], block["cols"])
     ens = EnsembleFit(J=int(doc["J"]),
                       member_seeds=tuple(int(s) for s in doc["member_seeds"]),
-                      xi_tilde=xi,
+                      xi_tilde=_matrix_from_doc(doc["xi_tilde"]),
                       per_location_counts=np.asarray(
                           doc["per_location_counts"], dtype=np.int64),
                       d_hats=tuple(int(d) for d in doc["d_hats"]),

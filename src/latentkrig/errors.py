@@ -59,6 +59,10 @@ class MissingDataError(LatentKrigError):
     """Operation requires complete columns; impute or drop first."""
 
 
+class ConfigError(LatentKrigError):
+    """Environment setting out of range, e.g. LATENT_KRIG_THREADS=abc."""
+
+
 # ---- numerical failures (exit 3) ----
 
 class NumericalError(LatentKrigError):

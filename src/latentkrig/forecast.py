@@ -19,18 +19,22 @@ V_k = (S(0) - U_k' W_k^{-1} U_k)^{-1},
 so only d x d matrices are ever inverted (asserted structurally). Factor
 autocovariances come from the fitted loadings: S(k) = A' C_y(k) A with
 C_y(k) the lag-k autocovariance of the panel columns in the loading's
-location set. Panel-level predictions are y_hat = A x_hat(j) per side of
-the partition, using raw (uncentered) factor readouts.
+location set, taken from the projected readouts (the lag-k
+autocovariance of the n x d series Y_c A) so C_y(k) is never formed.
+W_{j0}^{-1} needs only S(0..j0), so one inverse per side serves every
+horizon. Panel-level predictions are y_hat = A x_hat(j) per side of the
+partition, using raw (uncentered) factor readouts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import _util
-from .covariance import lagged_auto_covariance
+from .covariance import _autocovariances
 from .errors import LagTooLarge, NotPositiveDefinite, SingularBlock, SingularInnovation
 from .factors import FactorModelFit, fit_factors
 from .stdata import SpatioTemporalFrame, random_partition
@@ -44,6 +48,10 @@ def _check_invertible(mat: np.ndarray, exc, what: str) -> None:
         raise exc(f"{what} is numerically singular")
 
 
+def _as_blocks(*mats) -> list[np.ndarray]:
+    return [np.atleast_2d(np.asarray(m, dtype=np.float64)) for m in mats]
+
+
 def partitioned_inverse(H11: np.ndarray, H12: np.ndarray, H21: np.ndarray,
                         H22: np.ndarray) -> np.ndarray:
     """Inverse of [[H11, H12], [H21, H22]] via the H11 Schur complement.
@@ -55,10 +63,7 @@ def partitioned_inverse(H11: np.ndarray, H12: np.ndarray, H21: np.ndarray,
 
     Raises SingularBlock when H11 or the Schur complement is singular.
     """
-    h11 = np.atleast_2d(np.asarray(H11, dtype=np.float64))
-    h12 = np.atleast_2d(np.asarray(H12, dtype=np.float64))
-    h21 = np.atleast_2d(np.asarray(H21, dtype=np.float64))
-    h22 = np.atleast_2d(np.asarray(H22, dtype=np.float64))
+    h11, h12, h21, h22 = _as_blocks(H11, H12, H21, H22)
     _check_invertible(h11, SingularBlock, "H11")
     inv11_12 = np.linalg.solve(h11, h12)
     inv11 = np.linalg.inv(h11)
@@ -80,10 +85,7 @@ def woodbury_identity_check(H11: np.ndarray, H12: np.ndarray, H21: np.ndarray,
     the two sides agree identically, so the return value measures
     roundoff only.
     """
-    h11 = np.atleast_2d(np.asarray(H11, dtype=np.float64))
-    h12 = np.atleast_2d(np.asarray(H12, dtype=np.float64))
-    h21 = np.atleast_2d(np.asarray(H21, dtype=np.float64))
-    h22 = np.atleast_2d(np.asarray(H22, dtype=np.float64))
+    h11, h12, h21, h22 = _as_blocks(H11, H12, H21, H22)
     _check_invertible(h11, SingularBlock, "H11")
     _check_invertible(h22, SingularBlock, "H22")
     lhs_core = h22 - h21 @ np.linalg.solve(h11, h12)
@@ -183,61 +185,70 @@ def estimate_sigma_x(frame: SpatioTemporalFrame, fit: FactorModelFit,
         cols, a = fit.partition.set2, fit.A2_hat
     else:
         raise ValueError("set_index must be 1 or 2")
-    panel_lags = lagged_auto_covariance(frame, cols, max_lag)
-    return [a.T @ c @ a for c in panel_lags]
+    return _autocovariances(frame, cols, max_lag, basis=a)
 
 
-def forecast(frame: SpatioTemporalFrame, fit: FactorModelFit, j: int,
-             j0: int = 6, ridge: float = 0.0) -> np.ndarray:
+def _horizons(j) -> list[int]:
+    hs = [j] if np.ndim(j) == 0 else list(j)
+    if not hs or any(int(h) != h or h < 1 for h in hs):
+        raise ValueError("j must be an integer >= 1 or a nonempty list of them")
+    return [int(h) for h in hs]
+
+
+def forecast(frame: SpatioTemporalFrame, fit: FactorModelFit,
+             j: int | Sequence[int], j0: int = 6, ridge: float = 0.0) -> np.ndarray:
     """j-step-ahead prediction of the panel at every location.
 
-    Each side of the partition is predicted from its own factor readouts:
-    x_hat(j) = R W_{j0}^{-1} X with X stacking the raw readouts at times
-    n, n-1, ..., n-j0, then y_hat = A x_hat(j). Requires j >= 1 and
-    j + j0 < n/2 so all needed lags are identifiable.
+    j is one horizon, giving a (p,) array, or a sequence of horizons,
+    giving a (len(j), p) array. Each side of the partition is predicted
+    from its own factor readouts: x_hat(j) = R W_{j0}^{-1} X with X
+    stacking the raw readouts at times n, n-1, ..., n-j0, then
+    y_hat = A x_hat(j). Requires every j >= 1 and max(j) + j0 < n/2 so
+    all needed lags are identifiable.
 
     Sample lag covariances are not jointly PSD, so W can be numerically
     singular; by default that surfaces as SingularInnovation. A positive
     ridge adds ridge*I to the lag-0 block before the recursion (opt-in,
     never silent).
     """
-    if int(j) != j or j < 1:
-        raise ValueError("j must be an integer >= 1")
+    horizons = _horizons(j)
     if int(j0) != j0 or j0 < 0:
         raise ValueError("j0 must be an integer >= 0")
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
-    j, j0 = int(j), int(j0)
-    if j + j0 >= frame.n / 2:
-        raise LagTooLarge(f"j + j0 = {j + j0} needs n > 2*(j + j0) (n={frame.n})")
-    if j0 + 1 > frame.n:
-        raise LagTooLarge("j0 + 1 readouts exceed the panel length")
-    out = np.empty(frame.p)
+    j0 = int(j0)
+    top = max(horizons)
+    if top + j0 >= frame.n / 2:
+        raise LagTooLarge(f"j + j0 = {top + j0} needs n > 2*(j + j0) (n={frame.n})")
+    out = np.empty((len(horizons), frame.p))
     for set_index, cols, a in ((1, fit.partition.set1, fit.A1_hat),
                                (2, fit.partition.set2, fit.A2_hat)):
-        sig = estimate_sigma_x(frame, fit, j + j0, set_index)
+        sig = estimate_sigma_x(frame, fit, top + j0, set_index)
         if ridge > 0.0:
             sig[0] = sig[0] + ridge * np.eye(sig[0].shape[0])
         w_inv = recursive_toeplitz_inverse(sig[:j0 + 1], j0)
-        r = np.hstack([sig[k] for k in range(j, j + j0 + 1)])
         y_block = frame.obs[:, list(cols)]
         x_stack = np.concatenate([y_block[frame.n - 1 - back] @ a
                                   for back in range(j0 + 1)])
-        x_pred = r @ (w_inv @ x_stack)
-        out[list(cols)] = a @ x_pred
-    return out
+        w_x = w_inv @ x_stack
+        for row, h in enumerate(horizons):
+            r = np.hstack([sig[k] for k in range(h, h + j0 + 1)])
+            out[row, list(cols)] = a @ (r @ w_x)
+    return out[0] if np.ndim(j) == 0 else out
 
 
-def forecast_ensemble(frame: SpatioTemporalFrame, J: int, j: int, j0: int = 6,
-                      tau: float = 0.0, k0: int = 0,
+def forecast_ensemble(frame: SpatioTemporalFrame, J: int, j: int | Sequence[int],
+                      j0: int = 6, tau: float = 0.0, k0: int = 0,
                       p_star: int | None = None, d_override: int | None = None,
                       rng_seed: int = 0, ridge: float = 0.0,
                       workers: int | None = None) -> np.ndarray:
     """Average of j-step predictions over J random-partition fits.
 
-    Member seeds derive deterministically from rng_seed by member index
-    and members are averaged in index order, so the result is identical
-    for any worker count.
+    j is one horizon or a sequence of them, as in forecast; each member
+    is fitted once for all horizons. Member seeds derive
+    deterministically from rng_seed by member index and members are
+    averaged in index order, so the result is identical for any worker
+    count.
     """
     if J < 1:
         raise ValueError("J must be >= 1")

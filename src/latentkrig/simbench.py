@@ -406,12 +406,12 @@ def _replicate_table2(setting, rep, sim_seed, pipe_seed, J, j0,
 
     time_hat = []
     time_tilde = []
-    for ell in horizons:
-        member_preds = [forecast(frame, f, ell, j0) for f in fits]
+    member_preds = np.stack([forecast(frame, f, horizons, j0) for f in fits])
+    for row, ell in enumerate(horizons):
         truth = draw.future_y[ell - 1]
-        time_hat.append(_mean_sq(member_preds[0], truth, "mspe_time"))
-        time_tilde.append(_mean_sq(np.mean(member_preds, axis=0), truth,
-                                   "mspe_time"))
+        time_hat.append(_mean_sq(member_preds[0, row], truth, "mspe_time"))
+        time_tilde.append(_mean_sq(np.mean(member_preds[:, row], axis=0),
+                                   truth, "mspe_time"))
     return [MetricReport(
         n=n, p=p, replicate=rep, tau=tau_cv,
         mspe_space_hat=space_hat, mspe_space_tilde=space_tilde,

@@ -22,8 +22,9 @@ from __future__ import annotations
 import csv
 import datetime
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -54,6 +55,7 @@ class LocationSet:
     coords: np.ndarray
     distance_metric: str = "euclidean"
     radius: float = EARTH_RADIUS_KM
+    _column: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.ids = tuple(str(i) for i in self.ids)
@@ -77,6 +79,7 @@ class LocationSet:
                 raise InvalidCoordinate("radius must be positive")
         coords.setflags(write=False)
         self.coords = coords
+        self._column = {loc: k for k, loc in enumerate(self.ids)}
 
     @property
     def p(self) -> int:
@@ -84,8 +87,8 @@ class LocationSet:
 
     def index_of(self, location_id: str) -> int:
         try:
-            return self.ids.index(location_id)
-        except ValueError:
+            return self._column[location_id]
+        except KeyError:
             raise UnknownLocation(f"unknown location id {location_id!r}") from None
 
     def subset(self, indices) -> "LocationSet":
@@ -329,6 +332,33 @@ def _rank_timestamps(stamps: set, path: Path) -> dict:
     return {s: k for k, s in enumerate(ordered)}
 
 
+def _read_long_form(path: Path, column_of: Callable[[str], int],
+                    min_width: int) -> tuple[dict, np.ndarray]:
+    """Parse a ``t,id,value`` file into timestamp ranks and an n x width
+    array, NaN where a cell is empty or absent; column_of maps a site id
+    to its column and raises for an unknown id."""
+    _, rows = _read_rows(path, ["t", "id", "value"])
+    cells: dict[tuple, float] = {}
+    for k, row in enumerate(rows, start=2):
+        if len(row) != 3:
+            raise ParseError(f"{path}:{k}: expected 3 fields")
+        t = _parse_timestamp(row[0], path, k)
+        loc = row[1].strip()
+        key = (t, column_of(loc))
+        if key in cells:
+            raise DuplicateCell(f"{path}:{k}: duplicate cell (t={row[0]}, id={loc})")
+        raw = row[2].strip()
+        cells[key] = math.nan if raw == "" else _parse_float(raw, path, k)
+    if not cells:
+        raise ParseError(f"{path}: no observation rows")
+    rank = _rank_timestamps({t for t, _ in cells}, path)
+    width = max(min_width, 1 + max(col for _, col in cells))
+    obs = np.full((len(rank), width), np.nan)
+    for (t, col), value in cells.items():
+        obs[rank[t], col] = value
+    return rank, obs
+
+
 def load_frame(locations_path, observations_path, covariates_path=None,
                distance_metric: str = "euclidean",
                radius: float = EARTH_RADIUS_KM) -> SpatioTemporalFrame:
@@ -339,29 +369,8 @@ def load_frame(locations_path, observations_path, covariates_path=None,
     even when one of them is empty.
     """
     locs = load_locations(locations_path, distance_metric, radius)
-    obs_path = Path(observations_path)
-    _, rows = _read_rows(obs_path, ["t", "id", "value"])
-    cells: dict[tuple, float] = {}
-    stamps: set = set()
-    for k, row in enumerate(rows, start=2):
-        if len(row) != 3:
-            raise ParseError(f"{obs_path}:{k}: expected 3 fields")
-        t = _parse_timestamp(row[0], obs_path, k)
-        loc = row[1].strip()
-        col = locs.index_of(loc)
-        key = (t, col)
-        if key in cells:
-            raise DuplicateCell(f"{obs_path}:{k}: duplicate cell (t={row[0]}, id={loc})")
-        raw = row[2].strip()
-        cells[key] = math.nan if raw == "" else _parse_float(raw, obs_path, k)
-        stamps.add(t)
-    if not stamps:
-        raise ParseError(f"{obs_path}: no observation rows")
-    rank = _rank_timestamps(stamps, obs_path)
+    rank, obs = _read_long_form(Path(observations_path), locs.index_of, locs.p)
     n = len(rank)
-    obs = np.full((n, locs.p), np.nan)
-    for (t, col), value in cells.items():
-        obs[rank[t], col] = value
 
     covariates = None
     if covariates_path is not None:
@@ -398,34 +407,10 @@ def load_observation_table(path) -> tuple[list, tuple[str, ...], np.ndarray]:
     n x k value array with NaN for missing cells). For operations that
     need no coordinates, e.g. seasonal demeaning.
     """
-    obs_path = Path(path)
-    _, rows = _read_rows(obs_path, ["t", "id", "value"])
-    ids: list[str] = []
     id_index: dict[str, int] = {}
-    cells: dict[tuple, float] = {}
-    stamps: set = set()
-    for k, row in enumerate(rows, start=2):
-        if len(row) != 3:
-            raise ParseError(f"{obs_path}:{k}: expected 3 fields")
-        t = _parse_timestamp(row[0], obs_path, k)
-        loc = row[1].strip()
-        if loc not in id_index:
-            id_index[loc] = len(ids)
-            ids.append(loc)
-        key = (t, id_index[loc])
-        if key in cells:
-            raise DuplicateCell(
-                f"{obs_path}:{k}: duplicate cell (t={row[0]}, id={loc})")
-        raw = row[2].strip()
-        cells[key] = math.nan if raw == "" else _parse_float(raw, obs_path, k)
-        stamps.add(t)
-    if not stamps:
-        raise ParseError(f"{obs_path}: no observation rows")
-    rank = _rank_timestamps(stamps, obs_path)
-    obs = np.full((len(rank), len(ids)), np.nan)
-    for (t, col), value in cells.items():
-        obs[rank[t], col] = value
-    return sorted(stamps), tuple(ids), obs
+    rank, obs = _read_long_form(
+        Path(path), lambda loc: id_index.setdefault(loc, len(id_index)), 0)
+    return sorted(rank), tuple(id_index), obs
 
 
 # ---- location serialization (shared by the model document formats) ----

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from latentkrig import load_ensemble, load_fit, load_frame
+from latentkrig._util import worker_count
 from latentkrig.cli import main
+from latentkrig.errors import ConfigError
 
 
 def run(capsys, *argv):
@@ -116,6 +118,44 @@ def test_forecast_csv(data_dir, tmp_path, capsys):
     assert rows[0] == ["horizon", "id", "value"]
     assert len(rows) == 1 + 2 * 16
     assert {r[0] for r in rows[1:]} == {"1", "2"}
+
+
+def test_forecast_single_fit_csv(data_dir, tmp_path, capsys):
+    # without --J the one fit forecasts every horizon
+    out = tmp_path / "fc.csv"
+    code, stdout, _ = run(capsys, "forecast", str(data_dir), "--j", "3,1",
+                          "--j0", "2", "--tau", "0.0", "--seed", "5",
+                          "--out", str(out))
+    assert code == 0
+    assert stdout.splitlines() == ["seed=5", "tau=0.0", f"wrote {out}"]
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [r[0] for r in rows[1:]] == ["3"] * 16 + ["1"] * 16
+    assert [r[1] for r in rows[1:17]] == [r[1] for r in rows[17:]]
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+def test_bad_thread_count_exits_2(data_dir, tmp_path, capsys, monkeypatch,
+                                  value):
+    monkeypatch.setenv("LATENT_KRIG_THREADS", value)
+    code, _, err = run(capsys, "forecast", str(data_dir), "--j", "1",
+                       "--j0", "2", "--tau", "0.0", "--J", "2",
+                       "--seed", "5", "--out", str(tmp_path / "fc.csv"))
+    assert code == 2
+    assert err.startswith("error: forecast: LATENT_KRIG_THREADS=")
+    assert "Traceback" not in err
+
+
+def test_worker_count_reads_environment(monkeypatch):
+    for raw, expect in (("", 1), ("  ", 1), ("1", 1), ("3", 3), (" 2 ", 2)):
+        monkeypatch.setenv("LATENT_KRIG_THREADS", raw)
+        assert worker_count() == expect
+    monkeypatch.delenv("LATENT_KRIG_THREADS")
+    assert worker_count() == 1
+    for raw in ("abc", "1.5", "0", "-4"):
+        monkeypatch.setenv("LATENT_KRIG_THREADS", raw)
+        with pytest.raises(ConfigError, match="LATENT_KRIG_THREADS"):
+            worker_count()
 
 
 def test_impute_fills_and_reports(tmp_path, capsys):

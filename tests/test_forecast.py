@@ -8,6 +8,7 @@ from latentkrig import (
     assemble_block_toeplitz,
     estimate_sigma_x,
     fit_factors,
+    lagged_auto_covariance,
     forecast,
     forecast_ensemble,
     partitioned_inverse,
@@ -18,6 +19,7 @@ from latentkrig import (
 from latentkrig._util import member_seeds
 from latentkrig.errors import (
     LagTooLarge,
+    MissingDataError,
     NotPositiveDefinite,
     SingularBlock,
     SingularInnovation,
@@ -156,6 +158,27 @@ def test_estimate_sigma_x_shapes_and_symmetry():
         estimate_sigma_x(frame, fit, 3, set_index=0)
 
 
+def test_estimate_sigma_x_matches_full_width_lag_blocks():
+    # reference: project the p/2 x p/2 panel lag blocks, A' C_y(k) A
+    frame, *_ = rank_k_frame(90, 12, k=2, seed=53, noise=0.5)
+    fit = fit_factors(frame, random_partition(12, 8), tau=0.0, p_star=4)
+    for set_index, cols, a in ((1, fit.partition.set1, fit.A1_hat),
+                               (2, fit.partition.set2, fit.A2_hat)):
+        got = estimate_sigma_x(frame, fit, 5, set_index)
+        ref = [a.T @ c @ a for c in lagged_auto_covariance(frame, cols, 5)]
+        tol = 1e-12 * np.max(np.abs(ref[0]))
+        assert len(got) == len(ref)
+        for g, r in zip(got, ref):
+            assert np.max(np.abs(g - r)) <= tol
+    with pytest.raises(LagTooLarge):
+        estimate_sigma_x(frame, fit, 45)
+    obs = frame.obs.copy()
+    obs[7, fit.partition.set1[0]] = np.nan
+    gappy = SpatioTemporalFrame(locations=frame.locations, obs=obs)
+    with pytest.raises(MissingDataError):
+        estimate_sigma_x(gappy, fit, 2, set_index=1)
+
+
 # ---- panel forecasting ----
 
 def test_forecast_guards():
@@ -248,3 +271,44 @@ def test_forecast_ensemble_worker_invariance():
     np.testing.assert_array_equal(one, three)
     with pytest.raises(ValueError):
         forecast_ensemble(frame, J=0, j=1)
+
+
+def test_forecast_horizon_list_equals_single_calls():
+    frame, *_ = rank_k_frame(80, 10, k=2, seed=54, noise=0.5)
+    fit = fit_factors(frame, random_partition(10, 9), tau=0.0, p_star=4)
+    single = forecast(frame, fit, 2, j0=3)
+    assert single.shape == (10,)
+    stacked = forecast(frame, fit, [1, 2, 3], j0=3)
+    assert stacked.shape == (3, 10)
+    np.testing.assert_array_equal(
+        stacked, np.stack([forecast(frame, fit, h, j0=3) for h in (1, 2, 3)]))
+    # any order and repeats; a one-element list keeps its row axis
+    np.testing.assert_array_equal(forecast(frame, fit, (3, 1, 3), j0=3),
+                                  stacked[[2, 0, 2]])
+    np.testing.assert_array_equal(forecast(frame, fit, [2], j0=3), single[None])
+
+
+def test_forecast_horizon_list_guards():
+    frame, *_ = rank_k_frame(30, 8, k=1, seed=46, noise=0.3)
+    fit = fit_factors(frame, random_partition(8, 1), tau=0.0, p_star=3)
+    forecast(frame, fit, [1, 8], j0=6)  # 8 + 6 < 15
+    with pytest.raises(LagTooLarge):
+        forecast(frame, fit, [1, 9], j0=6)  # the largest horizon decides
+    with pytest.raises(ValueError):
+        forecast(frame, fit, [])
+    with pytest.raises(ValueError):
+        forecast(frame, fit, [1, 0])
+    with pytest.raises(ValueError):
+        forecast(frame, fit, [1, 1.5])
+
+
+def test_forecast_ensemble_horizon_list_equals_per_horizon_calls():
+    frame, *_ = rank_k_frame(80, 10, k=2, seed=55, noise=0.5)
+    kwargs = dict(J=4, j0=3, p_star=4, rng_seed=11)
+    one = forecast_ensemble(frame, j=[1, 2, 3], workers=1, **kwargs)
+    three = forecast_ensemble(frame, j=[1, 2, 3], workers=3, **kwargs)
+    assert one.shape == (3, 10)
+    assert one.tobytes() == three.tobytes()
+    per_horizon = np.stack([forecast_ensemble(frame, j=h, workers=1, **kwargs)
+                            for h in (1, 2, 3)])
+    np.testing.assert_array_equal(one, per_horizon)

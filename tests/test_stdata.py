@@ -277,6 +277,41 @@ def test_load_frame_empty_value_is_missing(tmp_path):
     assert frame.missing.sum() == 1
 
 
+def test_load_frame_maps_ids_out_of_location_order(tmp_path):
+    # the location file is not sorted, and each time step lists its rows
+    # in a different order from the location file and from each other
+    ids = ["m", "c", "x", "a", "q"]
+    locs = _write(tmp_path / "locs.csv", "id,x1,x2\n" + "".join(
+        f"{loc},{k},{k % 2}\n" for k, loc in enumerate(ids)))
+    rng = np.random.default_rng(3)
+    expect = rng.standard_normal((4, len(ids)))
+    lines = ["t,id,value"]
+    for t in (3, 1, 4, 2):
+        for col in rng.permutation(len(ids)):
+            lines.append(f"{t},{ids[col]},{float(expect[t - 1, col])!r}")
+    frame = load_frame(locs, _write(tmp_path / "obs.csv", "\n".join(lines)))
+    assert frame.locations.ids == tuple(ids)
+    np.testing.assert_array_equal(frame.obs, expect)
+
+
+def test_long_form_errors_keep_messages_and_lines(tmp_path):
+    locs = _write(tmp_path / "locs.csv", "id,x1,x2\ns1,0,0\ns2,1,0\n")
+    dup = _write(tmp_path / "dup.csv", "t,id,value\n1,s1,1\n1,s2,2\n1,s1,\n")
+    short = _write(tmp_path / "short.csv", "t,id,value\n1,s1,1\n2,s1\n")
+    empty = _write(tmp_path / "empty.csv", "t,id,value\n")
+    for load in (lambda obs: load_frame(locs, obs), load_observation_table):
+        with pytest.raises(DuplicateCell, match=r"dup\.csv:4: duplicate cell "
+                           r"\(t=1, id=s1\)"):
+            load(dup)
+        with pytest.raises(ParseError, match=r"short\.csv:3: expected 3 fields"):
+            load(short)
+        with pytest.raises(ParseError, match="no observation rows"):
+            load(empty)
+    unknown = _write(tmp_path / "unknown.csv", "t,id,value\n1,s1,1\n1,s9,2\n")
+    with pytest.raises(UnknownLocation, match="unknown location id 's9'"):
+        load_frame(locs, unknown)
+
+
 def test_load_observation_table(tmp_path):
     obs = _write(tmp_path / "obs.csv", "\n".join([
         "t,id,value",
