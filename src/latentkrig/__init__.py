@@ -9,9 +9,8 @@ and imputation of missing cells. Averaging the estimate over many
 random site splits never hurts the per-cell squared error.
 """
 
-from .covariance import (CovBlock, cross_covariance, lagged_auto_covariance,
-                         lagged_covariances, masked_pairwise,
-                         pairwise_covariance)
+from .covariance import (cross_covariance, lagged_auto_covariance,
+                         lagged_covariances, masked_pairwise)
 from .ensemble import (EnsembleFit, aggregate_fit, aggregate_over_partitions,
                        assign_blocks, divide_and_conquer_fit,
                        enumerate_partitions, fit_members, load_ensemble,
@@ -28,10 +27,9 @@ from .factors import (FactorModelFit, GraphLaplacian, assemble_latent,
                       fit_factors, gram_matrices, load_fit,
                       penalized_eigvecs, save_fit, solve_loadings,
                       subspace_distance)
-from .forecast import (BlockToeplitzSystem, assemble_block_toeplitz,
-                       estimate_sigma_x, forecast, forecast_ensemble,
-                       partitioned_inverse, recursive_toeplitz_inverse,
-                       woodbury_identity_check)
+from .forecast import (assemble_block_toeplitz, estimate_sigma_x, forecast,
+                       forecast_ensemble, partitioned_inverse,
+                       recursive_toeplitz_inverse, woodbury_identity_check)
 from .kriging import (KernelSpec, SpatialPrediction, best_linear_predictor,
                       impute_missing, kernel_weights, krige_space,
                       verify_dual_route)

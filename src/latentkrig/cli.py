@@ -29,18 +29,11 @@ from .errors import (EXIT_NUMERICAL, EXIT_VALIDATION, LatentKrigError,
 from .factors import fit_factors, fit_from_document, save_fit
 from .forecast import forecast as forecast_op
 from .forecast import forecast_ensemble
-from .kriging import KernelSpec, impute_missing, krige_space
+from .kriging import _FAMILIES, KernelSpec, impute_missing, krige_space
 from .simbench import (SimConfig, run_table, select_bandwidth, select_tau)
 from .simbench import simulate as simulate_op
-from .stdata import (SpatioTemporalFrame, load_frame, load_observation_table,
-                     random_partition, save_frame)
-
-_KERNELS = ("gaussian", "epanechnikov_2d")
-_METRICS = ("euclidean", "great_circle")
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
+from .stdata import (_METRICS, SpatioTemporalFrame, _fmt, load_frame,
+                     load_observation_table, random_partition, save_frame)
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -222,6 +215,8 @@ def cmd_krige_space(args) -> int:
 
 
 def cmd_forecast(args) -> int:
+    if args.J is not None and args.J < 1:
+        raise ParseError("--J must be >= 1")
     frame = _load_dir(args)
     print(f"seed={args.seed}")
     horizons = _parse_ints(args.j)
@@ -333,7 +328,7 @@ def _add_metric(p) -> None:
 
 
 def _add_kernel(p) -> None:
-    p.add_argument("--kernel", choices=_KERNELS, default="gaussian")
+    p.add_argument("--kernel", choices=_FAMILIES, default="gaussian")
 
 
 def _add_tau_flags(p) -> None:

@@ -19,22 +19,10 @@ t = k+1..n, which is the transpose-free mirror of the same window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InsufficientOverlap, LagTooLarge, MissingDataError
 from .stdata import Partition, SpatioTemporalFrame
-
-# kind values: cross_sets, auto_set1, auto_set2, cross_lagged, pairwise
-@dataclass
-class CovBlock:
-    """One covariance block: the matrix, its lag, and what it covaries."""
-
-    matrix: np.ndarray
-    lag: int
-    kind: str
-
 
 def _centered_columns(frame: SpatioTemporalFrame, cols) -> np.ndarray:
     idx = list(cols)
@@ -45,24 +33,23 @@ def _centered_columns(frame: SpatioTemporalFrame, cols) -> np.ndarray:
     return block - block.mean(axis=0)
 
 
-def cross_covariance(frame: SpatioTemporalFrame, partition: Partition) -> CovBlock:
+def cross_covariance(frame: SpatioTemporalFrame, partition: Partition) -> np.ndarray:
     """Lag-0 cross-set covariance, a (p1, p2) matrix with divisor n."""
     if partition.p != frame.p:
         raise ValueError("partition does not match frame width")
     y1 = _centered_columns(frame, partition.set1)
     y2 = _centered_columns(frame, partition.set2)
-    s = (y1.T @ y2) / frame.n
-    return CovBlock(matrix=s, lag=0, kind="cross_sets")
+    return (y1.T @ y2) / frame.n
 
 
 def lagged_covariances(frame: SpatioTemporalFrame, partition: Partition,
-                       k0: int) -> list[CovBlock]:
+                       k0: int) -> list[tuple[np.ndarray, ...]]:
     """Auto- and cross-set blocks for lags 1..k0.
 
-    Returns, for each j in 1..k0 and in this order: the set-1
-    autocovariance at lag j, the set-2 autocovariance at lag j, the
-    cross-set covariance at lag j, and the cross-set covariance at lag
-    -j. All use full-sample means and divisor n.
+    Returns one tuple (auto1, auto2, cross_lead, cross_lag) per lag j in
+    1..k0: the set-1 autocovariance at lag j, the set-2 autocovariance
+    at lag j, the cross-set covariance at lag j, and the cross-set
+    covariance at lag -j. All use full-sample means and divisor n.
     """
     if int(k0) != k0 or k0 < 1:
         raise ValueError("k0 must be an integer >= 1 (lags start at 1)")
@@ -74,19 +61,24 @@ def lagged_covariances(frame: SpatioTemporalFrame, partition: Partition,
     n = frame.n
     y1 = _centered_columns(frame, partition.set1)
     y2 = _centered_columns(frame, partition.set2)
-    blocks: list[CovBlock] = []
+    blocks = []
     for j in range(1, k0 + 1):
         lead1, lag1 = y1[j:], y1[:n - j]
         lead2, lag2 = y2[j:], y2[:n - j]
-        blocks.append(CovBlock((lead1.T @ lag1) / n, j, "auto_set1"))
-        blocks.append(CovBlock((lead2.T @ lag2) / n, j, "auto_set2"))
-        blocks.append(CovBlock((lead1.T @ lag2) / n, j, "cross_lagged"))
-        blocks.append(CovBlock((lag1.T @ lead2) / n, -j, "cross_lagged"))
+        blocks.append(((lead1.T @ lag1) / n, (lead2.T @ lag2) / n,
+                       (lead1.T @ lag2) / n, (lag1.T @ lead2) / n))
     return blocks
 
 
 def masked_pairwise(obs: np.ndarray, missing: np.ndarray, rows, cols) -> np.ndarray:
-    """Pairwise-complete covariance on raw arrays; see pairwise_covariance."""
+    """Covariance block of obs columns rows x cols tolerating missing cells.
+
+    Entry (i, j) is the sample covariance of columns rows[i] and cols[j]
+    over the time points where both are observed (missing False), with
+    means taken on that same joint subset and divisor equal to the joint
+    count. Any pair with fewer than two joint observations raises
+    InsufficientOverlap.
+    """
     ridx = list(rows)
     cidx = list(cols)
     if not ridx or not cidx:
@@ -103,19 +95,6 @@ def masked_pairwise(obs: np.ndarray, missing: np.ndarray, rows, cols) -> np.ndar
     sum_x = ra.T @ cm
     sum_y = rm.T @ ca
     return (sum_xy - sum_x * sum_y / counts) / counts
-
-
-def pairwise_covariance(frame: SpatioTemporalFrame, rows, cols) -> CovBlock:
-    """Covariance block tolerating missing cells.
-
-    Entry (i, j) is the sample covariance of locations rows[i] and
-    cols[j] over the time points where both are observed, with means
-    taken on that same joint subset and divisor equal to the joint
-    count. Any pair with fewer than two joint observations raises
-    InsufficientOverlap.
-    """
-    cov = masked_pairwise(frame.obs, frame.missing, rows, cols)
-    return CovBlock(matrix=cov, lag=0, kind="pairwise")
 
 
 def lagged_auto_covariance(frame: SpatioTemporalFrame, cols, max_lag: int) -> list[np.ndarray]:

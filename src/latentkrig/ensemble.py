@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -29,6 +30,8 @@ from .stdata import (LocationSet, Partition, SpatioTemporalFrame,
 TauPolicy = float | str
 
 DEFAULT_J = 100
+
+R = TypeVar("R")
 
 
 @dataclass
@@ -82,15 +85,30 @@ def resolve_tau(frame: SpatioTemporalFrame, tau_policy: TauPolicy,
     return tau
 
 
+def _member_partitions(p: int, seeds: list[int]) -> list[Partition]:
+    """One random split of the p sites per member seed, in seed order."""
+    return [random_partition(p, s) for s in seeds]
+
+
+def _identity(fit: FactorModelFit) -> FactorModelFit:
+    return fit
+
+
 def fit_members(frame: SpatioTemporalFrame, partitions: list[Partition],
                 tau: float, k0: int = 0, p_star: int | None = None,
-                d_override: int | None = None,
-                workers: int | None = None) -> list[FactorModelFit]:
-    """Fit one factor model per partition, in partition order."""
+                d_override: int | None = None, workers: int | None = None,
+                read: Callable[[FactorModelFit], R] = _identity) -> list[R]:
+    """Fit one factor model per partition, in partition order.
 
-    def one(part: Partition) -> FactorModelFit:
-        return fit_factors(frame, part, tau, k0=k0, p_star=p_star,
-                           d_override=d_override)
+    Each fit is passed through ``read`` on the worker that made it and
+    only what ``read`` returns is kept, so a caller that needs a small
+    summary per member never holds J full fits. The default keeps the
+    fit itself.
+    """
+
+    def one(part: Partition) -> R:
+        return read(fit_factors(frame, part, tau, k0=k0, p_star=p_star,
+                                d_override=d_override))
 
     return _util.ordered_map(one, partitions, workers)
 
@@ -155,11 +173,10 @@ def aggregate_fit(frame: SpatioTemporalFrame, J: int = DEFAULT_J,
         raise ValueError("J must be >= 1")
     seeds = _util.member_seeds(rng_seed, J)
     tau = resolve_tau(frame, tau_policy, seeds[0], k0=k0, p_star=p_star)
-    partitions = [random_partition(frame.p, s) for s in seeds]
-    out = aggregate_over_partitions(frame, partitions, tau, k0=k0,
-                                    p_star=p_star, d_override=d_override,
-                                    member_seeds=tuple(seeds), workers=workers)
-    return out
+    return aggregate_over_partitions(frame, _member_partitions(frame.p, seeds),
+                                     tau, k0=k0, p_star=p_star,
+                                     d_override=d_override,
+                                     member_seeds=tuple(seeds), workers=workers)
 
 
 def assign_blocks(p: int, q: int, rng_seed: int) -> list[tuple[int, ...]]:

@@ -40,16 +40,10 @@ _EIG_FLOOR = 1e-300
 
 @dataclass
 class GraphLaplacian:
-    """L = G - W for inverse-distance weights w_ij = 1/(1 + dist)."""
+    """Weights w_ij = 1/(1 + dist) and L = diag(rowsum W) - W."""
 
     W: np.ndarray
-    G: np.ndarray
     L: np.ndarray
-
-    @property
-    def spectral_norm_bound(self) -> float:
-        # Gershgorin: every eigenvalue of L lies within max_i 2*G_ii
-        return float(2.0 * self.G.diagonal().max())
 
 
 def build_laplacian(locations: LocationSet, subset) -> GraphLaplacian:
@@ -62,8 +56,9 @@ def build_laplacian(locations: LocationSet, subset) -> GraphLaplacian:
                            locations.radius)
     w = 1.0 / (1.0 + dist)
     np.fill_diagonal(w, 0.0)
-    g = np.diag(w.sum(axis=1))
-    return GraphLaplacian(W=w, G=g, L=g - w)
+    lap = -w
+    np.fill_diagonal(lap, w.sum(axis=1))
+    return GraphLaplacian(W=w, L=lap)
 
 
 def _laplacian_matrix(penalty, dim: int, tau: float) -> np.ndarray:
@@ -173,13 +168,11 @@ def gram_matrices(frame: SpatioTemporalFrame, partition: Partition,
     Exposed separately from fit_factors so that tau grid searches can
     build them once per partition and sweep tau via solve_loadings.
     """
-    s = cross_covariance(frame, partition).matrix
+    s = cross_covariance(frame, partition)
     m1 = s @ s.T
     m2 = s.T @ s
     if k0 >= 1:
-        blocks = lagged_covariances(frame, partition, k0)
-        for j in range(k0):
-            s1, s2, s12p, s12m = (b.matrix for b in blocks[4 * j: 4 * j + 4])
+        for s1, s2, s12p, s12m in lagged_covariances(frame, partition, k0):
             m1 += s1 @ s1.T + s12p @ s12p.T + s12m @ s12m.T
             m2 += s2 @ s2.T + s12p.T @ s12p + s12m.T @ s12m
     return m1, m2

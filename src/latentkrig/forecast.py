@@ -28,7 +28,6 @@ partition, using raw (uncentered) factor readouts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -36,8 +35,9 @@ import numpy as np
 from . import _util
 from .covariance import _autocovariances
 from .errors import LagTooLarge, NotPositiveDefinite, SingularBlock, SingularInnovation
-from .factors import FactorModelFit, fit_factors
-from .stdata import SpatioTemporalFrame, random_partition
+from .ensemble import _member_partitions, fit_members
+from .factors import FactorModelFit
+from .stdata import SpatioTemporalFrame
 
 _REL_SINGULAR = 1e-10
 
@@ -111,48 +111,6 @@ def assemble_block_toeplitz(sigma_x: list[np.ndarray], k: int) -> np.ndarray:
     return w
 
 
-@dataclass
-class BlockToeplitzSystem:
-    """Inverse of the block-Toeplitz autocovariance matrix, grown lag by lag."""
-
-    sigma_x: list[np.ndarray]
-    W_inv: np.ndarray
-    k: int
-    d: int
-
-    @classmethod
-    def start(cls, sigma_x: list[np.ndarray]) -> "BlockToeplitzSystem":
-        s0 = np.asarray(sigma_x[0], dtype=np.float64)
-        d = s0.shape[0]
-        norm = np.linalg.norm(s0)
-        if norm > 0 and np.linalg.norm(s0 - s0.T) > 1e-8 * norm:
-            raise NotPositiveDefinite("lag-0 block must be symmetric")
-        evals = np.linalg.eigvalsh(0.5 * (s0 + s0.T))
-        if evals[0] <= _REL_SINGULAR * max(evals[-1], 0.0) or evals[-1] <= 0.0:
-            raise NotPositiveDefinite("lag-0 block is not positive definite")
-        return cls(sigma_x=[np.asarray(s, dtype=np.float64) for s in sigma_x],
-                   W_inv=_inv_small(s0, d), k=0, d=d)
-
-    def extend(self) -> "BlockToeplitzSystem":
-        """One border step: W_k^{-1} -> W_{k+1}^{-1} inverting only d x d."""
-        k, d = self.k, self.d
-        if k + 1 >= len(self.sigma_x):
-            raise ValueError("no lag block available for the next step")
-        u = np.vstack([self.sigma_x[j] for j in range(k + 1, 0, -1)])
-        wu = self.W_inv @ u
-        schur = self.sigma_x[0] - u.T @ wu
-        schur = 0.5 * (schur + schur.T)
-        evals = np.linalg.eigvalsh(schur)
-        if np.min(np.abs(evals)) <= _REL_SINGULAR * np.max(np.abs(evals)):
-            raise SingularInnovation(f"innovation block singular at depth {k + 1}")
-        v = _inv_small(schur, d)
-        wuv = wu @ v
-        top_left = self.W_inv + wuv @ wu.T
-        new_inv = np.block([[top_left, -wuv], [-wuv.T, v]])
-        return BlockToeplitzSystem(sigma_x=self.sigma_x, W_inv=new_inv,
-                                   k=k + 1, d=d)
-
-
 def _inv_small(mat: np.ndarray, d: int) -> np.ndarray:
     # every inversion in the recursion flows through here: d x d only
     assert mat.shape == (d, d), "recursion must never invert beyond d x d"
@@ -160,15 +118,37 @@ def _inv_small(mat: np.ndarray, d: int) -> np.ndarray:
 
 
 def recursive_toeplitz_inverse(sigma_x: list[np.ndarray], j0: int) -> np.ndarray:
-    """W_{j0}^{-1} from lag blocks S(0..j0) by the border recursion."""
+    """W_{j0}^{-1} from lag blocks S(0..j0) by the border recursion.
+
+    Starts from W_0^{-1} = S(0)^{-1} and grows one block border per
+    step, inverting only the d x d innovation block.
+    """
     if j0 < 0:
         raise ValueError("j0 must be >= 0")
     if j0 + 1 > len(sigma_x):
         raise ValueError("need lag blocks 0..j0")
-    system = BlockToeplitzSystem.start(sigma_x)
-    for _ in range(j0):
-        system = system.extend()
-    return system.W_inv
+    sig = [np.asarray(s, dtype=np.float64) for s in sigma_x]
+    s0 = sig[0]
+    d = s0.shape[0]
+    norm = np.linalg.norm(s0)
+    if norm > 0 and np.linalg.norm(s0 - s0.T) > 1e-8 * norm:
+        raise NotPositiveDefinite("lag-0 block must be symmetric")
+    evals = np.linalg.eigvalsh(0.5 * (s0 + s0.T))
+    if evals[0] <= _REL_SINGULAR * max(evals[-1], 0.0) or evals[-1] <= 0.0:
+        raise NotPositiveDefinite("lag-0 block is not positive definite")
+    w_inv = _inv_small(s0, d)
+    for k in range(j0):
+        u = np.vstack([sig[j] for j in range(k + 1, 0, -1)])
+        wu = w_inv @ u
+        schur = s0 - u.T @ wu
+        schur = 0.5 * (schur + schur.T)
+        evals = np.linalg.eigvalsh(schur)
+        if np.min(np.abs(evals)) <= _REL_SINGULAR * np.max(np.abs(evals)):
+            raise SingularInnovation(f"innovation block singular at depth {k + 1}")
+        v = _inv_small(schur, d)
+        wuv = wu @ v
+        w_inv = np.block([[w_inv + wuv @ wu.T, -wuv], [-wuv.T, v]])
+    return w_inv
 
 
 def estimate_sigma_x(frame: SpatioTemporalFrame, fit: FactorModelFit,
@@ -188,11 +168,21 @@ def estimate_sigma_x(frame: SpatioTemporalFrame, fit: FactorModelFit,
     return _autocovariances(frame, cols, max_lag, basis=a)
 
 
-def _horizons(j) -> list[int]:
-    hs = [j] if np.ndim(j) == 0 else list(j)
-    if not hs or any(int(h) != h or h < 1 for h in hs):
+def _forecast_args(n: int, j, j0, ridge: float) -> tuple[list[int], int]:
+    """Checked horizons and j0: every j >= 1, j0 >= 0, ridge >= 0 and
+    max(j) + j0 < n/2."""
+    horizons = [j] if np.ndim(j) == 0 else list(j)
+    if not horizons or any(int(h) != h or h < 1 for h in horizons):
         raise ValueError("j must be an integer >= 1 or a nonempty list of them")
-    return [int(h) for h in hs]
+    if int(j0) != j0 or j0 < 0:
+        raise ValueError("j0 must be an integer >= 0")
+    if ridge < 0:
+        raise ValueError("ridge must be >= 0")
+    horizons, j0 = [int(h) for h in horizons], int(j0)
+    if max(horizons) + j0 >= n / 2:
+        raise LagTooLarge(f"j + j0 = {max(horizons) + j0} needs n > 2*(j + j0) "
+                          f"(n={n})")
+    return horizons, j0
 
 
 def forecast(frame: SpatioTemporalFrame, fit: FactorModelFit,
@@ -211,15 +201,8 @@ def forecast(frame: SpatioTemporalFrame, fit: FactorModelFit,
     ridge adds ridge*I to the lag-0 block before the recursion (opt-in,
     never silent).
     """
-    horizons = _horizons(j)
-    if int(j0) != j0 or j0 < 0:
-        raise ValueError("j0 must be an integer >= 0")
-    if ridge < 0:
-        raise ValueError("ridge must be >= 0")
-    j0 = int(j0)
+    horizons, j0 = _forecast_args(frame.n, j, j0, ridge)
     top = max(horizons)
-    if top + j0 >= frame.n / 2:
-        raise LagTooLarge(f"j + j0 = {top + j0} needs n > 2*(j + j0) (n={frame.n})")
     out = np.empty((len(horizons), frame.p))
     for set_index, cols, a in ((1, fit.partition.set1, fit.A1_hat),
                                (2, fit.partition.set2, fit.A2_hat)):
@@ -245,20 +228,16 @@ def forecast_ensemble(frame: SpatioTemporalFrame, J: int, j: int | Sequence[int]
     """Average of j-step predictions over J random-partition fits.
 
     j is one horizon or a sequence of them, as in forecast; each member
-    is fitted once for all horizons. Member seeds derive
-    deterministically from rng_seed by member index and members are
-    averaged in index order, so the result is identical for any worker
-    count.
+    is fitted once for all horizons, and the arguments are checked
+    before any member is fitted. Member seeds derive deterministically
+    from rng_seed by member index and members are averaged in index
+    order, so the result is identical for any worker count.
     """
     if J < 1:
         raise ValueError("J must be >= 1")
-    seeds = _util.member_seeds(rng_seed, J)
-
-    def one(seed: int) -> np.ndarray:
-        part = random_partition(frame.p, seed)
-        fit = fit_factors(frame, part, tau, k0=k0, p_star=p_star,
-                          d_override=d_override)
-        return forecast(frame, fit, j, j0, ridge=ridge)
-
-    preds = _util.ordered_map(one, seeds, workers)
+    _forecast_args(frame.n, j, j0, ridge)
+    partitions = _member_partitions(frame.p, _util.member_seeds(rng_seed, J))
+    preds = fit_members(frame, partitions, tau, k0=k0, p_star=p_star,
+                        d_override=d_override, workers=workers,
+                        read=lambda fit: forecast(frame, fit, j, j0, ridge=ridge))
     return np.mean(np.stack(preds, axis=0), axis=0)

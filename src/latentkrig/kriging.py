@@ -169,7 +169,7 @@ def impute_missing(frame: SpatioTemporalFrame) -> SpatioTemporalFrame:
 
     For a missing cell (t, i) the predictor is
     Cov(y(s_i), y^a) Var(y^a)^{-1} y^a over the locations a observed at
-    time t. Covariance entries come from ``pairwise_covariance`` on the
+    time t. Covariance entries come from ``masked_pairwise`` on the
     subpanel of time points where location i is observed, so every entry
     conditions on the information actually available about the target.
     Pairwise-complete estimates need not be PSD, and directions of

@@ -31,7 +31,7 @@ from . import _util
 from .errors import EmptyKernelWindow, TooFewLocations
 from .factors import (assemble_latent, build_laplacian, fit_factors,
                       gram_matrices, solve_loadings, subspace_distance)
-from .ensemble import fit_members
+from .ensemble import _member_partitions, fit_members
 from .forecast import forecast
 from .kriging import KernelSpec, krige_space
 from .stdata import (LocationSet, SpatioTemporalFrame, pairwise_distances,
@@ -353,8 +353,7 @@ def _replicate_fig2(setting, rep, sim_seed, pipe_seed, J, j0,
     draw = simulate(SimConfig(n=n, p=p, seed=sim_seed))
     cv_seed, members_seed = _util.member_seeds(pipe_seed, 2)
     tau_cv = select_tau(draw.frame, grid=tau_grid, rng_seed=cv_seed)
-    partitions = [random_partition(p, s)
-                  for s in _util.member_seeds(members_seed, J)]
+    partitions = _member_partitions(p, _util.member_seeds(members_seed, J))
     fits = fit_members(draw.frame, partitions, tau_cv, workers=1)
     xi_tilde = np.mean(np.stack([f.xi_hat for f in fits]), axis=0)
     return [MetricReport(
@@ -388,11 +387,13 @@ def _replicate_table2(setting, rep, sim_seed, pipe_seed, J, j0,
     frame = draw.frame
     cv_seed, members_seed = _util.member_seeds(pipe_seed, 2)
     tau_cv = select_tau(frame, grid=tau_grid, rng_seed=cv_seed)
-    partitions = [random_partition(p, s)
-                  for s in _util.member_seeds(members_seed, J)]
-    fits = fit_members(frame, partitions, tau_cv, workers=1)
-    xi_hat = fits[0].xi_hat
-    xi_tilde = np.mean(np.stack([f.xi_hat for f in fits]), axis=0)
+    partitions = _member_partitions(p, _util.member_seeds(members_seed, J))
+    members = fit_members(
+        frame, partitions, tau_cv, workers=1,
+        read=lambda fit: (fit.xi_hat, fit.d_hat, forecast(frame, fit, horizons, j0)))
+    xi_hats, d_hats, preds = zip(*members)
+    xi_hat = xi_hats[0]
+    xi_tilde = np.mean(np.stack(xi_hats), axis=0)
 
     def space_preds(latent: np.ndarray) -> np.ndarray:
         kernel = KernelSpec(family="gaussian",
@@ -406,7 +407,7 @@ def _replicate_table2(setting, rep, sim_seed, pipe_seed, J, j0,
 
     time_hat = []
     time_tilde = []
-    member_preds = np.stack([forecast(frame, f, horizons, j0) for f in fits])
+    member_preds = np.stack(preds)
     for row, ell in enumerate(horizons):
         truth = draw.future_y[ell - 1]
         time_hat.append(_mean_sq(member_preds[0, row], truth, "mspe_time"))
@@ -416,7 +417,7 @@ def _replicate_table2(setting, rep, sim_seed, pipe_seed, J, j0,
         n=n, p=p, replicate=rep, tau=tau_cv,
         mspe_space_hat=space_hat, mspe_space_tilde=space_tilde,
         mspe_time=tuple(time_hat), mspe_time_tilde=tuple(time_tilde),
-        d_hat_mean=float(fits[0].d_hat))]
+        d_hat_mean=float(d_hats[0]))]
 
 
 _REPLICATE_FNS = {

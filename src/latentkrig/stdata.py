@@ -339,10 +339,13 @@ def _read_long_form(path: Path, column_of: Callable[[str], int],
     to its column and raises for an unknown id."""
     _, rows = _read_rows(path, ["t", "id", "value"])
     cells: dict[tuple, float] = {}
+    stamp_of: dict[str, object] = {}  # raw token -> stamp; few distinct tokens
     for k, row in enumerate(rows, start=2):
         if len(row) != 3:
             raise ParseError(f"{path}:{k}: expected 3 fields")
-        t = _parse_timestamp(row[0], path, k)
+        t = stamp_of.get(row[0])
+        if t is None:
+            t = stamp_of[row[0]] = _parse_timestamp(row[0], path, k)
         loc = row[1].strip()
         key = (t, column_of(loc))
         if key in cells:

@@ -146,6 +146,19 @@ def test_bad_thread_count_exits_2(data_dir, tmp_path, capsys, monkeypatch,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_forecast_rejects_nonpositive_member_count(data_dir, tmp_path, capsys,
+                                                   value):
+    out = tmp_path / "fc.csv"
+    code, stdout, err = run(capsys, "forecast", str(data_dir), "--j", "1",
+                            "--j0", "2", "--tau", "0.0", "--J", value,
+                            "--seed", "5", "--out", str(out))
+    assert code == 2
+    assert err == "error: forecast: --J must be >= 1\n"
+    assert stdout == ""
+    assert not out.exists()
+
+
 def test_worker_count_reads_environment(monkeypatch):
     for raw, expect in (("", 1), ("  ", 1), ("1", 1), ("3", 3), (" 2 ", 2)):
         monkeypatch.setenv("LATENT_KRIG_THREADS", raw)

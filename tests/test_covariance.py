@@ -8,7 +8,6 @@ from latentkrig import (
     lagged_auto_covariance,
     lagged_covariances,
     masked_pairwise,
-    pairwise_covariance,
 )
 from latentkrig.errors import InsufficientOverlap, LagTooLarge, MissingDataError
 
@@ -43,10 +42,8 @@ def test_cross_covariance_matches_brute_force():
     part = Partition(set1=(0, 2, 4), set2=(1, 3))
     block = cross_covariance(frame, part)
     oracle = brute_cross(frame.obs[:, [0, 2, 4]], frame.obs[:, [1, 3]])
-    assert block.kind == "cross_sets"
-    assert block.lag == 0
-    assert block.matrix.shape == (3, 2)
-    np.testing.assert_allclose(block.matrix, oracle, atol=1e-12)
+    assert block.shape == (3, 2)
+    np.testing.assert_allclose(block, oracle, atol=1e-12)
 
 
 def test_cross_covariance_kills_the_nugget():
@@ -54,7 +51,7 @@ def test_cross_covariance_kills_the_nugget():
     # variance stays near 1
     frame = noise_frame(20000, 6, seed=2)
     part = Partition(set1=(0, 1, 2), set2=(3, 4, 5))
-    cross = cross_covariance(frame, part).matrix
+    cross = cross_covariance(frame, part)
     assert np.max(np.abs(cross)) < 0.05
     auto = lagged_auto_covariance(frame, part.set1, 0)[0]
     np.testing.assert_allclose(np.diag(auto), 1.0, atol=0.05)
@@ -63,7 +60,7 @@ def test_cross_covariance_kills_the_nugget():
 def test_cross_covariance_rank_equals_factor_count():
     frame, a, x, xi = rank_k_frame(400, 10, k=2, seed=3)
     part = Partition(set1=tuple(range(5)), set2=tuple(range(5, 10)))
-    s = cross_covariance(frame, part).matrix
+    s = cross_covariance(frame, part)
     sv = np.linalg.svd(s, compute_uv=False)
     assert sv[1] > 1e-6          # two live directions
     assert sv[2] < 1e-12 * sv[0]  # and nothing beyond
@@ -75,21 +72,13 @@ def test_lagged_covariances_match_brute_force():
     y1 = frame.obs[:, [0, 1, 4]]
     y2 = frame.obs[:, [2, 3]]
     blocks = lagged_covariances(frame, part, k0=2)
-    assert [(b.kind, b.lag) for b in blocks] == [
-        ("auto_set1", 1), ("auto_set2", 1), ("cross_lagged", 1), ("cross_lagged", -1),
-        ("auto_set1", 2), ("auto_set2", 2), ("cross_lagged", 2), ("cross_lagged", -2),
-    ]
-    for j in (1, 2):
-        base = 4 * (j - 1)
-        np.testing.assert_allclose(blocks[base].matrix, brute_lagged(y1, y1, j),
-                                   atol=1e-12)
-        np.testing.assert_allclose(blocks[base + 1].matrix, brute_lagged(y2, y2, j),
-                                   atol=1e-12)
-        np.testing.assert_allclose(blocks[base + 2].matrix, brute_lagged(y1, y2, j),
-                                   atol=1e-12)
+    assert len(blocks) == 2
+    for j, (auto1, auto2, lead, lag) in enumerate(blocks, start=1):
+        np.testing.assert_allclose(auto1, brute_lagged(y1, y1, j), atol=1e-12)
+        np.testing.assert_allclose(auto2, brute_lagged(y2, y2, j), atol=1e-12)
+        np.testing.assert_allclose(lead, brute_lagged(y1, y2, j), atol=1e-12)
         # lag -j pairs (t-j, t): transpose-free mirror of lead/lag roles
-        np.testing.assert_allclose(blocks[base + 3].matrix,
-                                   brute_lagged(y2, y1, j).T, atol=1e-12)
+        np.testing.assert_allclose(lag, brute_lagged(y2, y1, j).T, atol=1e-12)
 
 
 def test_lagged_covariances_guards():
@@ -107,12 +96,9 @@ def test_time_reversal_transposes_auto_blocks():
     rev = SpatioTemporalFrame(locations=frame.locations, obs=frame.obs[::-1])
     fwd = lagged_covariances(frame, part, k0=2)
     bwd = lagged_covariances(rev, part, k0=2)
-    for j in (1, 2):
-        base = 4 * (j - 1)
-        np.testing.assert_allclose(bwd[base].matrix, fwd[base].matrix.T,
-                                   atol=1e-12)
-        np.testing.assert_allclose(bwd[base + 1].matrix, fwd[base + 1].matrix.T,
-                                   atol=1e-12)
+    for (b1, b2, _, _), (f1, f2, _, _) in zip(bwd, fwd):
+        np.testing.assert_allclose(b1, f1.T, atol=1e-12)
+        np.testing.assert_allclose(b2, f2.T, atol=1e-12)
 
 
 def test_covariance_requires_complete_columns():
@@ -157,10 +143,9 @@ def test_masked_pairwise_matches_brute_force():
 
 def test_pairwise_equals_dense_on_complete_data():
     frame = noise_frame(11, 4, seed=9)
-    block = pairwise_covariance(frame, [0, 1, 2, 3], [0, 1, 2, 3])
-    assert block.kind == "pairwise"
+    block = masked_pairwise(frame.obs, frame.missing, [0, 1, 2, 3], [0, 1, 2, 3])
     yc = frame.obs - frame.obs.mean(axis=0)
-    np.testing.assert_allclose(block.matrix, yc.T @ yc / frame.n, atol=1e-12)
+    np.testing.assert_allclose(block, yc.T @ yc / frame.n, atol=1e-12)
 
 
 def test_pairwise_insufficient_overlap():

@@ -70,6 +70,18 @@ def test_aggregation_never_worse_per_cell():
         assert np.all(agg_sq <= mean_sq + 1e-12)
 
 
+def test_fit_members_read_keeps_only_what_it_returns():
+    frame, *_ = rank_k_frame(40, 8, k=1, seed=12, noise=0.3)
+    parts = enumerate_partitions(8)[:5]
+    fits = fit_members(frame, parts, tau=0.0, p_star=3)
+    for workers in (1, 3):
+        read = fit_members(frame, parts, tau=0.0, p_star=3, workers=workers,
+                           read=lambda fit: (fit.d_hat, fit.xi_hat[-1]))
+        assert [d for d, _ in read] == [f.d_hat for f in fits]
+        for (_, last), fit in zip(read, fits):
+            assert last.tobytes() == fit.xi_hat[-1].tobytes()
+
+
 # ---- aggregate_fit ----
 
 def test_aggregate_fit_j1_is_single_fit():

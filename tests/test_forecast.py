@@ -1,8 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
 from latentkrig import (
-    BlockToeplitzSystem,
     Partition,
     SpatioTemporalFrame,
     assemble_block_toeplitz,
@@ -133,15 +134,13 @@ def test_recursion_guards():
 
 def test_recursion_grows_lag_by_lag():
     sig = var1_lag_blocks(2, 5, seed=44)
-    system = BlockToeplitzSystem.start(sig)
-    assert system.k == 0 and system.d == 2
-    for step in range(1, 6):
-        system = system.extend()
-        assert system.k == step
+    for step in range(6):
+        w_inv = recursive_toeplitz_inverse(sig, step)
+        assert w_inv.shape == (2 * (step + 1), 2 * (step + 1))
         dense = np.linalg.inv(assemble_block_toeplitz(sig, step))
-        np.testing.assert_allclose(system.W_inv, dense, atol=1e-9)
+        np.testing.assert_allclose(w_inv, dense, atol=1e-9)
     with pytest.raises(ValueError):
-        system.extend()  # no lag block left
+        recursive_toeplitz_inverse(sig, 6)  # no lag block left
 
 
 # ---- latent autocovariances ----
@@ -312,3 +311,26 @@ def test_forecast_ensemble_horizon_list_equals_per_horizon_calls():
     per_horizon = np.stack([forecast_ensemble(frame, j=h, workers=1, **kwargs)
                             for h in (1, 2, 3)])
     np.testing.assert_array_equal(one, per_horizon)
+
+
+@pytest.mark.parametrize("kwargs, exc", [
+    (dict(j=[1, 30]), LagTooLarge),     # 30 + 0 >= 40 / 2
+    (dict(j=[1, 0]), ValueError),
+    (dict(j=[]), ValueError),
+    (dict(j=1, j0=-1), ValueError),
+    (dict(j=1, ridge=-1.0), ValueError),
+])
+def test_forecast_ensemble_checks_arguments_before_fitting(monkeypatch,
+                                                           kwargs, exc):
+    frame, *_ = rank_k_frame(40, 8, k=1, seed=47, noise=0.3)
+    calls = []
+    # count every fit, whichever module's binding of fit_factors runs it
+    for mod in [m for name, m in sys.modules.items()
+                if name.startswith("latentkrig")]:
+        if getattr(mod, "fit_factors", None) is fit_factors:
+            monkeypatch.setattr(mod, "fit_factors", lambda *a, **k:
+                                calls.append(1) or fit_factors(*a, **k))
+    with pytest.raises(exc):
+        forecast_ensemble(frame, J=5, p_star=3, workers=1,
+                          **{"j0": 0, **kwargs})
+    assert calls == []

@@ -312,6 +312,29 @@ def test_long_form_errors_keep_messages_and_lines(tmp_path):
         load_frame(locs, unknown)
 
 
+def test_long_form_parses_each_timestamp_token_once(tmp_path, monkeypatch):
+    import latentkrig.stdata as stdata
+    tokens = []
+    real = stdata._parse_timestamp
+    monkeypatch.setattr(stdata, "_parse_timestamp",
+                        lambda tok, path, line: tokens.append(tok)
+                        or real(tok, path, line))
+    locs = _write(tmp_path / "locs.csv", "id,x1,x2\ns1,0,0\ns2,1,0\n")
+    obs = _write(tmp_path / "obs.csv", "t,id,value\n1,s1,1\n 1,s2,2\n"
+                 "2,s1,3\n2,s2,4\n1,s2,5\n")
+    # " 1" and "1" are distinct tokens for the same time point
+    with pytest.raises(DuplicateCell, match=r"obs\.csv:6: duplicate cell "
+                       r"\(t=1, id=s2\)"):
+        load_frame(locs, obs)
+    assert tokens == ["1", " 1", "2"]
+    bad = _write(tmp_path / "bad.csv", "t,id,value\n1,s1,1\n1,s2,2\n"
+                 "x,s1,3\n")
+    for load in (lambda path: load_frame(locs, path), load_observation_table):
+        with pytest.raises(ParseError, match=r"bad\.csv:4: timestamp 'x' is "
+                           "neither an integer nor an ISO-8601 date"):
+            load(bad)
+
+
 def test_load_observation_table(tmp_path):
     obs = _write(tmp_path / "obs.csv", "\n".join([
         "t,id,value",
