@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -39,8 +39,8 @@ def worker_count() -> int:
 
 
 def ordered_map(fn: Callable[[T], R], items: Sequence[T],
-                workers: int | None = None) -> list[R]:
-    """Map ``fn`` over ``items`` preserving input order.
+                workers: int | None = None) -> Iterator[R]:
+    """Yield ``fn`` of each item in input order, as results arrive.
 
     ``workers=None`` reads the environment; 1 runs inline. Threads suit
     the workloads here because the heavy lifting releases the GIL inside
@@ -49,9 +49,10 @@ def ordered_map(fn: Callable[[T], R], items: Sequence[T],
     if workers is None:
         workers = worker_count()
     if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
+        yield from map(fn, items)
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        yield from pool.map(fn, items)
 
 
 def member_seeds(rng_seed: int, count: int) -> list[int]:

@@ -30,7 +30,8 @@ from .factors import fit_factors, fit_from_document, save_fit
 from .forecast import forecast as forecast_op
 from .forecast import forecast_ensemble
 from .kriging import _FAMILIES, KernelSpec, impute_missing, krige_space
-from .simbench import (SimConfig, run_table, select_bandwidth, select_tau)
+from .simbench import (TABLE_IDS, SimConfig, run_table, select_bandwidth,
+                       select_tau)
 from .simbench import simulate as simulate_op
 from .stdata import (_METRICS, SpatioTemporalFrame, _fmt, load_frame,
                      load_observation_table, random_partition, save_frame)
@@ -429,9 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cv)
 
     p = sub.add_parser("bench", help="run a benchmark experiment")
-    p.add_argument("--table", required=True,
-                   choices=("mse_table1", "kriging_table2", "fig1_distance",
-                            "fig2_mse"))
+    p.add_argument("--table", required=True, choices=TABLE_IDS)
     p.add_argument("--replicates", type=int, required=True)
     _add_seed(p)
     p.add_argument("--n", default=None, help="comma list of panel lengths")

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -97,13 +97,13 @@ def _identity(fit: FactorModelFit) -> FactorModelFit:
 def fit_members(frame: SpatioTemporalFrame, partitions: list[Partition],
                 tau: float, k0: int = 0, p_star: int | None = None,
                 d_override: int | None = None, workers: int | None = None,
-                read: Callable[[FactorModelFit], R] = _identity) -> list[R]:
-    """Fit one factor model per partition, in partition order.
+                read: Callable[[FactorModelFit], R] = _identity) -> Iterator[R]:
+    """Fit one factor model per partition, yielding in partition order.
 
     Each fit is passed through ``read`` on the worker that made it and
     only what ``read`` returns is kept, so a caller that needs a small
     summary per member never holds J full fits. The default keeps the
-    fit itself.
+    fit itself. Members are fitted as the result is iterated.
     """
 
     def one(part: Partition) -> R:
@@ -139,22 +139,25 @@ def aggregate_over_partitions(frame: SpatioTemporalFrame,
                               workers: int | None = None) -> EnsembleFit:
     """Mean latent field over an explicit partition list.
 
-    The aggregation backbone: members are averaged in list order, so
-    the result is reproducible for any worker count. Used directly by
-    the enumeration-based exactness checks.
+    The aggregation backbone: members are summed in list order as they
+    arrive, so the result is reproducible for any worker count. Used
+    directly by the enumeration-based exactness checks.
     """
     if not partitions:
         raise ValueError("need at least one partition")
-    fits = fit_members(frame, partitions, tau, k0=k0, p_star=p_star,
-                       d_override=d_override, workers=workers)
     total = np.zeros((frame.n, frame.p))
-    for fit in fits:
-        total += fit.xi_hat
-    j = len(fits)
+    d_hats = []
+    for xi_hat, d_hat in fit_members(frame, partitions, tau, k0=k0,
+                                     p_star=p_star, d_override=d_override,
+                                     workers=workers,
+                                     read=lambda fit: (fit.xi_hat, fit.d_hat)):
+        total += xi_hat
+        d_hats.append(d_hat)
+    j = len(partitions)
     counts = np.full(frame.p, j, dtype=np.int64)
     return EnsembleFit(J=j, member_seeds=tuple(member_seeds),
                        xi_tilde=total / j, per_location_counts=counts,
-                       d_hats=tuple(fit.d_hat for fit in fits), tau=tau)
+                       d_hats=tuple(d_hats), tau=tau)
 
 
 def aggregate_fit(frame: SpatioTemporalFrame, J: int = DEFAULT_J,

@@ -240,4 +240,4 @@ def forecast_ensemble(frame: SpatioTemporalFrame, J: int, j: int | Sequence[int]
     preds = fit_members(frame, partitions, tau, k0=k0, p_star=p_star,
                         d_override=d_override, workers=workers,
                         read=lambda fit: forecast(frame, fit, j, j0, ridge=ridge))
-    return np.mean(np.stack(preds, axis=0), axis=0)
+    return np.mean(np.stack(list(preds), axis=0), axis=0)

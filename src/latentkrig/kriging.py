@@ -31,7 +31,7 @@ from .errors import (
     NotSymmetric,
 )
 from .factors import FactorModelFit
-from .stdata import LocationSet, SpatioTemporalFrame, distances_to_point
+from .stdata import LocationSet, SpatioTemporalFrame, distance_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -62,20 +62,27 @@ class KernelSpec:
 
 def kernel_weights(locations: LocationSet, s0, kernel: KernelSpec) -> np.ndarray:
     """Normalized weights w_j >= 0 with sum 1 at prediction site s0."""
+    return _weight_matrix(locations, np.reshape(s0, (1, 2)), kernel)[:, 0]
+
+
+def _weight_matrix(locations: LocationSet, sites, kernel: KernelSpec) -> np.ndarray:
+    """(p, m) matrix whose column k is kernel_weights at sites[k], bitwise:
+    each site's raw weights are one contiguous row, summed as one site's."""
+    sites = np.asarray(sites, dtype=np.float64).reshape(-1, 2)
     if kernel.family == "gaussian":
-        u = distances_to_point(locations, s0) / kernel.h
+        u = distance_matrix(sites, locations.coords, locations.distance_metric,
+                            locations.radius) / kernel.h
         raw = np.exp(-0.5 * u * u)
     else:
         if locations.distance_metric != "euclidean":
             raise ValueError("epanechnikov_2d requires planar coordinates")
-        disp = (locations.coords - np.asarray(s0, dtype=np.float64)) / kernel.h
-        raw = np.prod(np.clip(1.0 - disp * disp, 0.0, None), axis=1)
-    total = raw.sum()
-    if total <= 0.0:
-        s0 = np.asarray(s0, dtype=np.float64)
-        raise EmptyKernelWindow(
-            f"no kernel mass at site ({s0[0]:g}, {s0[1]:g})")
-    return raw / total
+        disp = (locations.coords[None, :, :] - sites[:, None, :]) / kernel.h
+        raw = np.prod(np.clip(1.0 - disp * disp, 0.0, None), axis=2)
+    total = raw.sum(axis=1)
+    if np.any(total <= 0.0):
+        s0 = sites[np.argmax(total <= 0.0)]
+        raise EmptyKernelWindow(f"no kernel mass at site ({s0[0]:g}, {s0[1]:g})")
+    return (raw / total[:, None]).T
 
 
 @dataclass

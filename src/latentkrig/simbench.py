@@ -33,7 +33,7 @@ from .factors import (assemble_latent, build_laplacian, fit_factors,
                       gram_matrices, solve_loadings, subspace_distance)
 from .ensemble import _member_partitions, fit_members
 from .forecast import forecast
-from .kriging import KernelSpec, krige_space
+from .kriging import KernelSpec, _weight_matrix
 from .stdata import (LocationSet, SpatioTemporalFrame, pairwise_distances,
                      random_partition)
 
@@ -254,9 +254,11 @@ def select_tau(frame: SpatioTemporalFrame, grid=None, folds: int = 5,
     grid value (the Gram matrices and Laplacians are shared across the
     grid) and the held-out locations are predicted by spatial kriging;
     the score is the squared error against their observed series. The
-    bandwidth is chosen once per fold from the tau = 0 fit, keeping the
-    grid sweep to two eigendecompositions per point. Smallest tau wins
-    ties because the grid is scanned in ascending order.
+    bandwidth is chosen once per fold from the tau = 0 fit, so one
+    p_train x p_test kernel-weight matrix W serves the whole grid. Each
+    grid point costs two eigendecompositions and, per side, the
+    d-dimensional readouts y A times A' W. Smallest tau wins ties
+    because the grid is scanned in ascending order.
     """
     tau_grid = np.unique(np.asarray(
         default_tau_grid() if grid is None else grid, dtype=np.float64))
@@ -266,41 +268,40 @@ def select_tau(frame: SpatioTemporalFrame, grid=None, folds: int = 5,
         raise ValueError("tau grid values must be finite and >= 0")
     if folds < 2:
         raise ValueError("folds must be >= 2")
-    p = frame.p
-    if p < 2 * folds:
+    if frame.p < 2 * folds:
         raise TooFewLocations(f"{folds}-fold CV needs p >= {2 * folds}")
+    scores = _cv_scores(frame, tau_grid, folds, rng_seed, k0, p_star, family)
+    return float(tau_grid[int(np.argmin(scores.sum(axis=0)))])
+
+
+def _cv_scores(frame, tau_grid, folds, rng_seed, k0, p_star, family) -> np.ndarray:
+    """(folds, grid) matrix of held-out mean squared errors for select_tau."""
+    p = frame.p
     rng = np.random.default_rng(rng_seed)
     groups = np.array_split(rng.permutation(p), folds)
     fold_seeds = _util.member_seeds(rng_seed, folds)
-    scores = np.zeros(tau_grid.size)
+    scores = np.empty((folds, tau_grid.size))
     for f, grp in enumerate(groups):
         test_idx = sorted(int(i) for i in grp)
-        train_idx = sorted(set(range(p)) - set(test_idx))
-        sub = frame.subframe(train_idx)
+        sub = frame.subframe(sorted(set(range(p)) - set(test_idx)))
         part = random_partition(sub.p, fold_seeds[f])
+        set1, set2 = list(part.set1), list(part.set2)
         m1, m2 = gram_matrices(sub, part, k0)
-        lap1 = build_laplacian(sub.locations, part.set1)
-        lap2 = build_laplacian(sub.locations, part.set2)
-
-        def latent_at(tau: float) -> np.ndarray:
-            a1, a2, _, _ = solve_loadings(m1, m2, lap1, lap2, tau,
-                                          p_star=p_star)
-            return assemble_latent(sub, part, a1, a2)
-
-        kernel = KernelSpec(family=family,
-                            h=select_bandwidth(latent_at(0.0), sub.locations,
-                                               family=family))
+        lap1, lap2 = (build_laplacian(sub.locations, s) for s in (set1, set2))
+        a1, a2, _, _ = solve_loadings(m1, m2, lap1, lap2, 0.0, p_star=p_star)
+        kernel = KernelSpec(family=family, h=select_bandwidth(
+            assemble_latent(sub, part, a1, a2), sub.locations, family=family))
+        w = _weight_matrix(sub.locations, frame.locations.coords[test_idx],
+                           kernel)
+        w1, w2 = w[set1], w[set2]
+        y1, y2 = sub.obs[:, set1], sub.obs[:, set2]
         y_test = frame.obs[:, test_idx]
-        test_coords = frame.locations.coords[test_idx]
         for gi, tau in enumerate(tau_grid):
-            latent = latent_at(float(tau))
-            err = 0.0
-            for c in range(len(test_idx)):
-                pred = krige_space(latent, sub.locations, test_coords[c],
-                                   kernel)
-                err += float(np.mean((pred.xi_hat_series - y_test[:, c]) ** 2))
-            scores[gi] += err / len(test_idx)
-    return float(tau_grid[int(np.argmin(scores))])
+            a1, a2, _, _ = solve_loadings(m1, m2, lap1, lap2, float(tau),
+                                          p_star=p_star)
+            pred = (y1 @ a1) @ (a1.T @ w1) + (y2 @ a2) @ (a2.T @ w2)
+            scores[f, gi] = np.mean((pred - y_test) ** 2)
+    return scores
 
 
 @dataclass
@@ -354,7 +355,7 @@ def _replicate_fig2(setting, rep, sim_seed, pipe_seed, J, j0,
     cv_seed, members_seed = _util.member_seeds(pipe_seed, 2)
     tau_cv = select_tau(draw.frame, grid=tau_grid, rng_seed=cv_seed)
     partitions = _member_partitions(p, _util.member_seeds(members_seed, J))
-    fits = fit_members(draw.frame, partitions, tau_cv, workers=1)
+    fits = list(fit_members(draw.frame, partitions, tau_cv, workers=1))
     xi_tilde = np.mean(np.stack([f.xi_hat for f in fits]), axis=0)
     return [MetricReport(
         n=n, p=p, replicate=rep, tau=tau_cv,
@@ -398,21 +399,18 @@ def _replicate_table2(setting, rep, sim_seed, pipe_seed, J, j0,
     def space_preds(latent: np.ndarray) -> np.ndarray:
         kernel = KernelSpec(family="gaussian",
                             h=select_bandwidth(latent, frame.locations))
-        cols = [krige_space(latent, frame.locations, s0, kernel).xi_hat_series
-                for s0 in draw.holdout_locations.coords]
-        return np.column_stack(cols)
+        return latent @ _weight_matrix(frame.locations,
+                                       draw.holdout_locations.coords, kernel)
 
     space_hat = mspe_space(space_preds(xi_hat), draw.holdout_y)
     space_tilde = mspe_space(space_preds(xi_tilde), draw.holdout_y)
 
-    time_hat = []
-    time_tilde = []
     member_preds = np.stack(preds)
-    for row, ell in enumerate(horizons):
-        truth = draw.future_y[ell - 1]
-        time_hat.append(_mean_sq(member_preds[0, row], truth, "mspe_time"))
-        time_tilde.append(_mean_sq(np.mean(member_preds[:, row], axis=0),
-                                   truth, "mspe_time"))
+    truths = [draw.future_y[ell - 1] for ell in horizons]
+    time_hat = [_mean_sq(member_preds[0, row], truth, "mspe_time")
+                for row, truth in enumerate(truths)]
+    time_tilde = [_mean_sq(member_preds[:, row].mean(axis=0), truth, "mspe_time")
+                  for row, truth in enumerate(truths)]
     return [MetricReport(
         n=n, p=p, replicate=rep, tau=tau_cv,
         mspe_space_hat=space_hat, mspe_space_tilde=space_tilde,
@@ -440,11 +438,7 @@ def _spread(values: list[float]) -> dict:
 
 def summarize_reports(table_id: str, reports: list[MetricReport]) -> dict:
     """Per-(n, p, variant) means and spreads of every populated metric."""
-    keys = []
-    for r in reports:
-        key = (r.n, r.p, r.variant)
-        if key not in keys:
-            keys.append(key)
+    keys = dict.fromkeys((r.n, r.p, r.variant) for r in reports)
     settings = []
     for n, p, variant in keys:
         rows = [r for r in reports

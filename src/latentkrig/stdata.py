@@ -124,6 +124,8 @@ def distance_matrix(coords_a: np.ndarray, coords_b: np.ndarray,
         diff = a[:, None, :] - b[None, :, :]
         return np.sqrt(np.sum(diff * diff, axis=2))
     if metric == "great_circle":
+        if np.any(np.abs(a[:, 1]) > 90.0) or np.any(np.abs(b[:, 1]) > 90.0):
+            raise InvalidCoordinate("latitude outside [-90, 90]")
         return _haversine_matrix(a, b, radius)
     raise ValueError(f"unknown metric {metric!r}")
 
@@ -134,15 +136,6 @@ def pairwise_distances(locations: LocationSet) -> np.ndarray:
                         locations.distance_metric, locations.radius)
     np.fill_diagonal(d, 0.0)
     return d
-
-
-def distances_to_point(locations: LocationSet, s0) -> np.ndarray:
-    """Distance from every location to a single site ``s0``."""
-    s = np.asarray(s0, dtype=np.float64).reshape(1, 2)
-    if locations.distance_metric == "great_circle" and abs(s[0, 1]) > 90.0:
-        raise InvalidCoordinate("latitude outside [-90, 90]")
-    return distance_matrix(locations.coords, s, locations.distance_metric,
-                           locations.radius)[:, 0]
 
 
 @dataclass
@@ -307,6 +300,13 @@ def _parse_timestamp(token: str, path: Path, line: int):
             "nor an ISO-8601 date") from None
 
 
+def _memo_stamp(memo: dict, token: str, path: Path, line: int):
+    """Parse each distinct raw token once; panels repeat a stamp per site."""
+    if token not in memo:
+        memo[token] = _parse_timestamp(token, path, line)
+    return memo[token]
+
+
 def load_locations(path, distance_metric: str = "euclidean",
                    radius: float = EARTH_RADIUS_KM) -> LocationSet:
     path = Path(path)
@@ -339,13 +339,11 @@ def _read_long_form(path: Path, column_of: Callable[[str], int],
     to its column and raises for an unknown id."""
     _, rows = _read_rows(path, ["t", "id", "value"])
     cells: dict[tuple, float] = {}
-    stamp_of: dict[str, object] = {}  # raw token -> stamp; few distinct tokens
+    stamp_of: dict[str, object] = {}
     for k, row in enumerate(rows, start=2):
         if len(row) != 3:
             raise ParseError(f"{path}:{k}: expected 3 fields")
-        t = stamp_of.get(row[0])
-        if t is None:
-            t = stamp_of[row[0]] = _parse_timestamp(row[0], path, k)
+        t = _memo_stamp(stamp_of, row[0], path, k)
         loc = row[1].strip()
         key = (t, column_of(loc))
         if key in cells:
@@ -383,18 +381,16 @@ def load_frame(locations_path, observations_path, covariates_path=None,
             raise ParseError(f"{cov_path}: expected header t,id,z1,...")
         m = len(header) - 2
         covariates = np.full((n, locs.p, m), np.nan)
-        seen: set[tuple] = set()
+        stamp_of: dict[str, object] = {}
         for k, row in enumerate(zrows, start=2):
             if len(row) != m + 2:
                 raise ParseError(f"{cov_path}:{k}: expected {m + 2} fields")
-            t = _parse_timestamp(row[0], cov_path, k)
+            t = _memo_stamp(stamp_of, row[0], cov_path, k)
             if t not in rank:
                 raise ParseError(f"{cov_path}:{k}: timestamp {row[0]!r} not in panel")
             col = locs.index_of(row[1].strip())
-            key = (t, col)
-            if key in seen:
+            if not np.isnan(covariates[rank[t], col, 0]):  # cells parse finite
                 raise DuplicateCell(f"{cov_path}:{k}: duplicate covariate cell")
-            seen.add(key)
             covariates[rank[t], col, :] = [
                 _parse_float(z, cov_path, k) for z in row[2:]]
         if np.any(np.isnan(covariates)):

@@ -21,6 +21,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 from latentkrig import (
     LocationSet,
@@ -50,6 +51,10 @@ from latentkrig.forecast import assemble_block_toeplitz
 from latentkrig.simbench import FACTOR_STATIONARY_VARS, loading_values, run_table
 
 MASTER_SEED = 314159
+
+# Every criterion counts as slow; `pytest -m "not slow"` runs the unit
+# tests alone for a quick loop.
+pytestmark = pytest.mark.slow
 
 
 def _verdict(k, ok, detail):

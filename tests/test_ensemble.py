@@ -73,13 +73,37 @@ def test_aggregation_never_worse_per_cell():
 def test_fit_members_read_keeps_only_what_it_returns():
     frame, *_ = rank_k_frame(40, 8, k=1, seed=12, noise=0.3)
     parts = enumerate_partitions(8)[:5]
-    fits = fit_members(frame, parts, tau=0.0, p_star=3)
+    fits = list(fit_members(frame, parts, tau=0.0, p_star=3))
     for workers in (1, 3):
-        read = fit_members(frame, parts, tau=0.0, p_star=3, workers=workers,
-                           read=lambda fit: (fit.d_hat, fit.xi_hat[-1]))
+        read = list(fit_members(frame, parts, tau=0.0, p_star=3,
+                                workers=workers,
+                                read=lambda fit: (fit.d_hat, fit.xi_hat[-1])))
         assert [d for d, _ in read] == [f.d_hat for f in fits]
         for (_, last), fit in zip(read, fits):
             assert last.tobytes() == fit.xi_hat[-1].tobytes()
+
+
+def test_members_are_fitted_as_they_are_read(monkeypatch):
+    import latentkrig.ensemble as ensemble
+    frame, *_ = rank_k_frame(40, 8, k=1, seed=12, noise=0.3)
+    parts = enumerate_partitions(8)[:4]
+    fits = list(fit_members(frame, parts, tau=0.0, p_star=3))
+    calls = []
+    real = ensemble.fit_factors
+    monkeypatch.setattr(ensemble, "fit_factors",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    members = fit_members(frame, parts, tau=0.0, p_star=3, workers=1)
+    assert calls == []
+    assert next(members).xi_hat.tobytes() == fits[0].xi_hat.tobytes()
+    assert len(calls) == 1
+    total = np.zeros_like(fits[0].xi_hat)
+    for fit in fits:
+        total += fit.xi_hat
+    for workers in (1, 3):
+        ens = aggregate_over_partitions(frame, parts, tau=0.0, p_star=3,
+                                        workers=workers)
+        assert ens.xi_tilde.tobytes() == (total / 4).tobytes()
+        assert ens.d_hats == tuple(f.d_hat for f in fits)
 
 
 # ---- aggregate_fit ----

@@ -42,8 +42,8 @@ def test_kernel_weights_normalized_and_monotone():
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(w >= 0)
     # closer sites never get less weight under a radial kernel
-    from latentkrig.stdata import distances_to_point
-    d = distances_to_point(locs, (0.0, 0.0))
+    from latentkrig.stdata import distance_matrix
+    d = distance_matrix(locs.coords, [[0.0, 0.0]])[:, 0]
     order = np.argsort(d)
     assert np.all(np.diff(w[order]) <= 1e-15)
 
@@ -53,6 +53,28 @@ def test_kernel_weights_tiny_h_is_nearest_site():
     s0 = locs.coords[3]  # on a site, so the window never empties out
     w = kernel_weights(locs, s0, KernelSpec(family="gaussian", h=1e-3))
     assert w[3] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_weight_matrix_columns_are_kernel_weights():
+    from latentkrig.kriging import _weight_matrix
+    rng = np.random.default_rng(8)
+    plane = grid_locations(170)
+    sphere = LocationSet(ids=tuple(f"s{i}" for i in range(40)),
+                         coords=np.column_stack([rng.uniform(-180, 180, 40),
+                                                 rng.uniform(-90, 90, 40)]),
+                         distance_metric="great_circle")
+    cases = [(plane, KernelSpec("gaussian", 0.3), 1.0),
+             (plane, KernelSpec("epanechnikov_2d", 0.9), 0.4),
+             (sphere, KernelSpec("gaussian", 3000.0), 80.0)]
+    for locs, spec, spread in cases:
+        sites = rng.uniform(-spread, spread, (25, 2))
+        w = _weight_matrix(locs, sites, spec)
+        assert w.shape == (locs.p, 25)
+        for k, s0 in enumerate(sites):
+            assert w[:, k].tobytes() == kernel_weights(locs, s0, spec).tobytes()
+    spec = KernelSpec("epanechnikov_2d", 0.5)
+    with pytest.raises(EmptyKernelWindow, match=r"\(9, -9\)"):
+        _weight_matrix(plane, [[0.0, 0.0], [9.0, -9.0]], spec)
 
 
 def test_epanechnikov_compact_support():

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from latentkrig import (
+    LocationSet,
     SimConfig,
+    SpatioTemporalFrame,
     mse_xi,
     mspe_space,
     select_bandwidth,
@@ -161,6 +163,67 @@ def test_select_tau_guards():
         select_tau(frame, grid=[0.0], folds=7)  # p < 2*folds
     assert default_tau_grid().shape == (101,)
     assert default_tau_grid()[0] == 0.0 and default_tau_grid()[-1] == 10.0
+
+
+def _cv_scores_per_site(frame, grid, folds, rng_seed, k0, family):
+    """Reference fold x tau scores: the full latent field at every tau,
+    kriged one held-out site at a time."""
+    from latentkrig import (KernelSpec, assemble_latent, build_laplacian,
+                            gram_matrices, krige_space, random_partition,
+                            solve_loadings)
+    from latentkrig._util import member_seeds
+    p = frame.p
+    groups = np.array_split(np.random.default_rng(rng_seed).permutation(p),
+                            folds)
+    fold_seeds = member_seeds(rng_seed, folds)
+    scores = np.zeros((folds, len(grid)))
+    for f, grp in enumerate(groups):
+        test_idx = sorted(int(i) for i in grp)
+        sub = frame.subframe([i for i in range(p) if i not in test_idx])
+        part = random_partition(sub.p, fold_seeds[f])
+        m1, m2 = gram_matrices(sub, part, k0)
+        laps = [build_laplacian(sub.locations, s)
+                for s in (part.set1, part.set2)]
+
+        def latent_at(tau):
+            a1, a2, _, _ = solve_loadings(m1, m2, *laps, tau)
+            return assemble_latent(sub, part, a1, a2)
+
+        kernel = KernelSpec(family, select_bandwidth(
+            latent_at(0.0), sub.locations, family=family))
+        for gi, tau in enumerate(grid):
+            latent = latent_at(tau)
+            for i in test_idx:
+                pred = krige_space(latent, sub.locations,
+                                   frame.locations.coords[i], kernel)
+                scores[f, gi] += np.mean(
+                    (pred.xi_hat_series - frame.obs[:, i]) ** 2) / len(test_idx)
+    return scores
+
+
+@pytest.mark.parametrize("family, k0", [("gaussian", 0), ("gaussian", 1),
+                                        ("epanechnikov_2d", 0)])
+def test_cv_scores_match_per_site_kriging(family, k0):
+    from latentkrig.simbench import _cv_scores
+    frame = simulate(SimConfig(n=60, p=40, seed=3)).frame
+    grid = np.array([0.0, 0.5, 2.0, 10.0])
+    fast = _cv_scores(frame, grid, 5, 11, k0, None, family)
+    slow = _cv_scores_per_site(frame, grid, 5, 11, k0, family)
+    assert fast.shape == (5, 4)
+    np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=0.0)
+    tau = select_tau(frame, grid=grid, rng_seed=11, k0=k0, family=family)
+    assert tau == grid[int(np.argmin(slow.sum(axis=0)))]
+
+
+def test_cv_product_kernel_empty_window_raises():
+    # one far site: held out, no training site shares its kernel window
+    rng = np.random.default_rng(5)
+    coords = np.vstack([rng.uniform(-1.0, 1.0, (29, 2)), [[50.0, 50.0]]])
+    locs = LocationSet(ids=tuple(f"s{i}" for i in range(30)), coords=coords)
+    frame = SpatioTemporalFrame(locations=locs,
+                                obs=rng.standard_normal((40, 30)))
+    with pytest.raises(EmptyKernelWindow, match=r"\(50, 50\)"):
+        select_tau(frame, grid=[0.0, 1.0], family="epanechnikov_2d")
 
 
 # ---- experiment harness ----

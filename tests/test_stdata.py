@@ -335,6 +335,36 @@ def test_long_form_parses_each_timestamp_token_once(tmp_path, monkeypatch):
             load(bad)
 
 
+def test_covariate_timestamps_parsed_once_per_token(tmp_path, monkeypatch):
+    import latentkrig.stdata as stdata
+    rng = np.random.default_rng(3)
+    frame = SpatioTemporalFrame(locations=grid_locations(50),
+                                obs=rng.standard_normal((100, 50)),
+                                covariates=rng.standard_normal((100, 50, 2)))
+    paths = save_frame(frame, tmp_path / "panel")
+    calls = []
+    real = stdata._parse_timestamp
+    monkeypatch.setattr(stdata, "_parse_timestamp",
+                        lambda tok, path, line: calls.append(tok)
+                        or real(tok, path, line))
+    back = load_frame(paths["locations"], paths["observations"],
+                      paths["covariates"])
+    np.testing.assert_array_equal(back.covariates, frame.covariates)
+    assert len(calls) <= 200
+    # messages and line numbers are those of the unmemoized parser
+    locs = _write(tmp_path / "locs.csv", "id,x1,x2\ns1,0,0\ns2,1,0\n")
+    obs = _write(tmp_path / "obs.csv",
+                 "t,id,value\n1,s1,1\n1,s2,2\n2,s1,3\n2,s2,4\n")
+    for body, message in [
+            ("1,s1,0\n1,s2,0\nx,s1,0\n", r"z\.csv:4: timestamp 'x' is "
+             "neither an integer nor an ISO-8601 date"),
+            ("1,s1,0\n3,s2,0\n", r"z\.csv:3: timestamp '3' not in panel"),
+            ("1,s1,0\n1,s1,0\n", r"z\.csv:3: duplicate covariate cell")]:
+        z = _write(tmp_path / "z.csv", "t,id,z1\n" + body)
+        with pytest.raises((ParseError, DuplicateCell), match=message):
+            load_frame(locs, obs, z)
+
+
 def test_load_observation_table(tmp_path):
     obs = _write(tmp_path / "obs.csv", "\n".join([
         "t,id,value",
