@@ -30,9 +30,8 @@ from .factors import (FactorModelFit, GraphLaplacian, assemble_latent,
 from .forecast import (assemble_block_toeplitz, estimate_sigma_x, forecast,
                        forecast_ensemble, partitioned_inverse,
                        recursive_toeplitz_inverse, woodbury_identity_check)
-from .kriging import (KernelSpec, SpatialPrediction, best_linear_predictor,
-                      impute_missing, kernel_weights, krige_space,
-                      verify_dual_route)
+from .kriging import (KernelSpec, best_linear_predictor, impute_missing,
+                      kernel_weights, krige_space, verify_dual_route)
 from .regress import RegressionFit, detrend, save_betas, smooth_beta
 from .simbench import (SimConfig, SimulationDraw, loading_values, mse_xi,
                        mspe_space, run_table, select_bandwidth, select_tau,

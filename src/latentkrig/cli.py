@@ -162,16 +162,21 @@ def cmd_fit(args) -> int:
 
 
 def cmd_krige_space(args) -> int:
-    doc = json.loads(Path(args.model).read_text(encoding="utf-8"))
-    fmt = doc.get("format")
-    if fmt == "latentkrig-fit":
-        fit, locs = fit_from_document(doc)
-        latent = fit.xi_hat
-    elif fmt == "latentkrig-ensemble":
-        ens, locs = ensemble_from_document(doc)
-        latent = ens.xi_tilde
-    else:
-        raise ParseError(f"{args.model}: not a model document")
+    try:
+        doc = json.loads(Path(args.model).read_text(encoding="utf-8"))
+        fmt = doc.get("format") if isinstance(doc, dict) else None
+        if fmt == "latentkrig-fit":
+            fit, locs = fit_from_document(doc)
+            latent = fit.xi_hat
+        elif fmt == "latentkrig-ensemble":
+            ens, locs = ensemble_from_document(doc)
+            latent = ens.xi_tilde
+        else:
+            raise ValueError("not a model document")
+    except KeyError as exc:
+        raise ParseError(f"{args.model}: model document lacks key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{args.model}: {exc}") from None
     if locs is None:
         raise ParseError(f"{args.model}: model has no embedded locations")
     if latent.shape[0] == 0:
@@ -184,25 +189,25 @@ def cmd_krige_space(args) -> int:
         except ValueError:
             raise ParseError(f"--h must be a number or 'auto', got {args.h!r}") from None
     kernel = KernelSpec(family=args.kernel, h=h)
-    sites = [_parse_point(text) for text in args.at]
-    preds = [krige_space(latent, locs, s0, kernel) for s0 in sites]
+    sites = np.array([_parse_point(text) for text in args.at])
+    preds = krige_space(latent, locs, sites, kernel)
 
     if args.format == "json":
         payload = json.dumps({
             "h": h,
             "kernel": args.kernel,
             "sites": [{"x1": float(s0[0]), "x2": float(s0[1]),
-                       "values": [float(v) for v in pred.xi_hat_series]}
-                      for s0, pred in zip(sites, preds)],
+                       "values": [float(v) for v in pred]}
+                      for s0, pred in zip(sites, preds.T)],
         }, indent=2) + "\n"
         if args.out:
             Path(args.out).write_text(payload, encoding="utf-8")
         else:
             sys.stdout.write(payload)
     else:
-        rows = [(t + 1, _fmt(s0[0]), _fmt(s0[1]), _fmt(pred.xi_hat_series[t]))
-                for s0, pred in zip(sites, preds)
-                for t in range(latent.shape[0])]
+        rows = [(t + 1, _fmt(s0[0]), _fmt(s0[1]), _fmt(value))
+                for s0, pred in zip(sites, preds.T)
+                for t, value in enumerate(pred)]
         if args.out:
             _write_value_rows(Path(args.out), ["t", "x1", "x2", "value"], rows)
         else:

@@ -60,50 +60,44 @@ class KernelSpec:
             raise ValueError("bandwidth must be positive")
 
 
-def kernel_weights(locations: LocationSet, s0, kernel: KernelSpec) -> np.ndarray:
-    """Normalized weights w_j >= 0 with sum 1 at prediction site s0."""
-    return _weight_matrix(locations, np.reshape(s0, (1, 2)), kernel)[:, 0]
-
-
-def _weight_matrix(locations: LocationSet, sites, kernel: KernelSpec) -> np.ndarray:
-    """(p, m) matrix whose column k is kernel_weights at sites[k], bitwise:
-    each site's raw weights are one contiguous row, summed as one site's."""
+def _raw_kernel(locations: LocationSet, sites, family: str):
+    """h -> raw weights K((s_j - sites[k]) / h), one row per site; the
+    geometry (distances, or displacements for epanechnikov_2d) is computed once."""
     sites = np.asarray(sites, dtype=np.float64).reshape(-1, 2)
-    if kernel.family == "gaussian":
-        u = distance_matrix(sites, locations.coords, locations.distance_metric,
-                            locations.radius) / kernel.h
-        raw = np.exp(-0.5 * u * u)
-    else:
-        if locations.distance_metric != "euclidean":
-            raise ValueError("epanechnikov_2d requires planar coordinates")
-        disp = (locations.coords[None, :, :] - sites[:, None, :]) / kernel.h
-        raw = np.prod(np.clip(1.0 - disp * disp, 0.0, None), axis=2)
+    if family == "gaussian":
+        dist = distance_matrix(sites, locations.coords,
+                               locations.distance_metric, locations.radius)
+        return lambda h: np.exp(-0.5 * (dist / h) ** 2)
+    if family != "epanechnikov_2d":
+        raise ValueError(f"unknown kernel family {family!r}")
+    if locations.distance_metric != "euclidean":
+        raise ValueError("epanechnikov_2d requires planar coordinates")
+    disp = locations.coords[None, :, :] - sites[:, None, :]
+    return lambda h: np.prod(np.clip(1.0 - (disp / h) ** 2, 0.0, None), axis=2)
+
+
+def kernel_weights(locations: LocationSet, s0, kernel: KernelSpec) -> np.ndarray:
+    """Normalized weights w_j >= 0 with sum 1: (p,) at one site s0, or
+    (p, m) for an (m, 2) site array, column k bitwise the weights at
+    site k alone (each site's raw weights are summed as one row)."""
+    sites = np.asarray(s0, dtype=np.float64)
+    raw = _raw_kernel(locations, sites, kernel.family)(kernel.h)
     total = raw.sum(axis=1)
     if np.any(total <= 0.0):
-        s0 = sites[np.argmax(total <= 0.0)]
-        raise EmptyKernelWindow(f"no kernel mass at site ({s0[0]:g}, {s0[1]:g})")
-    return (raw / total[:, None]).T
-
-
-@dataclass
-class SpatialPrediction:
-    """Latent series predicted at one site, with the weights used."""
-
-    s0: tuple[float, float]
-    xi_hat_series: np.ndarray
-    weights: np.ndarray
+        bad = sites.reshape(-1, 2)[np.argmax(total <= 0.0)]
+        raise EmptyKernelWindow(f"no kernel mass at site ({bad[0]:g}, {bad[1]:g})")
+    w = (raw / total[:, None]).T
+    return w[:, 0] if sites.ndim == 1 else w
 
 
 def krige_space(latent: np.ndarray, locations: LocationSet, s0,
-                kernel: KernelSpec) -> SpatialPrediction:
-    """Weighted latent series at s0 from an (n, p) latent field."""
+                kernel: KernelSpec) -> np.ndarray:
+    """Weighted latent series from an (n, p) latent field: (n,) at one
+    site s0, or (n, m) with one column per row of an (m, 2) site array."""
     latent = np.asarray(latent, dtype=np.float64)
     if latent.ndim != 2 or latent.shape[1] != locations.p:
         raise ValueError("latent field width disagrees with locations")
-    w = kernel_weights(locations, s0, kernel)
-    s = np.asarray(s0, dtype=np.float64)
-    return SpatialPrediction(s0=(float(s[0]), float(s[1])),
-                             xi_hat_series=latent @ w, weights=w)
+    return latent @ kernel_weights(locations, s0, kernel)
 
 
 def verify_dual_route(fit: FactorModelFit, frame: SpatioTemporalFrame,
@@ -125,8 +119,7 @@ def verify_dual_route(fit: FactorModelFit, frame: SpatioTemporalFrame,
         raise NonInvertible("dense panel covariance needs a complete frame")
     if frame.n <= frame.p:
         raise NonInvertible("need n > p for an invertible panel covariance")
-    pred = krige_space(fit.xi_hat, frame.locations, s0, kernel)
-    series = pred.xi_hat_series
+    series = krige_space(fit.xi_hat, frame.locations, s0, kernel)
     yc = frame.obs - frame.obs.mean(axis=0)
     sigma_y = (yc.T @ yc) / frame.n
     evals = np.linalg.eigvalsh(sigma_y)

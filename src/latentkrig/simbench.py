@@ -33,7 +33,7 @@ from .factors import (assemble_latent, build_laplacian, fit_factors,
                       gram_matrices, solve_loadings, subspace_distance)
 from .ensemble import _member_partitions, fit_members
 from .forecast import forecast
-from .kriging import KernelSpec, _weight_matrix
+from .kriging import KernelSpec, _raw_kernel, kernel_weights, krige_space
 from .stdata import (LocationSet, SpatioTemporalFrame, pairwise_distances,
                      random_partition)
 
@@ -209,10 +209,7 @@ def select_bandwidth(latent: np.ndarray, locs: LocationSet,
         raise TooFewLocations("bandwidth selection needs p >= 3")
     if latent.ndim != 2 or latent.shape[1] != p:
         raise ValueError("latent must be n x p for these locations")
-    if family == "epanechnikov_2d" and locs.distance_metric != "euclidean":
-        raise ValueError("product kernel needs planar coordinates")
-    if family not in ("gaussian", "epanechnikov_2d"):
-        raise ValueError(f"unknown kernel family {family!r}")
+    raw = _raw_kernel(locs, locs.coords, family)
     dist = pairwise_distances(locs)
     off = dist + np.diag(np.full(p, np.inf))
     med_nn = float(np.median(off.min(axis=1)))
@@ -220,16 +217,9 @@ def select_bandwidth(latent: np.ndarray, locs: LocationSet,
     if med_nn <= 0.0 or diam <= 0.0:
         raise ValueError("degenerate geometry: coincident locations")
     grid = np.geomspace(0.1 * med_nn, 2.0 * diam, grid_size)
-    if family == "epanechnikov_2d":
-        dx = locs.coords[:, 0][:, None] - locs.coords[:, 0][None, :]
-        dy = locs.coords[:, 1][:, None] - locs.coords[:, 1][None, :]
     errs = np.empty(grid.size)
     for gi, h in enumerate(grid):
-        if family == "gaussian":
-            k = np.exp(-0.5 * (dist / h) ** 2)
-        else:
-            k = (np.maximum(1.0 - (dx / h) ** 2, 0.0)
-                 * np.maximum(1.0 - (dy / h) ** 2, 0.0))
+        k = raw(h)
         np.fill_diagonal(k, 0.0)
         tot = k.sum(axis=0)
         if np.any(tot <= 0.0):
@@ -255,9 +245,10 @@ def select_tau(frame: SpatioTemporalFrame, grid=None, folds: int = 5,
     grid) and the held-out locations are predicted by spatial kriging;
     the score is the squared error against their observed series. The
     bandwidth is chosen once per fold from the tau = 0 fit, so one
-    p_train x p_test kernel-weight matrix W serves the whole grid. Each
-    grid point costs two eigendecompositions and, per side, the
-    d-dimensional readouts y A times A' W. Smallest tau wins ties
+    p_train x p_test kernel-weight matrix W serves the whole grid, and
+    that fit is grid point 0 when the grid holds 0. Each other grid
+    point costs two eigendecompositions; every point costs, per side,
+    the d-dimensional readouts y A times A' W. Smallest tau wins ties
     because the grid is scanned in ascending order.
     """
     tau_grid = np.unique(np.asarray(
@@ -288,17 +279,17 @@ def _cv_scores(frame, tau_grid, folds, rng_seed, k0, p_star, family) -> np.ndarr
         set1, set2 = list(part.set1), list(part.set2)
         m1, m2 = gram_matrices(sub, part, k0)
         lap1, lap2 = (build_laplacian(sub.locations, s) for s in (set1, set2))
-        a1, a2, _, _ = solve_loadings(m1, m2, lap1, lap2, 0.0, p_star=p_star)
+        flat = solve_loadings(m1, m2, lap1, lap2, 0.0, p_star=p_star)[:2]
         kernel = KernelSpec(family=family, h=select_bandwidth(
-            assemble_latent(sub, part, a1, a2), sub.locations, family=family))
-        w = _weight_matrix(sub.locations, frame.locations.coords[test_idx],
+            assemble_latent(sub, part, *flat), sub.locations, family=family))
+        w = kernel_weights(sub.locations, frame.locations.coords[test_idx],
                            kernel)
         w1, w2 = w[set1], w[set2]
         y1, y2 = sub.obs[:, set1], sub.obs[:, set2]
         y_test = frame.obs[:, test_idx]
         for gi, tau in enumerate(tau_grid):
-            a1, a2, _, _ = solve_loadings(m1, m2, lap1, lap2, float(tau),
-                                          p_star=p_star)
+            a1, a2 = flat if tau == 0.0 else solve_loadings(
+                m1, m2, lap1, lap2, float(tau), p_star=p_star)[:2]
             pred = (y1 @ a1) @ (a1.T @ w1) + (y2 @ a2) @ (a2.T @ w2)
             scores[f, gi] = np.mean((pred - y_test) ** 2)
     return scores
@@ -348,6 +339,19 @@ def _replicate_mse_table1(setting, rep, sim_seed, pipe_seed, J, j0,
     ]
 
 
+def _first_and_mean(members) -> tuple:
+    """Member 0's field, the mean field (a running sum in member order,
+    bitwise np.mean of the stack), then each further reading per member."""
+    total, rest = None, []
+    for xi, *other in members:
+        if total is None:
+            first, total = xi, xi.copy()
+        else:
+            total += xi
+        rest.append(other)
+    return (first, total / len(rest), *zip(*rest))
+
+
 def _replicate_fig2(setting, rep, sim_seed, pipe_seed, J, j0,
                     tau_grid) -> list[MetricReport]:
     n, p = setting
@@ -355,13 +359,14 @@ def _replicate_fig2(setting, rep, sim_seed, pipe_seed, J, j0,
     cv_seed, members_seed = _util.member_seeds(pipe_seed, 2)
     tau_cv = select_tau(draw.frame, grid=tau_grid, rng_seed=cv_seed)
     partitions = _member_partitions(p, _util.member_seeds(members_seed, J))
-    fits = list(fit_members(draw.frame, partitions, tau_cv, workers=1))
-    xi_tilde = np.mean(np.stack([f.xi_hat for f in fits]), axis=0)
+    xi_hat, xi_tilde, d_hats = _first_and_mean(fit_members(
+        draw.frame, partitions, tau_cv, workers=1,
+        read=lambda fit: (fit.xi_hat, fit.d_hat)))
     return [MetricReport(
         n=n, p=p, replicate=rep, tau=tau_cv,
-        mse_xi_hat=mse_xi(fits[0].xi_hat, draw.xi),
+        mse_xi_hat=mse_xi(xi_hat, draw.xi),
         mse_xi_tilde=mse_xi(xi_tilde, draw.xi),
-        d_hat_mean=float(np.mean([f.d_hat for f in fits])))]
+        d_hat_mean=float(np.mean(d_hats)))]
 
 
 def _replicate_fig1(setting, rep, sim_seed, pipe_seed, J, j0,
@@ -389,18 +394,15 @@ def _replicate_table2(setting, rep, sim_seed, pipe_seed, J, j0,
     cv_seed, members_seed = _util.member_seeds(pipe_seed, 2)
     tau_cv = select_tau(frame, grid=tau_grid, rng_seed=cv_seed)
     partitions = _member_partitions(p, _util.member_seeds(members_seed, J))
-    members = fit_members(
+    xi_hat, xi_tilde, d_hats, preds = _first_and_mean(fit_members(
         frame, partitions, tau_cv, workers=1,
-        read=lambda fit: (fit.xi_hat, fit.d_hat, forecast(frame, fit, horizons, j0)))
-    xi_hats, d_hats, preds = zip(*members)
-    xi_hat = xi_hats[0]
-    xi_tilde = np.mean(np.stack(xi_hats), axis=0)
+        read=lambda fit: (fit.xi_hat, fit.d_hat, forecast(frame, fit, horizons, j0))))
 
     def space_preds(latent: np.ndarray) -> np.ndarray:
         kernel = KernelSpec(family="gaussian",
                             h=select_bandwidth(latent, frame.locations))
-        return latent @ _weight_matrix(frame.locations,
-                                       draw.holdout_locations.coords, kernel)
+        return krige_space(latent, frame.locations,
+                           draw.holdout_locations.coords, kernel)
 
     space_hat = mspe_space(space_preds(xi_hat), draw.holdout_y)
     space_tilde = mspe_space(space_preds(xi_tilde), draw.holdout_y)

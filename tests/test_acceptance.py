@@ -23,6 +23,7 @@ import time
 import numpy as np
 import pytest
 
+import latentkrig
 from latentkrig import (
     LocationSet,
     Partition,
@@ -371,9 +372,13 @@ print(h.hexdigest())
 def test_criterion_8_thread_count_reproducibility():
     t0 = time.perf_counter()
     digests = {}
+    # the subprocesses import latentkrig from where this test did
+    src = os.path.dirname(os.path.dirname(latentkrig.__file__))
     for threads in (1, 4, 8):
         env = dict(os.environ)
         env["LATENT_KRIG_THREADS"] = str(threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-c", _DIGEST_SCRIPT],
             capture_output=True, text=True, env=env, check=True)

@@ -295,3 +295,29 @@ def test_bad_point_spec(data_dir, tmp_path, capsys):
     code, _, err = run(capsys, "krige-space", str(model),
                        "--at", "0,0", "--h", "-2")
     assert code == 2
+
+
+@pytest.mark.parametrize("case", ["array", "string", "number",
+                                  "fit without d_hat",
+                                  "ensemble without xi_tilde"])
+def test_krige_space_rejects_malformed_model(data_dir, tmp_path, capsys, case):
+    fit_path, ens_path = tmp_path / "fit.json", tmp_path / "ens.json"
+    run(capsys, "fit", str(data_dir), "--tau", "0.0", "--seed", "3",
+        "--out", str(fit_path))
+    run(capsys, "fit", str(data_dir), "--tau", "0.0", "--ensemble", "2",
+        "--seed", "3", "--out", str(ens_path))
+    fit_doc = json.loads(fit_path.read_text())
+    ens_doc = json.loads(ens_path.read_text())
+    del fit_doc["d_hat"], ens_doc["xi_tilde"]
+    docs = {"array": [1, 2], "string": "latentkrig-fit", "number": 3.5,
+            "fit without d_hat": fit_doc, "ensemble without xi_tilde": ens_doc}
+    model = tmp_path / "bad.json"
+    model.write_text(json.dumps(docs[case]))
+    code, stdout, err = run(capsys, "krige-space", str(model),
+                            "--at", "0,0", "--h", "0.5")
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith(f"error: krige-space: {model}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    if case.startswith("fit") or case.startswith("ensemble"):
+        assert "lacks key" in err and repr(case.split()[-1]) in err

@@ -56,7 +56,6 @@ def test_kernel_weights_tiny_h_is_nearest_site():
 
 
 def test_weight_matrix_columns_are_kernel_weights():
-    from latentkrig.kriging import _weight_matrix
     rng = np.random.default_rng(8)
     plane = grid_locations(170)
     sphere = LocationSet(ids=tuple(f"s{i}" for i in range(40)),
@@ -68,13 +67,13 @@ def test_weight_matrix_columns_are_kernel_weights():
              (sphere, KernelSpec("gaussian", 3000.0), 80.0)]
     for locs, spec, spread in cases:
         sites = rng.uniform(-spread, spread, (25, 2))
-        w = _weight_matrix(locs, sites, spec)
+        w = kernel_weights(locs, sites, spec)
         assert w.shape == (locs.p, 25)
         for k, s0 in enumerate(sites):
             assert w[:, k].tobytes() == kernel_weights(locs, s0, spec).tobytes()
     spec = KernelSpec("epanechnikov_2d", 0.5)
     with pytest.raises(EmptyKernelWindow, match=r"\(9, -9\)"):
-        _weight_matrix(plane, [[0.0, 0.0], [9.0, -9.0]], spec)
+        kernel_weights(plane, [[0.0, 0.0], [9.0, -9.0]], spec)
 
 
 def test_epanechnikov_compact_support():
@@ -96,10 +95,35 @@ def test_krige_space_constant_field():
     for h in (0.05, 0.5, 5.0):
         pred = krige_space(latent, locs, (0.2, 0.3),
                            KernelSpec(family="gaussian", h=h))
-        np.testing.assert_allclose(pred.xi_hat_series, 2.5, atol=1e-12)
+        np.testing.assert_allclose(pred, 2.5, atol=1e-12)
     with pytest.raises(ValueError):
         krige_space(latent[:, :5], locs, (0, 0),
                     KernelSpec(family="gaussian", h=1.0))
+
+
+def test_krige_space_many_sites_match_one_site_calls():
+    rng = np.random.default_rng(21)
+    plane = grid_locations(30)
+    sphere = LocationSet(ids=tuple(f"s{i}" for i in range(30)),
+                         coords=np.column_stack([rng.uniform(-60, 60, 30),
+                                                 rng.uniform(-60, 60, 30)]),
+                         distance_metric="great_circle")
+    cases = [(plane, KernelSpec("gaussian", 0.4), 1.0),
+             (plane, KernelSpec("epanechnikov_2d", 1.2), 0.5),
+             (sphere, KernelSpec("gaussian", 2000.0), 40.0)]
+    for locs, spec, spread in cases:
+        latent = rng.standard_normal((17, locs.p)) * 3.0
+        sites = rng.uniform(-spread, spread, (6, 2))
+        many = krige_space(latent, locs, sites, spec)
+        assert many.shape == (17, 6)
+        one = kernel_weights(locs, sites[0], spec)
+        assert one.shape == (locs.p,)
+        assert krige_space(latent, locs, tuple(sites[0]), spec).shape == (17,)
+        tol = 1e-15 * np.max(np.abs(latent))
+        for k, s0 in enumerate(sites):
+            np.testing.assert_allclose(many[:, k],
+                                       krige_space(latent, locs, s0, spec),
+                                       rtol=0.0, atol=tol)
 
 
 # ---- dual-route equivalence ----

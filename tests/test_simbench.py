@@ -131,14 +131,61 @@ def test_select_bandwidth_guards():
     latent = np.ones((4, 8))
     with pytest.raises(ValueError):
         select_bandwidth(latent[:, :5], locs)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown kernel family"):
         select_bandwidth(latent, locs, family="box")
+    # the latent width is checked before the family
+    with pytest.raises(ValueError, match="latent"):
+        select_bandwidth(latent[:, :5], locs, family="box")
+    sphere = grid_locations(8, metric="great_circle", span=10.0)
+    with pytest.raises(ValueError, match="planar"):
+        select_bandwidth(latent, sphere, family="epanechnikov_2d")
     two = grid_locations(2)
     with pytest.raises(TooFewLocations):
-        select_bandwidth(np.ones((4, 2)), two)
+        select_bandwidth(np.ones((4, 2)), two, family="box")
     # epanechnikov works on planar coordinates
     h = select_bandwidth(latent, locs, family="epanechnikov_2d")
     assert h > 0
+
+
+def _select_bandwidth_inline(latent, locs, family):
+    """The bandwidth search with the kernel formulas written out inline."""
+    from latentkrig.stdata import pairwise_distances
+    p = locs.p
+    dist = pairwise_distances(locs)
+    off = dist + np.diag(np.full(p, np.inf))
+    grid = np.geomspace(0.1 * float(np.median(off.min(axis=1))),
+                        2.0 * float(dist.max()), 30)
+    dx = locs.coords[:, 0][:, None] - locs.coords[:, 0][None, :]
+    dy = locs.coords[:, 1][:, None] - locs.coords[:, 1][None, :]
+    errs = np.empty(grid.size)
+    for gi, h in enumerate(grid):
+        if family == "gaussian":
+            k = np.exp(-0.5 * (dist / h) ** 2)
+        else:
+            k = (np.maximum(1.0 - (dx / h) ** 2, 0.0)
+                 * np.maximum(1.0 - (dy / h) ** 2, 0.0))
+        np.fill_diagonal(k, 0.0)
+        tot = k.sum(axis=0)
+        errs[gi] = (np.inf if np.any(tot <= 0.0)
+                    else np.mean((latent @ k / tot - latent) ** 2))
+    tol = 1e-12 * max(float(np.mean(latent ** 2)), 1e-300)
+    return float(grid[int(np.nonzero(errs <= np.min(errs) + tol)[0][0])])
+
+
+@pytest.mark.parametrize("family, metric", [
+    ("gaussian", "euclidean"), ("gaussian", "great_circle"),
+    ("epanechnikov_2d", "euclidean")])
+def test_select_bandwidth_matches_inline_formulas(family, metric):
+    rng = np.random.default_rng(17)
+    scale = 40.0 if metric == "great_circle" else 1.0
+    for _ in range(5):
+        coords = rng.uniform(-scale, scale, (35, 2))
+        locs = LocationSet(ids=tuple(f"s{i}" for i in range(35)),
+                           coords=coords, distance_metric=metric)
+        latent = (np.outer(rng.standard_normal(8), np.sin(coords[:, 0] / scale * 3))
+                  + 0.3 * rng.standard_normal((8, 35)))
+        assert (select_bandwidth(latent, locs, family=family)
+                == _select_bandwidth_inline(latent, locs, family))
 
 
 # ---- tau selection ----
@@ -197,7 +244,7 @@ def _cv_scores_per_site(frame, grid, folds, rng_seed, k0, family):
                 pred = krige_space(latent, sub.locations,
                                    frame.locations.coords[i], kernel)
                 scores[f, gi] += np.mean(
-                    (pred.xi_hat_series - frame.obs[:, i]) ** 2) / len(test_idx)
+                    (pred - frame.obs[:, i]) ** 2) / len(test_idx)
     return scores
 
 
@@ -224,6 +271,42 @@ def test_cv_product_kernel_empty_window_raises():
                                 obs=rng.standard_normal((40, 30)))
     with pytest.raises(EmptyKernelWindow, match=r"\(50, 50\)"):
         select_tau(frame, grid=[0.0, 1.0], family="epanechnikov_2d")
+
+
+def test_cv_scores_solve_tau_zero_once_per_fold(monkeypatch):
+    import latentkrig.simbench as sb
+    from latentkrig.factors import solve_loadings
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[4])
+        return solve_loadings(*args, **kwargs)
+
+    monkeypatch.setattr(sb, "solve_loadings", counting)
+    frame = simulate(SimConfig(n=40, p=30, seed=6)).frame
+    with_zero = sb._cv_scores(frame, np.array([0.0, 0.5, 2.0]), 5, 2, 0,
+                              None, "gaussian")
+    # per fold: the tau = 0 solve that picks the bandwidth, reused as grid
+    # point 0, then one solve per nonzero tau
+    assert calls == [0.0, 0.5, 2.0] * 5
+    calls.clear()
+    without = sb._cv_scores(frame, np.array([0.5, 2.0]), 5, 2, 0, None,
+                            "gaussian")
+    assert calls == [0.0, 0.5, 2.0] * 5
+    assert with_zero[:, 1:].tobytes() == without.tobytes()
+
+
+def test_first_and_mean_is_the_stacked_mean():
+    from latentkrig.simbench import _first_and_mean
+    rng = np.random.default_rng(3)
+    for J in (1, 2, 7, 50):
+        fields = [rng.standard_normal((6, 5)) for _ in range(J)]
+        kept = fields[0].copy()
+        first, mean, tags = _first_and_mean(
+            (f, j) for j, f in enumerate(fields))
+        assert first is fields[0] and np.array_equal(first, kept)
+        assert mean.tobytes() == np.mean(np.stack(fields), axis=0).tobytes()
+        assert tags == tuple(range(J))
 
 
 # ---- experiment harness ----
