@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -26,15 +27,16 @@ import numpy as np
 from .ensemble import aggregate_fit, ensemble_from_document, save_ensemble
 from .errors import (EXIT_NUMERICAL, EXIT_VALIDATION, LatentKrigError,
                      ParseError, PeriodTooLarge)
-from .factors import fit_factors, fit_from_document, save_fit
+from .factors import _read_document, fit_factors, fit_from_document, save_fit
 from .forecast import forecast as forecast_op
 from .forecast import forecast_ensemble
 from .kriging import _FAMILIES, KernelSpec, impute_missing, krige_space
 from .simbench import (TABLE_IDS, SimConfig, run_table, select_bandwidth,
                        select_tau)
 from .simbench import simulate as simulate_op
-from .stdata import (_METRICS, SpatioTemporalFrame, _fmt, load_frame,
-                     load_observation_table, random_partition, save_frame)
+from .stdata import (_METRICS, SpatioTemporalFrame, _fmt, _write_csv,
+                     load_frame, load_observation_table, random_partition,
+                     save_frame)
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -90,13 +92,6 @@ def _resolve_cli_tau(frame: SpatioTemporalFrame, args) -> float:
     return args.tau if args.tau is not None else 0.0
 
 
-def _write_value_rows(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
 # ---- subcommands ----
 
 def cmd_simulate(args) -> int:
@@ -110,28 +105,28 @@ def cmd_simulate(args) -> int:
     ids = draw.frame.locations.ids
 
     xi_path = out / "truth_xi.csv"
-    _write_value_rows(xi_path, ["t", "id", "value"],
-                      ((t + 1, ids[i], _fmt(draw.xi[t, i]))
-                       for t in range(cfg.n) for i in range(cfg.p)))
+    _write_csv(xi_path, ["t", "id", "value"],
+               ((t + 1, ids[i], _fmt(draw.xi[t, i]))
+                for t in range(cfg.n) for i in range(cfg.p)))
     written.append(xi_path)
 
     if draw.future_y is not None:
         fpath = out / "future_y.csv"
-        _write_value_rows(fpath, ["t", "id", "value"],
-                          ((cfg.n + t + 1, ids[i], _fmt(draw.future_y[t, i]))
-                           for t in range(cfg.n_future) for i in range(cfg.p)))
+        _write_csv(fpath, ["t", "id", "value"],
+                   ((cfg.n + t + 1, ids[i], _fmt(draw.future_y[t, i]))
+                    for t in range(cfg.n_future) for i in range(cfg.p)))
         written.append(fpath)
     if draw.holdout_locations is not None:
         hl = out / "holdout_locations.csv"
         hids = draw.holdout_locations.ids
-        _write_value_rows(hl, ["id", "x1", "x2"],
-                          ((hids[i], _fmt(c[0]), _fmt(c[1]))
-                           for i, c in enumerate(draw.holdout_locations.coords)))
+        _write_csv(hl, ["id", "x1", "x2"],
+                   ((hids[i], _fmt(c[0]), _fmt(c[1]))
+                    for i, c in enumerate(draw.holdout_locations.coords)))
         hy = out / "holdout_y.csv"
-        _write_value_rows(hy, ["t", "id", "value"],
-                          ((t + 1, hids[i], _fmt(draw.holdout_y[t, i]))
-                           for t in range(cfg.n)
-                           for i in range(len(hids))))
+        _write_csv(hy, ["t", "id", "value"],
+                   ((t + 1, hids[i], _fmt(draw.holdout_y[t, i]))
+                    for t in range(cfg.n)
+                    for i in range(len(hids))))
         written.extend([hl, hy])
     for path in written:
         print(f"wrote {path}")
@@ -161,22 +156,18 @@ def cmd_fit(args) -> int:
     return 0
 
 
+def _latent_from_document(doc: dict):
+    if doc.get("format") == "latentkrig-fit":
+        fit, locs = fit_from_document(doc)
+        return fit.xi_hat, locs
+    if doc.get("format") == "latentkrig-ensemble":
+        ens, locs = ensemble_from_document(doc)
+        return ens.xi_tilde, locs
+    raise ValueError("not a model document")
+
+
 def cmd_krige_space(args) -> int:
-    try:
-        doc = json.loads(Path(args.model).read_text(encoding="utf-8"))
-        fmt = doc.get("format") if isinstance(doc, dict) else None
-        if fmt == "latentkrig-fit":
-            fit, locs = fit_from_document(doc)
-            latent = fit.xi_hat
-        elif fmt == "latentkrig-ensemble":
-            ens, locs = ensemble_from_document(doc)
-            latent = ens.xi_tilde
-        else:
-            raise ValueError("not a model document")
-    except KeyError as exc:
-        raise ParseError(f"{args.model}: model document lacks key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{args.model}: {exc}") from None
+    latent, locs = _read_document(args.model, _latent_from_document)
     if locs is None:
         raise ParseError(f"{args.model}: model has no embedded locations")
     if latent.shape[0] == 0:
@@ -200,23 +191,20 @@ def cmd_krige_space(args) -> int:
                        "values": [float(v) for v in pred]}
                       for s0, pred in zip(sites, preds.T)],
         }, indent=2) + "\n"
-        if args.out:
-            Path(args.out).write_text(payload, encoding="utf-8")
-        else:
-            sys.stdout.write(payload)
     else:
-        rows = [(t + 1, _fmt(s0[0]), _fmt(s0[1]), _fmt(value))
-                for s0, pred in zip(sites, preds.T)
-                for t, value in enumerate(pred)]
-        if args.out:
-            _write_value_rows(Path(args.out), ["t", "x1", "x2", "value"], rows)
-        else:
-            w = csv.writer(sys.stdout)
-            w.writerow(["t", "x1", "x2", "value"])
-            w.writerows(rows)
-    if args.out:
-        print(f"h={_fmt(h)}")
-        print(f"wrote {args.out}")
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(["t", "x1", "x2", "value"])
+        w.writerows((t + 1, _fmt(s0[0]), _fmt(s0[1]), _fmt(value))
+                    for s0, pred in zip(sites, preds.T)
+                    for t, value in enumerate(pred))
+        payload = buf.getvalue()
+    if not args.out:
+        sys.stdout.write(payload)
+        return 0
+    Path(args.out).write_text(payload, encoding="utf-8", newline="")
+    print(f"h={_fmt(h)}")
+    print(f"wrote {args.out}")
     return 0
 
 
@@ -242,7 +230,7 @@ def cmd_forecast(args) -> int:
     ids = frame.locations.ids
     rows = [(j, ids[i], _fmt(preds[row, i]))
             for row, j in enumerate(horizons) for i in range(frame.p)]
-    _write_value_rows(Path(args.out), ["horizon", "id", "value"], rows)
+    _write_csv(Path(args.out), ["horizon", "id", "value"], rows)
     print(f"tau={_fmt(tau)}")
     print(f"wrote {args.out}")
     return 0
@@ -310,18 +298,14 @@ def cmd_deseason(args) -> int:
             f"period {period} needs >= {2 * period} time points, found {n}")
     out = obs.copy()
     for r in range(period):
-        rows = np.arange(r, n, period)
-        block = obs[rows]
-        seen = ~np.isnan(block)
-        counts = seen.sum(axis=0)
-        means = np.zeros(block.shape[1])
-        good = counts > 0
-        means[good] = np.nansum(np.where(seen, block, 0.0), axis=0)[good] / counts[good]
-        out[rows] = block - means
+        block = obs[r::period]
+        counts = (~np.isnan(block)).sum(axis=0)
+        # a site never seen in this phase stays NaN whatever its mean
+        out[r::period] = block - np.nansum(block, axis=0) / np.maximum(counts, 1)
     rows_out = [(stamps[t], ids[i], _fmt(out[t, i]))
                 for t in range(n) for i in range(len(ids))
                 if not np.isnan(out[t, i])]
-    _write_value_rows(Path(args.out), ["t", "id", "value"], rows_out)
+    _write_csv(Path(args.out), ["t", "id", "value"], rows_out)
     print(f"wrote {args.out}")
     return 0
 
@@ -464,15 +448,9 @@ def _merge_coordinate_flags(argv: list[str]) -> list[str]:
     works, and this keeps the two-token spelling usable too.
     """
     out: list[str] = []
-    skip = False
-    for k, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if (tok == "--at" and k + 1 < len(argv)
-                and argv[k + 1].startswith("-") and "," in argv[k + 1]):
-            out.append(f"--at={argv[k + 1]}")
-            skip = True
+    for tok in argv:
+        if out and out[-1] == "--at" and tok.startswith("-") and "," in tok:
+            out[-1] = f"--at={tok}"
         else:
             out.append(tok)
     return out

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import _util
 from .errors import BlockTooLarge
-from .factors import FactorModelFit, _matrix_doc, _matrix_from_doc, fit_factors
+from .factors import (FactorModelFit, _matrix_doc, _matrix_from_doc,
+                      _read_document, fit_factors)
 from .stdata import (LocationSet, Partition, SpatioTemporalFrame,
                      locations_from_doc, locations_to_doc, random_partition)
 
@@ -291,5 +292,4 @@ def save_ensemble(ens: EnsembleFit, path: str | Path,
 
 
 def load_ensemble(path: str | Path) -> tuple[EnsembleFit, LocationSet | None]:
-    return ensemble_from_document(
-        json.loads(Path(path).read_text(encoding="utf-8")))
+    return _read_document(path, ensemble_from_document)

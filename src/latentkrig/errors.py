@@ -20,7 +20,7 @@ class LatentKrigError(Exception):
 # ---- input and contract violations (exit 2) ----
 
 class ParseError(LatentKrigError):
-    """Malformed CSV content: bad header, non-numeric field, bad timestamp."""
+    """Malformed input: CSV header, field or timestamp, or model document."""
 
 
 class DuplicateCell(LatentKrigError):

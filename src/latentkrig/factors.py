@@ -30,7 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .covariance import cross_covariance, lagged_covariances
-from .errors import NotSymmetric, RankDeficient, TooFewEigenvalues, TooFewLocations
+from .errors import (NotSymmetric, ParseError, RankDeficient, TooFewEigenvalues,
+                     TooFewLocations)
 from .stdata import (LocationSet, Partition, SpatioTemporalFrame,
                      distance_matrix, locations_from_doc, locations_to_doc)
 
@@ -335,6 +336,18 @@ def save_fit(fit: FactorModelFit, path, locations: LocationSet | None = None) ->
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
+def _read_document(path, build):
+    """build(doc) on the JSON object in ``path``, else ParseError naming it."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise ValueError("not a model document")
+        return build(doc)
+    except KeyError as exc:
+        raise ParseError(f"{path}: model document lacks key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def load_fit(path) -> tuple[FactorModelFit, LocationSet | None]:
-    doc = json.loads(Path(path).read_text())
-    return fit_from_document(doc)
+    return _read_document(path, fit_from_document)

@@ -11,9 +11,9 @@ is a block projection of the panel, the two coincide identically, and
 model.
 
 Missing cells are recovered with the best linear predictor of the cell
-given the observations available at the same time point, with all
-covariances estimated pairwise over the times where the target location
-is observed.
+given the observations available at the same time point. Covariances are
+estimated pairwise over the times the target location is observed, once per
+site, and each group of its cells sharing an availability row is one solve.
 """
 
 from __future__ import annotations
@@ -172,6 +172,8 @@ def impute_missing(frame: SpatioTemporalFrame) -> SpatioTemporalFrame:
     time t. Covariance entries come from ``masked_pairwise`` on the
     subpanel of time points where location i is observed, so every entry
     conditions on the information actually available about the target.
+    That p x p covariance is estimated once per target site; the cells of
+    a site that share an availability row share one eigensolve and gain.
     Pairwise-complete estimates need not be PSD, and directions of
     Var(y^a) estimated below its own sampling-noise floor must not be
     inverted. The spectrum of Var(y^a) is floored at max(1e-8 * trace /
@@ -182,38 +184,48 @@ def impute_missing(frame: SpatioTemporalFrame) -> SpatioTemporalFrame:
     the matrix is used exactly as estimated, which keeps structural
     identities (a duplicated column predicts its twin exactly) intact.
     One pass: predictors never feed on previously filled cells. Observed
-    cells are returned bit-identical; provenance on ``filled_cells``.
+    cells are returned bit-identical; provenance on ``filled_cells``. One
+    INFO log record counts cells, groups, floored and non-PSD groups.
     """
     if frame.is_complete:
         return frame
     obs = np.array(frame.obs)
     filled: list[tuple[int, str]] = []
+    groups = floored = non_psd = 0
     for i in range(frame.p):
         miss_t = np.nonzero(frame.missing[:, i])[0]
         if miss_t.size == 0:
             continue
         have_t = np.nonzero(~frame.missing[:, i])[0]
-        sub_obs = frame.obs[have_t, :]
-        sub_missing = frame.missing[have_t, :]
+        cov = masked_pairwise(frame.obs[have_t], frame.missing[have_t],
+                              range(frame.p), range(frame.p))
+        cov = 0.5 * (cov + cov.T)
+        by_row: dict[bytes, list[int]] = {}
         for t in miss_t:
-            avail = np.nonzero(~frame.missing[t, :])[0]
-            block = masked_pairwise(sub_obs, sub_missing,
-                                    [i] + list(avail), list(avail))
-            c = block[0]
-            v = 0.5 * (block[1:] + block[1:].T)
+            by_row.setdefault(frame.missing[t].tobytes(), []).append(int(t))
+        for ts in by_row.values():
+            avail = np.nonzero(~frame.missing[ts[0]])[0]
+            c, v = cov[i, avail], cov[np.ix_(avail, avail)]
             evals, evecs = np.linalg.eigh(v)
             dim = v.shape[0]
             ridge = max(1e-8 * np.trace(v) / dim, 1e-300)
             floor = max(ridge, float(np.median(evals)) * dim / len(have_t))
             if evals[0] < floor:
+                floored += 1
                 if evals[0] <= 1e-12 * max(evals[-1], 0.0):
-                    logger.warning(
-                        "non-PSD available-covariance at t=%d, id=%s; "
-                        "spectrum floored at %.3e",
-                        t, frame.locations.ids[i], floor)
-                v = (evecs * np.maximum(evals, floor)) @ evecs.T
-            obs[t, i] = c @ np.linalg.solve(v, frame.obs[t, avail])
-            filled.append((int(t), frame.locations.ids[i]))
+                    non_psd += 1
+                    for t in ts:
+                        logger.warning("non-PSD available-covariance at t=%d, "
+                                       "id=%s; spectrum floored at %.3e",
+                                       t, frame.locations.ids[i], floor)
+                gain = evecs @ ((evecs.T @ c) / np.maximum(evals, floor))
+            else:
+                gain = np.linalg.solve(v, c)
+            obs[ts, i] = frame.obs[np.ix_(ts, avail)] @ gain
+        groups += len(by_row)
+        filled.extend((int(t), frame.locations.ids[i]) for t in miss_t)
+    logger.info("imputed %d cells in %d availability groups; floored %d, "
+                "non-PSD %d", len(filled), groups, floored, non_psd)
     return SpatioTemporalFrame(locations=frame.locations, obs=obs,
                                covariates=frame.covariates,
                                filled_cells=tuple(filled))

@@ -20,7 +20,6 @@ CSV/JSON artifacts with per-setting means and spread.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,8 +33,8 @@ from .factors import (assemble_latent, build_laplacian, fit_factors,
 from .ensemble import _member_partitions, fit_members
 from .forecast import forecast
 from .kriging import KernelSpec, _raw_kernel, kernel_weights, krige_space
-from .stdata import (LocationSet, SpatioTemporalFrame, pairwise_distances,
-                     random_partition)
+from .stdata import (LocationSet, SpatioTemporalFrame, _write_csv,
+                     pairwise_distances, random_partition)
 
 # Stationary variances of the three factor recursions:
 # AR(1), phi=-0.8:            1 / (1 - 0.8^2)
@@ -473,21 +472,20 @@ def _reports_csv(reports: list[MetricReport], path: Path) -> None:
     head += [f"mspe_time_{i + 1}" for i in range(horizons)]
     head += [f"mspe_time_tilde_{i + 1}" for i in range(horizons)]
     head += ["dist_set1", "dist_set2"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(head)
-        for r in reports:
-            row = [r.n, r.p, r.replicate, r.variant, repr(r.tau)]
-            row += ["" if getattr(r, m) is None else repr(getattr(r, m))
-                    for m in _SCALAR_METRICS]
-            for series in (r.mspe_time, r.mspe_time_tilde):
-                row += [repr(v) for v in series]
-                row += [""] * (horizons - len(series))
-            if r.subspace_distances is None:
-                row += ["", ""]
-            else:
-                row += [repr(v) for v in r.subspace_distances]
-            w.writerow(row)
+    rows = []
+    for r in reports:
+        row = [r.n, r.p, r.replicate, r.variant, repr(r.tau)]
+        row += ["" if getattr(r, m) is None else repr(getattr(r, m))
+                for m in _SCALAR_METRICS]
+        for series in (r.mspe_time, r.mspe_time_tilde):
+            row += [repr(v) for v in series]
+            row += [""] * (horizons - len(series))
+        if r.subspace_distances is None:
+            row += ["", ""]
+        else:
+            row += [repr(v) for v in r.subspace_distances]
+        rows.append(row)
+    _write_csv(path, head, rows)
 
 
 def run_table(table_id: str, replicates: int, seed: int,

@@ -437,6 +437,13 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def save_frame(frame: SpatioTemporalFrame, out_dir) -> dict[str, Path]:
     """Write a panel in canonical CSV form; returns the file paths.
 
@@ -448,27 +455,19 @@ def save_frame(frame: SpatioTemporalFrame, out_dir) -> dict[str, Path]:
     out.mkdir(parents=True, exist_ok=True)
     paths = {"locations": out / "locations.csv",
              "observations": out / "observations.csv"}
-    with open(paths["locations"], "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "x1", "x2"])
-        for i, loc_id in enumerate(frame.locations.ids):
-            w.writerow([loc_id, _fmt(frame.locations.coords[i, 0]),
-                        _fmt(frame.locations.coords[i, 1])])
-    with open(paths["observations"], "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "id", "value"])
-        for t in range(frame.n):
-            for i, loc_id in enumerate(frame.locations.ids):
-                if not frame.missing[t, i]:
-                    w.writerow([t + 1, loc_id, _fmt(frame.obs[t, i])])
+    _write_csv(paths["locations"], ["id", "x1", "x2"],
+               ([loc_id] + [_fmt(c) for c in frame.locations.coords[i]]
+                for i, loc_id in enumerate(frame.locations.ids)))
+    _write_csv(paths["observations"], ["t", "id", "value"],
+               ([t + 1, loc_id, _fmt(frame.obs[t, i])] for t in range(frame.n)
+                for i, loc_id in enumerate(frame.locations.ids)
+                if not frame.missing[t, i]))
     if frame.covariates is not None:
         paths["covariates"] = out / "covariates.csv"
-        m = frame.m
-        with open(paths["covariates"], "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "id"] + [f"z{j + 1}" for j in range(m)])
-            for t in range(frame.n):
-                for i, loc_id in enumerate(frame.locations.ids):
-                    w.writerow([t + 1, loc_id] +
-                               [_fmt(frame.covariates[t, i, j]) for j in range(m)])
+        z = frame.covariates
+        _write_csv(paths["covariates"],
+                   ["t", "id"] + [f"z{j + 1}" for j in range(frame.m)],
+                   ([t + 1, loc_id] + [_fmt(v) for v in z[t, i]]
+                    for t in range(frame.n)
+                    for i, loc_id in enumerate(frame.locations.ids)))
     return paths

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,16 @@ from latentkrig import (
     fit_factors,
     fit_members,
     load_ensemble,
+    load_fit,
+    random_partition,
     resolve_tau,
     save_ensemble,
     simulate,
 )
 from latentkrig._util import member_seeds
-from latentkrig.errors import BlockTooLarge
+from latentkrig.ensemble import ensemble_to_document
+from latentkrig.factors import fit_to_document
+from latentkrig.errors import BlockTooLarge, ParseError
 
 from conftest import rank_k_frame
 
@@ -237,3 +243,26 @@ def test_ensemble_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(back.xi_tilde, ens.xi_tilde)
     np.testing.assert_array_equal(back.per_location_counts,
                                   ens.per_location_counts)
+
+
+@pytest.mark.parametrize("loader", [load_fit, load_ensemble])
+@pytest.mark.parametrize("case", ["array", "string", "number",
+                                  "missing key", "mistyped field"])
+def test_model_loaders_raise_parse_error_naming_path(tmp_path, loader, case):
+    frame, *_ = rank_k_frame(30, 8, k=1, seed=27, noise=0.3)
+    if loader is load_fit:
+        doc = fit_to_document(fit_factors(frame, random_partition(8, 3), 0.0))
+    else:
+        doc = ensemble_to_document(aggregate_fit(frame, J=2, tau_policy=0.0))
+    if case == "missing key":
+        del doc["tau"]
+    elif case == "mistyped field":
+        doc["tau"] = [0.5]
+    docs = {"array": [1, 2], "string": "x", "number": 3}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(docs.get(case, doc)))
+    with pytest.raises(ParseError) as info:
+        loader(path)
+    assert str(info.value).startswith(f"{path}: ")
+    if case == "missing key":
+        assert "lacks key 'tau'" in str(info.value)

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from latentkrig import (
     random_partition,
     verify_dual_route,
 )
+from latentkrig import kriging
+from latentkrig.covariance import masked_pairwise
 from latentkrig.errors import (
     EmptyKernelWindow,
     InsufficientOverlap,
@@ -222,20 +226,131 @@ def test_impute_complete_frame_is_identity():
     assert impute_missing(frame) is frame
 
 
-def test_impute_twin_column_exact():
+def _twin_frame():
     # a duplicated column (plus a few independent ones) makes the target
     # perfectly predictable wherever its twin is observed
     rng = np.random.default_rng(35)
     n, p = 40, 6
     obs = rng.standard_normal((n, p))
     obs[:, 1] = obs[:, 0]
+    obs[[4, 11, 25, 32], 1] = np.nan
+    return SpatioTemporalFrame(locations=grid_locations(p), obs=obs)
+
+
+def _outage_frame():
+    # n / p = 2 puts the noise floor above the smallest sample eigenvalue;
+    # an outage block makes several sites share availability rows
+    rng = np.random.default_rng(38)
+    n, p = 40, 20
+    obs = rng.standard_normal((n, p))
+    mask = rng.random((n, p)) < 0.03
+    mask[10:18, [2, 5, 7, 11]] = True
+    obs[mask] = np.nan
+    return SpatioTemporalFrame(locations=grid_locations(p), obs=obs)
+
+
+def _long_frame():
+    # n >> p: every sample eigenvalue clears the floor
+    rng = np.random.default_rng(39)
+    n, p = 400, 6
+    obs = rng.standard_normal((n, p)) + rng.standard_normal((n, 1))
+    obs[rng.random((n, p)) < 0.05] = np.nan
+    return SpatioTemporalFrame(locations=grid_locations(p), obs=obs)
+
+
+def _impute_reference(frame):
+    """Per-cell predictor: one masked covariance and one eigh per cell."""
+    obs = np.array(frame.obs)
+    filled = []
+    for i in range(frame.p):
+        miss_t = np.nonzero(frame.missing[:, i])[0]
+        if miss_t.size == 0:
+            continue
+        have_t = np.nonzero(~frame.missing[:, i])[0]
+        sub_obs = frame.obs[have_t, :]
+        sub_missing = frame.missing[have_t, :]
+        for t in miss_t:
+            avail = np.nonzero(~frame.missing[t, :])[0]
+            block = masked_pairwise(sub_obs, sub_missing,
+                                    [i] + list(avail), list(avail))
+            c = block[0]
+            v = 0.5 * (block[1:] + block[1:].T)
+            evals, evecs = np.linalg.eigh(v)
+            dim = v.shape[0]
+            ridge = max(1e-8 * np.trace(v) / dim, 1e-300)
+            floor = max(ridge, float(np.median(evals)) * dim / len(have_t))
+            if evals[0] < floor:
+                v = (evecs * np.maximum(evals, floor)) @ evecs.T
+            obs[t, i] = c @ np.linalg.solve(v, frame.obs[t, avail])
+            filled.append((int(t), frame.locations.ids[i]))
+    return obs, tuple(filled)
+
+
+def _avail_groups(frame):
+    return {(int(i), frame.missing[t].tobytes())
+            for t, i in zip(*np.nonzero(frame.missing))}
+
+
+def test_impute_twin_column_exact():
+    frame = _twin_frame()
     holes = [4, 11, 25, 32]
-    obs[holes, 1] = np.nan
-    frame = SpatioTemporalFrame(locations=grid_locations(p), obs=obs)
     filled = impute_missing(frame)
-    np.testing.assert_allclose(filled.obs[holes, 1], obs[holes, 0], atol=1e-6)
+    np.testing.assert_allclose(filled.obs[holes, 1], frame.obs[holes, 0],
+                               atol=1e-6)
     assert filled.filled_cells == tuple(
         (t, frame.locations.ids[1]) for t in holes)
+
+
+@pytest.mark.parametrize("build", [_outage_frame, _long_frame, _twin_frame])
+def test_impute_matches_per_cell_reference(build):
+    frame = build()
+    ref_obs, ref_cells = _impute_reference(frame)
+    filled = impute_missing(frame)
+    seen = ~frame.missing
+    assert np.array_equal(filled.obs[seen], frame.obs[seen])
+    np.testing.assert_allclose(filled.obs[frame.missing],
+                               ref_obs[frame.missing], rtol=1e-12, atol=0)
+    assert filled.filled_cells == ref_cells
+
+
+def test_impute_one_covariance_per_site_one_eigh_per_group(monkeypatch):
+    frame = _outage_frame()
+    calls = {"eigh": 0, "masked_pairwise": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(kriging, "masked_pairwise",
+                        counted("masked_pairwise", kriging.masked_pairwise))
+    impute_missing(frame)
+    groups = _avail_groups(frame)
+    assert len(groups) < int(frame.missing.sum())  # the outage shares rows
+    assert calls["eigh"] == len(groups)
+    assert calls["masked_pairwise"] == int(frame.missing.any(axis=0).sum())
+
+
+@pytest.mark.parametrize("build", [_outage_frame, _long_frame])
+def test_impute_logs_one_summary(build, caplog, capsys):
+    frame = build()
+    with caplog.at_level(logging.INFO, logger="latentkrig.kriging"):
+        impute_missing(frame)
+    infos = [r for r in caplog.records if r.levelno == logging.INFO]
+    assert len(infos) == 1
+    cells, groups, floored, non_psd = infos[0].args
+    assert cells == int(frame.missing.sum())
+    assert groups == len(_avail_groups(frame))
+    if build is _outage_frame:
+        assert 0 < floored <= groups
+    else:
+        assert floored == 0
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert non_psd <= floored
+    assert (non_psd > 0) == bool(warnings)
+    assert capsys.readouterr() == ("", "")
 
 
 def test_impute_preserves_observed_cells_bitwise():
@@ -283,3 +398,41 @@ def test_impute_insufficient_overlap():
     frame = SpatioTemporalFrame(locations=grid_locations(4), obs=obs)
     with pytest.raises(InsufficientOverlap):
         impute_missing(frame)
+
+
+def _outcome(impute, frame):
+    try:
+        return impute(frame)
+    except InsufficientOverlap:
+        return InsufficientOverlap
+
+
+def test_impute_insufficient_overlap_with_outage_matches_reference():
+    # columns 0 and 1 share one observed time; sites 4 and 5 share an outage
+    rng = np.random.default_rng(40)
+    obs = rng.standard_normal((8, 6))
+    obs[4:, 0] = np.nan
+    obs[:3, 1] = np.nan
+    obs[:2, [4, 5]] = np.nan
+    frame = SpatioTemporalFrame(locations=grid_locations(6), obs=obs)
+    assert _outcome(_impute_reference, frame) is InsufficientOverlap
+    with pytest.raises(InsufficientOverlap):
+        impute_missing(frame)
+
+
+def test_impute_raises_on_the_same_frames_as_reference():
+    # small gappy frames where some pairs barely overlap: the per-site
+    # covariance raises exactly when some per-cell covariance would
+    rng = np.random.default_rng(41)
+    outcomes = []
+    for _ in range(300):
+        obs = rng.standard_normal((6, 4))
+        obs[rng.random((6, 4)) < 0.3] = np.nan
+        try:
+            frame = SpatioTemporalFrame(locations=grid_locations(4), obs=obs)
+        except InsufficientOverlap:
+            continue
+        ref = _outcome(_impute_reference, frame) is InsufficientOverlap
+        assert (_outcome(impute_missing, frame) is InsufficientOverlap) == ref
+        outcomes.append(ref)
+    assert any(outcomes) and not all(outcomes)
