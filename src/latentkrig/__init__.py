@@ -28,8 +28,7 @@ from .factors import (FactorModelFit, GraphLaplacian, assemble_latent,
                       penalized_eigvecs, save_fit, solve_loadings,
                       subspace_distance)
 from .forecast import (assemble_block_toeplitz, estimate_sigma_x, forecast,
-                       forecast_ensemble, partitioned_inverse,
-                       recursive_toeplitz_inverse, woodbury_identity_check)
+                       forecast_ensemble, recursive_toeplitz_inverse)
 from .kriging import (KernelSpec, best_linear_predictor, impute_missing,
                       kernel_weights, krige_space, verify_dual_route)
 from .regress import RegressionFit, detrend, save_betas, smooth_beta

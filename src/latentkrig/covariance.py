@@ -84,16 +84,18 @@ def masked_pairwise(obs: np.ndarray, missing: np.ndarray, rows, cols) -> np.ndar
     if not ridx or not cidx:
         raise ValueError("rows and cols must be nonempty")
     ra = np.where(missing[:, ridx], 0.0, obs[:, ridx])
-    ca = np.where(missing[:, cidx], 0.0, obs[:, cidx])
     rm = (~missing[:, ridx]).astype(np.float64)
-    cm = (~missing[:, cidx]).astype(np.float64)
+    same = ridx == cidx
+    # a copy: numpy sends x.T @ x to syrk, which rounds unlike the general product
+    ca = ra.copy() if same else np.where(missing[:, cidx], 0.0, obs[:, cidx])
+    cm = rm if same else (~missing[:, cidx]).astype(np.float64)
     counts = rm.T @ cm
     if np.any(counts < 2):
         raise InsufficientOverlap(
             "some location pair has fewer than 2 joint observations")
     sum_xy = ra.T @ ca
     sum_x = ra.T @ cm
-    sum_y = rm.T @ ca
+    sum_y = sum_x.T if same else rm.T @ ca
     return (sum_xy - sum_x * sum_y / counts) / counts
 
 

@@ -74,7 +74,7 @@ def save_betas(fit: RegressionFit, locations: LocationSet, path) -> None:
     """Write coefficients as CSV: id,b1,...,bm."""
     import csv
     m = fit.betas.shape[1]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["id"] + [f"b{j + 1}" for j in range(m)])
         for i, loc_id in enumerate(locations.ids):

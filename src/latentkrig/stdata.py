@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,6 +33,7 @@ from .errors import (
     DuplicateCell,
     InsufficientOverlap,
     InvalidCoordinate,
+    LatentKrigError,
     ParseError,
     TooFewLocations,
     UnknownLocation,
@@ -261,13 +263,19 @@ class SpatioTemporalFrame:
 
 # ---- CSV ingestion ----
 
-def _read_rows(path: Path, expected_header: list[str] | None) -> tuple[list[str], list[list[str]]]:
+def _read_text(path: Path) -> tuple[bytes, str]:
+    """The file's bytes and their UTF-8 text; errors name the path."""
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
+        raw = path.read_bytes()
+        return raw, raw.decode("utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _read_rows(path: Path, expected_header: list[str] | None) -> tuple[list[str], list[list[str]]]:
+    rows = list(csv.reader(io.StringIO(_read_text(path)[1], newline="")))
     if not rows:
         raise ParseError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]
@@ -325,39 +333,86 @@ def load_locations(path, distance_metric: str = "euclidean",
 
 
 def _rank_timestamps(stamps: set, path: Path) -> dict:
-    kinds = {type(s) for s in stamps}
-    if len(kinds) > 1:
+    if len({type(s) for s in stamps}) > 1:
         raise ParseError(f"{path}: mixed integer and date timestamps")
-    ordered = sorted(stamps)
-    return {s: k for k, s in enumerate(ordered)}
+    return {s: k for k, s in enumerate(sorted(stamps))}
+
+
+def _plain_columns(raw: bytes, text: str):
+    """The t, id and value columns of the data rows; None unless each line
+    has 3 fields, a t,id,value header heads a row, and csv.reader would
+    split alike: no quote, lone CR or over-long line. A CR before a
+    newline stays on the value token, where float() and strip() drop it."""
+    if not raw.endswith(b"\n"):
+        raw, text = raw + b"\n", text + "\n"
+    b = np.frombuffer(raw, np.uint8)
+    sep = np.flatnonzero((b == ord(",")) | (b == ord("\n")))
+    kinds, cr = b[sep], np.flatnonzero(b == ord("\r"))
+    if (b'"' in raw or kinds.size % 3 or np.any(kinds.reshape(-1, 3) != tuple(b",,\n"))
+            or np.any(b[cr + 1] != ord("\n"))
+            or np.diff(sep[2::3], prepend=-1).max() > csv.field_size_limit()):
+        return None
+    tokens = text.replace("\n", ",").split(",")[:-1]
+    if len(tokens) == 3 or [h.strip() for h in tokens[:3]] != ["t", "id", "value"]:
+        return None
+    return tokens[3::3], tokens[4::3], tokens[5::3]
+
+
+def _columns_to_panel(path, t_tok, id_tok, v_tok, column_of, min_width, stamp_of):
+    """Ranks and panel from token columns, each distinct stamp parsed and
+    each distinct id mapped once in first-seen order; None on any bad row."""
+    n = len(t_tok)
+    raw_ids = dict.fromkeys(id_tok)
+    try:
+        for tok in dict.fromkeys(t_tok):  # the replay reports a bad one's line
+            _memo_stamp(stamp_of, tok, path, 0)
+        by_id = {loc: column_of(loc) for loc in dict.fromkeys(map(str.strip, raw_ids))}
+        col_of = {raw_id: by_id[raw_id.strip()] for raw_id in raw_ids}
+        rank = _rank_timestamps(set(stamp_of.values()), path)
+        try:
+            vals = np.fromiter(map(float, v_tok), np.float64, n)
+        except ValueError:  # empty cells, or a non-numeric one
+            vals = np.array([float(v) if v.strip() else math.nan for v in v_tok])
+    except (LatentKrigError, ValueError):
+        return None
+    t_rank = {tok: rank[stamp] for tok, stamp in stamp_of.items()}
+    col = np.fromiter(map(col_of.__getitem__, id_tok), np.intp, n)
+    width = max(min_width, 1 + int(col.max()))
+    cell = np.fromiter(map(t_rank.__getitem__, t_tok), np.intp, n) * width + col
+    if (np.bincount(cell).max() > 1  # a duplicate, or nan or inf spelled out
+            or any(v_tok[k].strip() for k in np.flatnonzero(~np.isfinite(vals)))):
+        return None
+    obs = np.full((len(rank), width), np.nan)
+    obs.reshape(-1)[cell] = vals
+    return rank, obs
 
 
 def _read_long_form(path: Path, column_of: Callable[[str], int],
                     min_width: int) -> tuple[dict, np.ndarray]:
-    """Parse a ``t,id,value`` file into timestamp ranks and an n x width
-    array, NaN where a cell is empty or absent; column_of maps a site id
-    to its column and raises for an unknown id."""
-    _, rows = _read_rows(path, ["t", "id", "value"])
-    cells: dict[tuple, float] = {}
+    """Timestamp ranks and n x width array (NaN where a cell is empty or
+    absent) of a ``t,id,value`` file; column_of maps a site id to its
+    column or raises. Plain files are read by column; a quoted file, or
+    one with a bad row, is replayed through csv.reader row by row."""
     stamp_of: dict[str, object] = {}
+    columns = _plain_columns(*_read_text(path))
+    if columns and (panel := _columns_to_panel(path, *columns, column_of, min_width, stamp_of)):
+        return panel
+    _, rows = _read_rows(path, ["t", "id", "value"])
+    cells: set[tuple] = set()
     for k, row in enumerate(rows, start=2):
         if len(row) != 3:
             raise ParseError(f"{path}:{k}: expected 3 fields")
-        t = _memo_stamp(stamp_of, row[0], path, k)
         loc = row[1].strip()
-        key = (t, column_of(loc))
+        key = (_memo_stamp(stamp_of, row[0], path, k), column_of(loc))
         if key in cells:
             raise DuplicateCell(f"{path}:{k}: duplicate cell (t={row[0]}, id={loc})")
-        raw = row[2].strip()
-        cells[key] = math.nan if raw == "" else _parse_float(raw, path, k)
+        cells.add(key)
+        if row[2].strip():
+            _parse_float(row[2].strip(), path, k)
     if not cells:
         raise ParseError(f"{path}: no observation rows")
-    rank = _rank_timestamps({t for t, _ in cells}, path)
-    width = max(min_width, 1 + max(col for _, col in cells))
-    obs = np.full((len(rank), width), np.nan)
-    for (t, col), value in cells.items():
-        obs[rank[t], col] = value
-    return rank, obs
+    _rank_timestamps({t for t, _ in cells}, path)
+    return _columns_to_panel(path, *zip(*rows), column_of, min_width, stamp_of)
 
 
 def load_frame(locations_path, observations_path, covariates_path=None,
@@ -371,7 +426,6 @@ def load_frame(locations_path, observations_path, covariates_path=None,
     """
     locs = load_locations(locations_path, distance_metric, radius)
     rank, obs = _read_long_form(Path(observations_path), locs.index_of, locs.p)
-    n = len(rank)
 
     covariates = None
     if covariates_path is not None:
@@ -380,7 +434,7 @@ def load_frame(locations_path, observations_path, covariates_path=None,
         if len(header) < 3 or header[:2] != ["t", "id"]:
             raise ParseError(f"{cov_path}: expected header t,id,z1,...")
         m = len(header) - 2
-        covariates = np.full((n, locs.p, m), np.nan)
+        covariates = np.full((len(rank), locs.p, m), np.nan)
         stamp_of: dict[str, object] = {}
         for k, row in enumerate(zrows, start=2):
             if len(row) != m + 2:

@@ -36,7 +36,6 @@ from latentkrig import (
     fit_factors,
     fit_members,
     impute_missing,
-    partitioned_inverse,
     penalized_eigvecs,
     random_partition,
     recursive_toeplitz_inverse,
@@ -45,11 +44,12 @@ from latentkrig import (
     snr_estimate,
     subspace_distance,
     verify_dual_route,
-    woodbury_identity_check,
 )
 from latentkrig._util import member_seeds
 from latentkrig.forecast import assemble_block_toeplitz
 from latentkrig.simbench import FACTOR_STATIONARY_VARS, loading_values, run_table
+
+from oracles import partitioned_inverse, woodbury_identity_check
 
 MASTER_SEED = 314159
 

@@ -141,6 +141,28 @@ def test_masked_pairwise_matches_brute_force():
     np.testing.assert_allclose(got, oracle, atol=1e-12)
 
 
+def test_masked_pairwise_same_columns():
+    # rows == cols shares the masked arrays and takes sum_y = sum_x'; it
+    # must agree with brute force and with the general four-product formula
+    rng = np.random.default_rng(21)
+    obs = rng.standard_normal((40, 9)) * rng.uniform(0.5, 20.0, 9) + 3.0
+    obs[rng.random(obs.shape) < 0.15] = np.nan
+    missing = np.isnan(obs)
+    cols = list(range(9))
+    got = masked_pairwise(obs, missing, range(9), range(9))
+    np.testing.assert_allclose(got, brute_pairwise(obs, cols, cols),
+                               rtol=1e-12, atol=1e-12)
+    a = np.where(missing, 0.0, obs)
+    m = (~missing).astype(np.float64)
+    counts = m.T @ m
+    general = (a.T @ a - (a.T @ m) * (m.T @ a) / counts) / counts
+    np.testing.assert_allclose(got, general, rtol=1e-12, atol=1e-12)
+    # the same columns in another order are not the same block
+    np.testing.assert_allclose(masked_pairwise(obs, missing, cols, cols[::-1]),
+                               brute_pairwise(obs, cols, cols[::-1]),
+                               rtol=1e-12, atol=1e-12)
+
+
 def test_pairwise_equals_dense_on_complete_data():
     frame = noise_frame(11, 4, seed=9)
     block = masked_pairwise(frame.obs, frame.missing, [0, 1, 2, 3], [0, 1, 2, 3])

@@ -12,10 +12,8 @@ from latentkrig import (
     lagged_auto_covariance,
     forecast,
     forecast_ensemble,
-    partitioned_inverse,
     random_partition,
     recursive_toeplitz_inverse,
-    woodbury_identity_check,
 )
 from latentkrig._util import member_seeds
 from latentkrig.errors import (
@@ -27,6 +25,7 @@ from latentkrig.errors import (
 )
 
 from conftest import grid_locations, noise_frame, rank_k_frame
+from oracles import partitioned_inverse, woodbury_identity_check
 
 
 def random_spd(rng, m):

@@ -392,3 +392,203 @@ def test_locations_doc_round_trip():
     assert back.distance_metric == "great_circle"
     assert back.radius == 10.0
     np.testing.assert_array_equal(back.coords, locs.coords)
+
+
+# ---- column reader against the row-by-row reader it replaced ----
+
+def _per_row_reference(path, column_of, min_width):
+    """The row-by-row long-form reader, kept as the column reader's oracle."""
+    import csv
+    from latentkrig import stdata
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ParseError(f"{path}: empty file")
+    if [h.strip() for h in rows[0]] != ["t", "id", "value"]:
+        raise ParseError(f"{path}: expected header t,id,value")
+    cells, stamp_of = {}, {}
+    for k, row in enumerate(rows[1:], start=2):
+        if len(row) != 3:
+            raise ParseError(f"{path}:{k}: expected 3 fields")
+        if row[0] not in stamp_of:
+            stamp_of[row[0]] = stdata._parse_timestamp(row[0], path, k)
+        t = stamp_of[row[0]]
+        loc = row[1].strip()
+        key = (t, column_of(loc))
+        if key in cells:
+            raise DuplicateCell(f"{path}:{k}: duplicate cell (t={row[0]}, id={loc})")
+        raw = row[2].strip()
+        cells[key] = math.nan if raw == "" else stdata._parse_float(raw, path, k)
+    if not cells:
+        raise ParseError(f"{path}: no observation rows")
+    rank = stdata._rank_timestamps({t for t, _ in cells}, path)
+    width = max(min_width, 1 + max(col for _, col in cells))
+    obs = np.full((len(rank), width), np.nan)
+    for (t, col), value in cells.items():
+        obs[rank[t], col] = value
+    return rank, obs
+
+
+_PARITY_IDS = ("s0", "s1", "s2", "s3", "Zürich", "s5")
+
+
+def _outcomes(read, path):
+    """What a reader makes of a file, with a location table and without:
+    ranks in order, obs bytes and first-seen ids, or the error raised."""
+    # "unused" never appears in a file, so its column is all NaN
+    locs = LocationSet(ids=_PARITY_IDS + ("unused",),
+                       coords=[[k, k % 2] for k in range(7)])
+    out = []
+    for mode in ("locations", "table"):
+        seen: dict[str, int] = {}
+        column_of = (locs.index_of if mode == "locations"
+                     else lambda loc: seen.setdefault(loc, len(seen)))
+        try:
+            rank, obs = read(path, column_of, locs.p if mode == "locations" else 0)
+            out.append((list(rank.items()), obs.shape, obs.tobytes(), tuple(seen)))
+        except Exception as exc:  # compared by type and message
+            out.append((type(exc), str(exc)))
+    return out
+
+
+def _random_long_form(rng, dates, crlf, trailing, quoted):
+    n = int(rng.integers(2, 9))
+    stamps = ([str(datetime.date(2021, 1, 1) + datetime.timedelta(days=7 * k))
+               for k in range(n)] if dates else
+              [str(int(s)) for s in rng.choice(500, n, replace=False) - 100])
+    rows = []
+    for stamp in stamps:
+        for loc in _PARITY_IDS:
+            roll = rng.random()
+            if roll < 0.15:
+                continue  # absent cell
+            value = "" if roll < 0.25 else repr(float(rng.standard_normal() * 10.0 ** rng.integers(-5, 6)))
+            pad = lambda tok: rng.choice(["", " ", "  "]) + tok + rng.choice(["", " "])
+            rows.append([pad(stamp) if rng.random() < 0.2 else stamp,
+                         pad(loc) if rng.random() < 0.2 else loc,
+                         pad(value) if rng.random() < 0.3 else value])
+    order = rng.permutation(len(rows))
+    lines = [",".join(rows[k]) for k in order]
+    if quoted:
+        t, loc, value = rows[order[0]]
+        lines[0] = f'{t},"{loc}",{value}'
+        if rng.random() < 0.5:  # a comma inside quotes changes the field count
+            lines.append(f'{stamps[0]},"x,y",1.5')
+    eol = "\r\n" if crlf else "\n"
+    return eol.join([" t , id ,value"] + lines) + (eol if trailing else "")
+
+
+def test_column_reader_matches_per_row_reader(tmp_path, monkeypatch):
+    from latentkrig import stdata
+    rng = np.random.default_rng(20260)
+    real_read_rows = stdata._read_rows
+    for case in range(48):
+        dates, crlf, trailing, quoted = (bool(case >> b & 1) for b in range(4))
+        path = _write(tmp_path / f"obs{case}.csv",
+                      _random_long_form(rng, dates, crlf, trailing, quoted))
+        # an unquoted file never reaches csv.reader
+        monkeypatch.setattr(stdata, "_read_rows", real_read_rows if quoted else None)
+        got = _outcomes(stdata._read_long_form, path)
+        monkeypatch.setattr(stdata, "_read_rows", real_read_rows)
+        assert got == _outcomes(_per_row_reference, path), case
+        assert all(len(o) == 4 for o in got[int(quoted):]), case
+
+
+@pytest.mark.parametrize("body, line", [
+    ("1,s0,1\n2,s1\n", 3),                       # short row
+    ("1,s0,1\n2,s1,2,9\n", 3),                   # four fields
+    ("1,s0,1\n\n2,s1,2\n", 3),                   # blank middle line
+    ("1,s0,1\n1,s1,2\n1, s0 ,\n", 4),            # duplicate, one empty
+    ("1,s0,1\n2,s9,2\n", None),                  # unknown id
+    ("1,s0,1\n1.5,s1,2\n", 3),                   # bad stamp
+    ("1,s0,1\n2020-01-01,s1,2\n", None),         # mixed stamp kinds
+    ("1,s0,1\n1,s1,nan\n", 3),
+    ("1,s0,1\n1,s1, -inf\n", 3),
+    ("1,s0,1\n1,s1,1e999\n", 3),
+    ("1,s0,abc\n1,s1,2\n", 2),                   # non-numeric
+    ("", None),                                  # header only
+    ("1,s0,1\n2,s0,x\n2,s1\n1,s0,3\n", 3),       # first of three errors
+    ("1,s0,1\n2,s9,1\n2,s1,zz\n", None),         # unknown id before a bad value
+    ("1,s0,1\n2,s1,zz\n2,s9,1\n", 3),            # bad value before an unknown id
+    ("1,s0,1\nx,s1,1\n1,s0,2\n", 3),             # bad stamp before a duplicate
+    ('1,s0,1\n"2,s1",2\n', 3),                   # quoted field: replayed as csv
+    ("1,s0,1\n2,s1\r,2\n", 3),                    # a lone CR ends a csv row
+])
+def test_column_reader_errors_match_per_row_reader(tmp_path, body, line):
+    from latentkrig import stdata
+    path = _write(tmp_path / "obs.csv", "t,id,value\n" + body)
+    got = _outcomes(stdata._read_long_form, path)
+    assert got == _outcomes(_per_row_reference, path)
+    assert isinstance(got[0][0], type) and issubclass(got[0][0], Exception)
+    if line is not None:
+        assert got[0][1].startswith(f"{path}:{line}: ")
+
+
+def test_column_reader_bad_headers_and_oversized_field(tmp_path):
+    import csv
+    from latentkrig import stdata
+    for name, text in [("empty", ""), ("blank", "\n"), ("header", "t,id,val\n1,s0,1\n"),
+                       ("wide", "t,id,value,z\n1,s0,1,2\n"),
+                       ("bom", "\ufefft,id,value\n1,s0,1\n")]:
+        path = _write(tmp_path / f"{name}.csv", text)
+        got = _outcomes(stdata._read_long_form, path)
+        assert got == _outcomes(_per_row_reference, path), name
+        assert got[0][0] is ParseError, name
+    # csv.reader refuses a field over its size limit, so the column reader must too
+    path = _write(tmp_path / "long.csv", "t,id,value\n1,s0,1\n1,"
+                  + "x" * (csv.field_size_limit() + 1) + ",2\n")
+    got = _outcomes(stdata._read_long_form, path)
+    assert got == _outcomes(_per_row_reference, path)
+    assert got[1][0] is csv.Error
+
+
+def test_saved_panel_is_read_by_column(tmp_path, monkeypatch):
+    from latentkrig import stdata
+    rng = np.random.default_rng(5)
+    obs = rng.standard_normal((30, 12))
+    obs[rng.random(obs.shape) < 0.1] = np.nan
+    frame = SpatioTemporalFrame(locations=grid_locations(12), obs=obs)
+    paths = save_frame(frame, tmp_path / "panel")
+    real_read_rows, tokens, ids = stdata._read_rows, [], []
+
+    def read_rows(path, *args):
+        assert path != paths["observations"], "per-row replay ran"
+        return real_read_rows(path, *args)
+
+    real_parse = stdata._parse_timestamp
+    monkeypatch.setattr(stdata, "_read_rows", read_rows)
+    monkeypatch.setattr(stdata, "_parse_timestamp",
+                        lambda tok, path, line: tokens.append(tok)
+                        or real_parse(tok, path, line))
+    back = load_frame(paths["locations"], paths["observations"])
+    np.testing.assert_array_equal(back.obs, frame.obs)
+    assert tokens == [str(t + 1) for t in range(30)]
+    stamps, table_ids, _ = load_observation_table(paths["observations"])
+    assert stamps == list(range(1, 31))
+    # column_of runs once per distinct id, in first-seen order
+    stdata._read_long_form(paths["observations"],
+                           lambda loc: ids.append(loc) or len(ids) - 1, 0)
+    lines = paths["observations"].read_text(encoding="utf-8").splitlines()
+    assert ids == list(table_ids) == list(dict.fromkeys(
+        line.split(",")[1] for line in lines[1:]))
+
+
+def test_non_ascii_ids_round_trip_as_utf8(tmp_path):
+    locs = LocationSet(ids=("Zürich", "東京", "São Paulo", "plain"),
+                       coords=[[0, 0], [1, 0], [0, 1], [1, 1]])
+    frame = SpatioTemporalFrame(locations=locs,
+                                obs=np.arange(12.0).reshape(3, 4) / 7.0)
+    paths = save_frame(frame, tmp_path)
+    back = load_frame(paths["locations"], paths["observations"])
+    assert back.locations.ids == locs.ids
+    np.testing.assert_array_equal(back.obs, frame.obs)
+
+
+def test_invalid_utf8_is_a_parse_error_naming_the_file(tmp_path):
+    locs = _write(tmp_path / "locs.csv", "id,x1,x2\ns1,0,0\ns2,1,0\n")
+    bad = tmp_path / "obs.csv"
+    bad.write_bytes(b"t,id,value\n1,s1,1\n1,s\xff2,2\n")
+    for load in (lambda path: load_frame(locs, path), load_observation_table,
+                 load_locations):
+        with pytest.raises(ParseError, match=r"obs\.csv: not UTF-8 text"):
+            load(bad)
