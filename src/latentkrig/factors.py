@@ -37,6 +37,7 @@ from .stdata import (LocationSet, Partition, SpatioTemporalFrame,
 
 _SIGN_EPS = 1e-12
 _EIG_FLOOR = 1e-300
+_EIGH_STACK = 16  # matrices per stacked eigh; keeps peak memory flat
 
 
 @dataclass
@@ -62,9 +63,9 @@ def build_laplacian(locations: LocationSet, subset) -> GraphLaplacian:
     return GraphLaplacian(W=w, L=lap)
 
 
-def _laplacian_matrix(penalty, dim: int, tau: float) -> np.ndarray:
+def _laplacian_matrix(penalty, dim: int, taus: np.ndarray) -> np.ndarray:
     if penalty is None:
-        if tau != 0.0:
+        if np.any(taus != 0.0):
             raise ValueError("tau > 0 requires a Laplacian")
         return np.zeros((dim, dim))
     mat = penalty.L if isinstance(penalty, GraphLaplacian) else np.asarray(penalty, float)
@@ -73,28 +74,33 @@ def _laplacian_matrix(penalty, dim: int, tau: float) -> np.ndarray:
     return mat
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    v = vectors.copy()
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        big = np.nonzero(np.abs(col) > _SIGN_EPS)[0]
-        if big.size and col[big[0]] < 0:
-            v[:, j] = -col
-    return v
+def _top_vectors(evecs: np.ndarray, order: np.ndarray, d: int) -> np.ndarray:
+    """The d leading eigenvectors of each matrix in a stack from _eig_desc,
+    each flipped so that its first entry above 1e-12 in size is positive."""
+    vectors = np.take_along_axis(evecs, order[:, None, :d], -1)
+    big = np.abs(vectors) > _SIGN_EPS
+    first = np.take_along_axis(vectors, big.argmax(axis=-2)[..., None, :], -2)
+    return np.where(big.any(axis=-2, keepdims=True) & (first < 0), -vectors, vectors)
 
 
-def _eig_desc(M: np.ndarray, penalty, tau: float) -> tuple[np.ndarray, np.ndarray]:
+def _eig_desc(M: np.ndarray, penalty, taus):
+    """Per chunk of at most _EIGH_STACK taus: the descending spectra of
+    sym(M) - tau * L, the eigenvectors in solver order and their descending
+    column order. M is checked and symmetrized once; eigh on the stack is
+    bitwise eigh on each matrix."""
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("M must be square")
     norm = np.linalg.norm(M)
     if norm > 0 and np.linalg.norm(M - M.T) > 1e-8 * norm:
         raise NotSymmetric("M deviates from symmetry beyond 1e-8 relative")
-    lap = _laplacian_matrix(penalty, M.shape[0], tau)
-    target = 0.5 * (M + M.T) - tau * lap
-    evals, evecs = np.linalg.eigh(target)
-    order = np.argsort(evals)[::-1]
-    return evals[order], evecs[:, order]
+    taus = np.asarray(taus, dtype=np.float64).reshape(-1)
+    lap = _laplacian_matrix(penalty, M.shape[0], taus)
+    sym = 0.5 * (M + M.T)
+    for lo in range(0, taus.size, _EIGH_STACK):
+        evals, evecs = np.linalg.eigh(sym - taus[lo:lo + _EIGH_STACK, None, None] * lap)
+        order = np.argsort(evals, axis=-1)[:, ::-1]
+        yield np.take_along_axis(evals, order, -1), evecs, order
 
 
 def penalized_eigvecs(M: np.ndarray, penalty, tau: float,
@@ -110,28 +116,29 @@ def penalized_eigvecs(M: np.ndarray, penalty, tau: float,
     """
     if int(d) != d or not 1 <= d <= np.asarray(M).shape[0]:
         raise ValueError("d out of range")
-    evals, evecs = _eig_desc(M, penalty, tau)
-    return _fix_signs(evecs[:, :int(d)]), evals
+    (evals,), evecs, order = next(_eig_desc(M, penalty, [tau]))
+    return _top_vectors(evecs, order, int(d))[0], evals
 
 
-def estimate_d(eigenvalues, p_star: int) -> int:
+def estimate_d(eigenvalues, p_star: int):
     """Eigenvalue-ratio estimate of the factor count.
 
     Scans j = 1..p_star-1 and returns the j maximizing lam_j / lam_{j+1}
     on the descending, positive-part spectrum (values floored at 1e-300
     so trailing zeros cannot produce 0/0). Ties resolve to the smallest j.
+    A (k, m) stack of spectra gives one estimate per row, as an array.
     """
     lam = np.asarray(eigenvalues, dtype=np.float64)
     if int(p_star) != p_star or p_star < 2:
         raise ValueError("p_star must be an integer >= 2")
     p_star = int(p_star)
-    if lam.ndim != 1 or lam.size < p_star:
+    if lam.ndim not in (1, 2) or lam.shape[-1] < p_star:
         raise TooFewEigenvalues(f"need at least p_star={p_star} eigenvalues")
-    if np.any(np.diff(lam) > 1e-9 * max(1.0, np.abs(lam[0]))):
+    if np.any(np.diff(lam) > 1e-9 * np.maximum(1.0, np.abs(lam[..., :1]))):
         raise ValueError("eigenvalues must be in descending order")
     lam = np.maximum(lam, _EIG_FLOOR)
-    ratios = lam[:p_star - 1] / lam[1:p_star]
-    return int(np.argmax(ratios)) + 1
+    d = np.argmax(lam[..., :p_star - 1] / lam[..., 1:p_star], axis=-1) + 1
+    return int(d) if lam.ndim == 1 else d
 
 
 def default_p_star(p1: int, p2: int) -> int:
@@ -188,19 +195,28 @@ def solve_loadings(m1: np.ndarray, m2: np.ndarray, lap1, lap2, tau: float,
     read off the penalized side-1 spectrum unless overridden. Exposed
     separately so grid searches over tau can reuse the Gram matrices.
     """
+    return _sweep_loadings(m1, m2, lap1, lap2, [tau], p_star, d_override)[0]
+
+
+def _sweep_loadings(m1, m2, lap1, lap2, taus, p_star=None, d_override=None) -> list:
+    """solve_loadings at each tau in taus by stacked eigensolves, bitwise per tau."""
     p1, p2 = m1.shape[0], m2.shape[0]
-    evals1, evecs1 = _eig_desc(m1, lap1, tau)
-    if d_override is not None:
-        if int(d_override) != d_override or not 1 <= d_override <= min(p1, p2):
+    side1 = []
+    for evals, evecs, order in _eig_desc(m1, lap1, taus):
+        if d_override is None:  # the side-2 basis cannot exceed p2 columns
+            d = np.minimum(estimate_d(evals, p_star if p_star is not None
+                                      else default_p_star(p1, p2)), p2)
+        elif int(d_override) != d_override or not 1 <= d_override <= min(p1, p2):
             raise ValueError("d_override out of range")
-        d_hat = int(d_override)
-    else:
-        d_hat = estimate_d(evals1, p_star if p_star is not None
-                           else default_p_star(p1, p2))
-        d_hat = min(d_hat, p2)  # side-2 basis cannot exceed p2 columns
-    a1 = _fix_signs(evecs1[:, :d_hat])
-    a2, _ = penalized_eigvecs(m2, lap2, tau, d_hat)
-    return a1, a2, d_hat, evals1
+        else:
+            d = np.full(len(evals), int(d_override))
+        top = _top_vectors(evecs, order, d.max())
+        side1 += [(top[k, :, :d[k]].copy(), int(d[k]), evals[k]) for k in range(len(d))]
+    d_max = max(d for _, d, _ in side1)
+    side2 = [a2 for _, evecs, order in _eig_desc(m2, lap2, taus)
+             for a2 in _top_vectors(evecs, order, d_max)]
+    return [(a1, a2[:, :d].copy(), d, evals1)
+            for (a1, d, evals1), a2 in zip(side1, side2)]
 
 
 def fit_factors(frame: SpatioTemporalFrame, partition: Partition, tau: float,
@@ -225,8 +241,8 @@ def fit_factors(frame: SpatioTemporalFrame, partition: Partition, tau: float,
         raise TooFewLocations(
             "default p_star needs p >= 8; pass p_star or d_override")
     m1, m2 = gram_matrices(frame, partition, k0)
-    lap1 = build_laplacian(frame.locations, partition.set1)
-    lap2 = build_laplacian(frame.locations, partition.set2)
+    lap1, lap2 = (None if tau == 0 else build_laplacian(frame.locations, s)
+                  for s in (partition.set1, partition.set2))
     a1, a2, d_hat, evals1 = solve_loadings(m1, m2, lap1, lap2, tau,
                                            p_star, d_override)
     x_hat = frame.obs[:, list(partition.set1)] @ a1

@@ -60,13 +60,14 @@ class KernelSpec:
             raise ValueError("bandwidth must be positive")
 
 
-def _raw_kernel(locations: LocationSet, sites, family: str):
-    """h -> raw weights K((s_j - sites[k]) / h), one row per site; the
-    geometry (distances, or displacements for epanechnikov_2d) is computed once."""
+def _raw_kernel(locations: LocationSet, sites, family: str, dist=None):
+    """h -> raw weights K((s_j - sites[k]) / h), one row per site; the geometry
+    (distances, or dist if given; displacements for epanechnikov_2d) is made once."""
     sites = np.asarray(sites, dtype=np.float64).reshape(-1, 2)
     if family == "gaussian":
-        dist = distance_matrix(sites, locations.coords,
-                               locations.distance_metric, locations.radius)
+        if dist is None:
+            dist = distance_matrix(sites, locations.coords,
+                                   locations.distance_metric, locations.radius)
         return lambda h: np.exp(-0.5 * (dist / h) ** 2)
     if family != "epanechnikov_2d":
         raise ValueError(f"unknown kernel family {family!r}")

@@ -28,8 +28,8 @@ import numpy as np
 
 from . import _util
 from .errors import EmptyKernelWindow, TooFewLocations
-from .factors import (assemble_latent, build_laplacian, fit_factors,
-                      gram_matrices, solve_loadings, subspace_distance)
+from .factors import (_sweep_loadings, build_laplacian, fit_factors,
+                      gram_matrices, subspace_distance)
 from .ensemble import _member_partitions, fit_members
 from .forecast import forecast
 from .kriging import KernelSpec, _raw_kernel, kernel_weights, krige_space
@@ -202,14 +202,23 @@ def select_bandwidth(latent: np.ndarray, locs: LocationSet,
     near-optimal grid point wins, so exact ties (constant fields) give
     the smallest h. No randomness.
     """
-    latent = np.asarray(latent, dtype=np.float64)
+    return _loo_bandwidth(locs, np.asarray(latent, dtype=np.float64), None, family, grid_size)
+
+
+def _loo_bandwidth(locs, vt, u, family, grid_size=30) -> float:
+    """select_bandwidth's checks, grid and tie rule for the field u @ vt,
+    or vt when u is None. Per h the LOO residual is u @ g with g = vt K /
+    tot - vt, so with u its mean square is sum((u'u) * (g g')) / (n p)
+    and the n x p field is never formed."""
     p = locs.p
     if p < 3:
         raise TooFewLocations("bandwidth selection needs p >= 3")
-    if latent.ndim != 2 or latent.shape[1] != p:
+    if vt.ndim != 2 or vt.shape[1] != p:
         raise ValueError("latent must be n x p for these locations")
-    raw = _raw_kernel(locs, locs.coords, family)
     dist = pairwise_distances(locs)
+    raw = _raw_kernel(locs, locs.coords, family, dist)
+    mean_sq = ((lambda g: np.mean(g ** 2)) if u is None
+               else lambda g: np.sum((u.T @ u) * (g @ g.T)) / (u.shape[0] * p))
     off = dist + np.diag(np.full(p, np.inf))
     med_nn = float(np.median(off.min(axis=1)))
     diam = float(dist.max())
@@ -221,15 +230,12 @@ def select_bandwidth(latent: np.ndarray, locs: LocationSet,
         k = raw(h)
         np.fill_diagonal(k, 0.0)
         tot = k.sum(axis=0)
-        if np.any(tot <= 0.0):
-            errs[gi] = np.inf
-            continue
-        errs[gi] = np.mean((latent @ k / tot - latent) ** 2)
+        errs[gi] = np.inf if np.any(tot <= 0.0) else mean_sq(vt @ k / tot - vt)
     best = float(np.min(errs))
     if not np.isfinite(best):
         raise EmptyKernelWindow("every grid bandwidth left some location "
                                 "with zero kernel mass")
-    tol = 1e-12 * max(float(np.mean(latent ** 2)), 1e-300)
+    tol = 1e-12 * max(float(mean_sq(vt)), 1e-300)
     return float(grid[int(np.nonzero(errs <= best + tol)[0][0])])
 
 
@@ -245,10 +251,10 @@ def select_tau(frame: SpatioTemporalFrame, grid=None, folds: int = 5,
     the score is the squared error against their observed series. The
     bandwidth is chosen once per fold from the tau = 0 fit, so one
     p_train x p_test kernel-weight matrix W serves the whole grid, and
-    that fit is grid point 0 when the grid holds 0. Each other grid
-    point costs two eigendecompositions; every point costs, per side,
-    the d-dimensional readouts y A times A' W. Smallest tau wins ties
-    because the grid is scanned in ascending order.
+    that fit is grid point 0 when the grid holds 0. Per side, the whole
+    grid is one stacked sweep of eigendecompositions; every point then
+    costs the d-dimensional readouts y A times A' W. Smallest tau wins
+    ties because the grid is scanned in ascending order.
     """
     tau_grid = np.unique(np.asarray(
         default_tau_grid() if grid is None else grid, dtype=np.float64))
@@ -265,7 +271,8 @@ def select_tau(frame: SpatioTemporalFrame, grid=None, folds: int = 5,
 
 
 def _cv_scores(frame, tau_grid, folds, rng_seed, k0, p_star, family) -> np.ndarray:
-    """(folds, grid) matrix of held-out mean squared errors for select_tau."""
+    """(folds, grid) matrix of held-out mean squared errors for select_tau;
+    tau_grid is ascending and unique, as select_tau passes it."""
     p = frame.p
     rng = np.random.default_rng(rng_seed)
     groups = np.array_split(rng.permutation(p), folds)
@@ -278,17 +285,19 @@ def _cv_scores(frame, tau_grid, folds, rng_seed, k0, p_star, family) -> np.ndarr
         set1, set2 = list(part.set1), list(part.set2)
         m1, m2 = gram_matrices(sub, part, k0)
         lap1, lap2 = (build_laplacian(sub.locations, s) for s in (set1, set2))
-        flat = solve_loadings(m1, m2, lap1, lap2, 0.0, p_star=p_star)[:2]
-        kernel = KernelSpec(family=family, h=select_bandwidth(
-            assemble_latent(sub, part, *flat), sub.locations, family=family))
+        taus = np.union1d(0.0, tau_grid)  # tau = 0 picks the bandwidth
+        loadings = _sweep_loadings(m1, m2, lap1, lap2, taus, p_star=p_star)
+        y1, y2 = sub.obs[:, set1], sub.obs[:, set2]
+        a1, a2, d, _ = loadings[0]
+        vt = np.zeros((2 * d, sub.p))
+        vt[:d, set1], vt[d:, set2] = a1.T, a2.T
+        kernel = KernelSpec(family=family, h=_loo_bandwidth(
+            sub.locations, vt, np.hstack([y1 @ a1, y2 @ a2]), family))
         w = kernel_weights(sub.locations, frame.locations.coords[test_idx],
                            kernel)
         w1, w2 = w[set1], w[set2]
-        y1, y2 = sub.obs[:, set1], sub.obs[:, set2]
         y_test = frame.obs[:, test_idx]
-        for gi, tau in enumerate(tau_grid):
-            a1, a2 = flat if tau == 0.0 else solve_loadings(
-                m1, m2, lap1, lap2, float(tau), p_star=p_star)[:2]
+        for gi, (a1, a2, *_) in enumerate(loadings[taus.size - tau_grid.size:]):
             pred = (y1 @ a1) @ (a1.T @ w1) + (y2 @ a2) @ (a2.T @ w2)
             scores[f, gi] = np.mean((pred - y_test) ** 2)
     return scores

@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import datetime
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -339,40 +340,47 @@ def _rank_timestamps(stamps: set, path: Path) -> dict:
 
 
 def _plain_columns(raw: bytes, text: str):
-    """The t, id and value columns of the data rows; None unless each line
-    has 3 fields, a t,id,value header heads a row, and csv.reader would
-    split alike: no quote, lone CR or over-long line. A CR before a
-    newline stays on the value token, where float() and strip() drop it."""
+    """The stripped header and the token columns of the data rows; None
+    unless every line has as many fields as the first, a data row follows
+    the header, and csv.reader would split alike: no quote, lone CR or
+    over-long line. A CR before a newline stays on the last token, where
+    float() and strip() drop it."""
     if not raw.endswith(b"\n"):
         raw, text = raw + b"\n", text + "\n"
     b = np.frombuffer(raw, np.uint8)
     sep = np.flatnonzero((b == ord(",")) | (b == ord("\n")))
     kinds, cr = b[sep], np.flatnonzero(b == ord("\r"))
-    if (b'"' in raw or kinds.size % 3 or np.any(kinds.reshape(-1, 3) != tuple(b",,\n"))
+    w = int(np.argmax(kinds == ord("\n"))) + 1
+    if (b'"' in raw or kinds.size % w
+            or np.any(kinds.reshape(-1, w) != tuple(b"," * (w - 1) + b"\n"))
             or np.any(b[cr + 1] != ord("\n"))
-            or np.diff(sep[2::3], prepend=-1).max() > csv.field_size_limit()):
+            or np.diff(sep[w - 1::w], prepend=-1).max() > csv.field_size_limit()):
         return None
     tokens = text.replace("\n", ",").split(",")[:-1]
-    if len(tokens) == 3 or [h.strip() for h in tokens[:3]] != ["t", "id", "value"]:
-        return None
-    return tokens[3::3], tokens[4::3], tokens[5::3]
+    return (([h.strip() for h in tokens[:w]], [tokens[w + j::w] for j in range(w)])
+            if len(tokens) > w else None)
 
 
-def _columns_to_panel(path, t_tok, id_tok, v_tok, column_of, min_width, stamp_of):
-    """Ranks and panel from token columns, each distinct stamp parsed and
-    each distinct id mapped once in first-seen order; None on any bad row."""
+def _columns_to_panel(path, columns, column_of, min_width, stamp_of, panel_rank=None):
+    """Ranks and n x width panel from t, id and value token columns, each
+    distinct stamp parsed and id mapped once in first-seen order; None on
+    any bad row. Given panel_rank, n x width x m covariates from m value
+    columns, None unless they cover it."""
+    t_tok, id_tok, *v_cols = columns
     n = len(t_tok)
     raw_ids = dict.fromkeys(id_tok)
+    vals = np.empty((n, len(v_cols)))
     try:
         for tok in dict.fromkeys(t_tok):  # the replay reports a bad one's line
             _memo_stamp(stamp_of, tok, path, 0)
         by_id = {loc: column_of(loc) for loc in dict.fromkeys(map(str.strip, raw_ids))}
         col_of = {raw_id: by_id[raw_id.strip()] for raw_id in raw_ids}
         rank = _rank_timestamps(set(stamp_of.values()), path)
-        try:
-            vals = np.fromiter(map(float, v_tok), np.float64, n)
-        except ValueError:  # empty cells, or a non-numeric one
-            vals = np.array([float(v) if v.strip() else math.nan for v in v_tok])
+        for j, v_tok in enumerate(v_cols):
+            try:
+                vals[:, j] = np.fromiter(map(float, v_tok), np.float64, n)
+            except ValueError:  # empty cells, or a non-numeric one
+                vals[:, j] = [float(v) if v.strip() else math.nan for v in v_tok]
     except (LatentKrigError, ValueError):
         return None
     t_rank = {tok: rank[stamp] for tok, stamp in stamp_of.items()}
@@ -380,39 +388,58 @@ def _columns_to_panel(path, t_tok, id_tok, v_tok, column_of, min_width, stamp_of
     width = max(min_width, 1 + int(col.max()))
     cell = np.fromiter(map(t_rank.__getitem__, t_tok), np.intp, n) * width + col
     if (np.bincount(cell).max() > 1  # a duplicate, or nan or inf spelled out
-            or any(v_tok[k].strip() for k in np.flatnonzero(~np.isfinite(vals)))):
+            or any(v_cols[j][k].strip() for k, j in np.argwhere(~np.isfinite(vals)))):
         return None
-    obs = np.full((len(rank), width), np.nan)
-    obs.reshape(-1)[cell] = vals
-    return rank, obs
+    obs = np.full((len(rank), width, len(v_cols)), np.nan)
+    obs.reshape(-1, len(v_cols))[cell] = vals
+    if panel_rank is None:
+        return rank, obs[:, :, 0]
+    return (rank, obs) if rank == panel_rank and not np.isnan(obs).any() else None
 
 
-def _read_long_form(path: Path, column_of: Callable[[str], int],
-                    min_width: int) -> tuple[dict, np.ndarray]:
+def _read_long_form(path: Path, column_of: Callable[[str], int], min_width: int,
+                    rank: dict | None = None) -> tuple[dict, np.ndarray]:
     """Timestamp ranks and n x width array (NaN where a cell is empty or
     absent) of a ``t,id,value`` file; column_of maps a site id to its
-    column or raises. Plain files are read by column; a quoted file, or
-    one with a bad row, is replayed through csv.reader row by row."""
-    stamp_of: dict[str, object] = {}
-    columns = _plain_columns(*_read_text(path))
-    if columns and (panel := _columns_to_panel(path, *columns, column_of, min_width, stamp_of)):
+    column or raises. Given the panel's ranks instead, the n x width x m
+    array of a ``t,id,z1,...,zm`` covariate file, which must cover every
+    cell. Plain files are read by column; a quoted file, or one with a
+    bad row, is replayed through csv.reader row by row."""
+    cov, stamp_of = rank is not None, {}
+    header_ok = ((lambda h: len(h) > 2 and h[:2] == ["t", "id"]) if cov
+                 else lambda h: h == ["t", "id", "value"])
+    plain = _plain_columns(*_read_text(path))
+    if plain and header_ok(plain[0]) and (panel := _columns_to_panel(
+            path, plain[1], column_of, min_width, stamp_of, rank)):
         return panel
-    _, rows = _read_rows(path, ["t", "id", "value"])
+    header, rows = _read_rows(path, None)
+    if not header_ok(header):
+        raise ParseError(f"{path}: expected header t,id,{'z1,...' if cov else 'value'}")
+    m = len(header) - 2
     cells: set[tuple] = set()
     for k, row in enumerate(rows, start=2):
-        if len(row) != 3:
-            raise ParseError(f"{path}:{k}: expected 3 fields")
+        if len(row) != m + 2:
+            raise ParseError(f"{path}:{k}: expected {m + 2} fields")
+        t = _memo_stamp(stamp_of, row[0], path, k)
+        if cov and t not in rank:
+            raise ParseError(f"{path}:{k}: timestamp {row[0]!r} not in panel")
         loc = row[1].strip()
-        key = (_memo_stamp(stamp_of, row[0], path, k), column_of(loc))
+        key = (t, column_of(loc))
         if key in cells:
-            raise DuplicateCell(f"{path}:{k}: duplicate cell (t={row[0]}, id={loc})")
+            raise DuplicateCell(f"{path}:{k}: duplicate covariate cell" if cov else
+                                f"{path}:{k}: duplicate cell (t={row[0]}, id={loc})")
         cells.add(key)
-        if row[2].strip():
-            _parse_float(row[2].strip(), path, k)
+        for z in row[2:]:
+            if cov or z.strip():
+                _parse_float(z if cov else z.strip(), path, k)
+    panel = cells and _columns_to_panel(path, list(zip(*rows)), column_of,
+                                        min_width, stamp_of, rank)
+    if cov and not panel:
+        raise ParseError(f"{path}: covariates must cover every (t, id) cell")
     if not cells:
         raise ParseError(f"{path}: no observation rows")
     _rank_timestamps({t for t, _ in cells}, path)
-    return _columns_to_panel(path, *zip(*rows), column_of, min_width, stamp_of)
+    return panel
 
 
 def load_frame(locations_path, observations_path, covariates_path=None,
@@ -426,30 +453,8 @@ def load_frame(locations_path, observations_path, covariates_path=None,
     """
     locs = load_locations(locations_path, distance_metric, radius)
     rank, obs = _read_long_form(Path(observations_path), locs.index_of, locs.p)
-
-    covariates = None
-    if covariates_path is not None:
-        cov_path = Path(covariates_path)
-        header, zrows = _read_rows(cov_path, None)
-        if len(header) < 3 or header[:2] != ["t", "id"]:
-            raise ParseError(f"{cov_path}: expected header t,id,z1,...")
-        m = len(header) - 2
-        covariates = np.full((len(rank), locs.p, m), np.nan)
-        stamp_of: dict[str, object] = {}
-        for k, row in enumerate(zrows, start=2):
-            if len(row) != m + 2:
-                raise ParseError(f"{cov_path}:{k}: expected {m + 2} fields")
-            t = _memo_stamp(stamp_of, row[0], cov_path, k)
-            if t not in rank:
-                raise ParseError(f"{cov_path}:{k}: timestamp {row[0]!r} not in panel")
-            col = locs.index_of(row[1].strip())
-            if not np.isnan(covariates[rank[t], col, 0]):  # cells parse finite
-                raise DuplicateCell(f"{cov_path}:{k}: duplicate covariate cell")
-            covariates[rank[t], col, :] = [
-                _parse_float(z, cov_path, k) for z in row[2:]]
-        if np.any(np.isnan(covariates)):
-            raise ParseError(f"{cov_path}: covariates must cover every (t, id) cell")
-
+    covariates = None if covariates_path is None else _read_long_form(
+        Path(covariates_path), locs.index_of, locs.p, rank)[1]
     return SpatioTemporalFrame(locations=locs, obs=obs, covariates=covariates)
 
 
@@ -498,12 +503,19 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         w.writerows(rows)
 
 
+def _csv_field(value: str) -> str:
+    """value as csv.writer writes it among other fields of a row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([value, ""])
+    return buf.getvalue()[:-3]
+
+
 def save_frame(frame: SpatioTemporalFrame, out_dir) -> dict[str, Path]:
     """Write a panel in canonical CSV form; returns the file paths.
 
     Times are written as the dense integer index 1..n. Missing cells are
     omitted rather than written empty, so save -> load round-trips both
-    values (bit-exact) and the mask.
+    values (bit-exact, by repr) and the mask. The bytes are csv.writer's.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -512,16 +524,18 @@ def save_frame(frame: SpatioTemporalFrame, out_dir) -> dict[str, Path]:
     _write_csv(paths["locations"], ["id", "x1", "x2"],
                ([loc_id] + [_fmt(c) for c in frame.locations.coords[i]]
                 for i, loc_id in enumerate(frame.locations.ids)))
-    _write_csv(paths["observations"], ["t", "id", "value"],
-               ([t + 1, loc_id, _fmt(frame.obs[t, i])] for t in range(frame.n)
-                for i, loc_id in enumerate(frame.locations.ids)
-                if not frame.missing[t, i]))
+    tables = [("observations", ["t", "id", "value"], frame.obs[:, :, None])]
     if frame.covariates is not None:
         paths["covariates"] = out / "covariates.csv"
-        z = frame.covariates
-        _write_csv(paths["covariates"],
-                   ["t", "id"] + [f"z{j + 1}" for j in range(frame.m)],
-                   ([t + 1, loc_id] + [_fmt(v) for v in z[t, i]]
-                    for t in range(frame.n)
-                    for i, loc_id in enumerate(frame.locations.ids)))
+        tables.append(("covariates", ["t", "id"] + [f"z{j + 1}" for j in range(frame.m)],
+                       frame.covariates))
+    mids = [f",{_csv_field(loc_id)}," for loc_id in frame.locations.ids]
+    for name, header, values in tables:  # csv.writer's bytes, one time step at a time
+        keep, m = ~np.isnan(values[:, :, 0]), values.shape[2]
+        with open(paths[name], "w", newline="", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\r\n")
+            for t in range(frame.n):
+                cells = map(",".join, zip(*[map(repr, values[t, keep[t]].ravel().tolist())] * m))
+                fh.write("".join(f"{t + 1}{mid}{z}\r\n" for mid, z in
+                                 zip(itertools.compress(mids, keep[t]), cells)))
     return paths

@@ -223,6 +223,79 @@ def test_tau_pulls_vectors_toward_smoothness():
     assert abs(abs(flat @ vecs[:, 0]) - 1.0) <= 1e-6
 
 
+# ---- the stacked tau sweep against the one-matrix path it replaced ----
+
+def _solve_loadings_reference(m1, m2, lap1, lap2, tau, p_star):
+    """One eigh per side, argsort, the ratio rule and the sign loop, as
+    solve_loadings computed them one tau at a time."""
+    out = []
+    for m, lap in ((m1, lap1), (m2, lap2)):
+        evals, evecs = np.linalg.eigh(0.5 * (m + m.T) - tau * lap.L)
+        order = np.argsort(evals)[::-1]
+        out.append((evals[order], evecs[:, order]))
+    (evals1, evecs1), (_, evecs2) = out
+    lam = np.maximum(evals1, 1e-300)
+    d = min(int(np.argmax(lam[:p_star - 1] / lam[1:p_star])) + 1, m2.shape[0])
+    bases = []
+    for evecs in (evecs1, evecs2):
+        v = evecs[:, :d].copy()
+        for j in range(d):
+            big = np.nonzero(np.abs(v[:, j]) > 1e-12)[0]
+            if big.size and v[big[0], j] < 0:
+                v[:, j] = -v[:, j]
+        bases.append(v)
+    return bases[0], bases[1], d, evals1
+
+
+@pytest.mark.parametrize("k0, p_star, grid", [
+    (0, None, [0.0, 0.1, 0.5, 2.0, 10.0]),
+    (1, None, [0.3, 1.0, 4.0]),
+    (0, 3, list(np.linspace(0.0, 10.0, 37))),   # more taus than one stack
+    (1, 5, [0.0, 7.5])])
+def test_tau_sweep_is_bitwise_the_per_tau_solve(k0, p_star, grid):
+    from latentkrig.factors import _sweep_loadings, solve_loadings
+    frame, *_ = rank_k_frame(60, 24, k=3, seed=21, noise=0.7)
+    part = random_partition(24, 5)
+    m1, m2 = gram_matrices(frame, part, k0)
+    lap1, lap2 = (build_laplacian(frame.locations, s) for s in (part.set1, part.set2))
+    swept = _sweep_loadings(m1, m2, lap1, lap2, grid, p_star)
+    assert len(swept) == len(grid)
+    width = p_star if p_star is not None else default_p_star(12, 12)
+    for tau, got in zip(grid, swept):
+        one = solve_loadings(m1, m2, lap1, lap2, tau, p_star)
+        ref = _solve_loadings_reference(m1, m2, lap1, lap2, tau, width)
+        for a, b, c in zip(got, one, ref):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes() \
+                == np.asarray(c).tobytes(), tau
+        assert got[0].flags.c_contiguous and got[1].flags.c_contiguous
+
+
+def test_estimate_d_rows_match_single_spectra():
+    rng = np.random.default_rng(22)
+    lam = -np.sort(-rng.exponential(size=(9, 12)) ** 3, axis=1)
+    lam[3, 4:] = 0.0
+    lam[5] = 2.0  # all ratios tie
+    rows = estimate_d(lam, 6)
+    assert rows.tolist() == [estimate_d(row, 6) for row in lam]
+    with pytest.raises(ValueError):
+        estimate_d(lam[:, ::-1], 6)  # one ascending row is enough
+    with pytest.raises(TooFewEigenvalues):
+        estimate_d(lam[None], 6)
+
+
+def test_fit_at_tau_zero_builds_no_laplacian(monkeypatch):
+    import latentkrig.factors as factors
+    frame, *_ = rank_k_frame(50, 16, k=2, seed=23, noise=0.5)
+    part = random_partition(16, 2)
+    m1, m2 = gram_matrices(frame, part, 0)
+    laps = [build_laplacian(frame.locations, s) for s in (part.set1, part.set2)]
+    a1, a2, _, _ = factors.solve_loadings(m1, m2, *laps, 0.0)
+    monkeypatch.setattr(factors, "build_laplacian", None)
+    fit = fit_factors(frame, part, tau=0.0)
+    assert fit.A1_hat.tobytes() == a1.tobytes()
+    assert fit.A2_hat.tobytes() == a2.tobytes()
+
+
 # ---- subspace distance ----
 
 def test_subspace_distance_endpoints():

@@ -275,25 +275,62 @@ def test_cv_product_kernel_empty_window_raises():
 
 def test_cv_scores_solve_tau_zero_once_per_fold(monkeypatch):
     import latentkrig.simbench as sb
-    from latentkrig.factors import solve_loadings
-    calls = []
+    real_eigh, solved = np.linalg.eigh, []
 
-    def counting(*args, **kwargs):
-        calls.append(args[4])
-        return solve_loadings(*args, **kwargs)
+    def counting(a, *args, **kwargs):
+        solved.append(1 if np.ndim(a) == 2 else len(a))
+        return real_eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(sb, "solve_loadings", counting)
+    monkeypatch.setattr(np.linalg, "eigh", counting)
     frame = simulate(SimConfig(n=40, p=30, seed=6)).frame
     with_zero = sb._cv_scores(frame, np.array([0.0, 0.5, 2.0]), 5, 2, 0,
                               None, "gaussian")
-    # per fold: the tau = 0 solve that picks the bandwidth, reused as grid
-    # point 0, then one solve per nonzero tau
-    assert calls == [0.0, 0.5, 2.0] * 5
-    calls.clear()
+    # per fold and side, one stacked solve over {0} u grid: tau = 0 picks
+    # the bandwidth and is reused as grid point 0
+    assert solved == [3] * (2 * 5)
+    solved.clear()
     without = sb._cv_scores(frame, np.array([0.5, 2.0]), 5, 2, 0, None,
                             "gaussian")
-    assert calls == [0.0, 0.5, 2.0] * 5
+    assert solved == [3] * (2 * 5)
     assert with_zero[:, 1:].tobytes() == without.tobytes()
+
+
+@pytest.mark.parametrize("family, metric", [
+    ("gaussian", "euclidean"), ("gaussian", "great_circle"),
+    ("epanechnikov_2d", "euclidean")])
+def test_factored_bandwidth_matches_the_field_scorer(family, metric):
+    from latentkrig.simbench import _loo_bandwidth
+    rng = np.random.default_rng(31)
+    scale = 40.0 if metric == "great_circle" else 1.0
+    for _ in range(10):
+        p, n, d = int(rng.integers(12, 60)), int(rng.integers(20, 80)), 3
+        coords = rng.uniform(-scale, scale, (p, 2))
+        locs = LocationSet(ids=tuple(f"s{i}" for i in range(p)),
+                           coords=coords, distance_metric=metric)
+        # a split-panel field: two d-column blocks of a random site split
+        side = rng.permutation(p) < p // 2
+        vt = np.zeros((2 * d, p))
+        vt[:d, side] = rng.standard_normal((d, side.sum()))
+        vt[d:, ~side] = rng.standard_normal((d, (~side).sum()))
+        vt[:, :] += np.sin(coords[:, 0] / scale * 3) * (vt != 0)
+        u = rng.standard_normal((n, 2 * d))
+        field = u @ vt
+        assert (_loo_bandwidth(locs, vt, u, family)
+                == select_bandwidth(field, locs, family=family))
+
+
+def test_cv_scores_peak_memory_stays_flat():
+    import tracemalloc
+    from latentkrig.simbench import _cv_scores
+    frame = simulate(SimConfig(n=320, p=200, seed=1)).frame
+    tracemalloc.start()
+    try:
+        _cv_scores(frame, default_tau_grid(), 5, 1, 0, None, "gaussian")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the eigensolves run in stacks of at most 16 matrices per side
+    assert peak <= 8 * 2 ** 20
 
 
 def test_first_and_mean_is_the_stacked_mean():

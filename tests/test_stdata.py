@@ -573,6 +573,176 @@ def test_saved_panel_is_read_by_column(tmp_path, monkeypatch):
         line.split(",")[1] for line in lines[1:]))
 
 
+# ---- covariate files through the column reader ----
+
+def _per_row_covariates(path, rank, locs):
+    """The row-by-row covariate reader, kept as the column reader's oracle."""
+    import csv
+    from latentkrig import stdata
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ParseError(f"{path}: empty file")
+    header = [h.strip() for h in rows[0]]
+    if len(header) < 3 or header[:2] != ["t", "id"]:
+        raise ParseError(f"{path}: expected header t,id,z1,...")
+    m = len(header) - 2
+    z = np.full((len(rank), locs.p, m), np.nan)
+    stamp_of = {}
+    for k, row in enumerate(rows[1:], start=2):
+        if len(row) != m + 2:
+            raise ParseError(f"{path}:{k}: expected {m + 2} fields")
+        if row[0] not in stamp_of:
+            stamp_of[row[0]] = stdata._parse_timestamp(row[0], path, k)
+        t = stamp_of[row[0]]
+        if t not in rank:
+            raise ParseError(f"{path}:{k}: timestamp {row[0]!r} not in panel")
+        col = locs.index_of(row[1].strip())
+        if not np.isnan(z[rank[t], col, 0]):
+            raise DuplicateCell(f"{path}:{k}: duplicate covariate cell")
+        z[rank[t], col, :] = [stdata._parse_float(v, path, k) for v in row[2:]]
+    if np.any(np.isnan(z)):
+        raise ParseError(f"{path}: covariates must cover every (t, id) cell")
+    return z
+
+
+def _covariate_outcome(read, path, rank, locs):
+    try:
+        z = read(path, rank, locs)
+        return z.shape, z.tobytes()
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def _column_covariates(path, rank, locs):
+    from latentkrig import stdata
+    return stdata._read_long_form(path, locs.index_of, locs.p, rank)[1]
+
+
+def _random_covariates(rng, stamps, ids, m, crlf, quoted):
+    rows = []
+    for stamp in stamps:
+        for loc in ids:
+            pad = lambda tok: rng.choice(["", " "]) + tok + rng.choice(["", "  "])
+            values = [repr(float(rng.standard_normal() * 10.0 ** rng.integers(-5, 6)))
+                      for _ in range(m)]
+            rows.append([pad(stamp) if rng.random() < 0.2 else stamp,
+                         pad(loc) if rng.random() < 0.2 else loc,
+                         *[pad(v) if rng.random() < 0.2 else v for v in values]])
+    lines = [",".join(rows[k]) for k in rng.permutation(len(rows))]
+    if quoted:
+        first = lines[0].split(",")
+        lines[0] = ",".join([first[0], f'"{first[1]}"', *first[2:]])
+    header = ",".join(["t", " id "] + [f"z{j + 1}" for j in range(m)])
+    eol = "\r\n" if crlf else "\n"
+    return eol.join([header] + lines) + eol
+
+
+def test_covariate_reader_matches_per_row_reader(tmp_path, monkeypatch):
+    from latentkrig import stdata
+    locs = LocationSet(ids=_PARITY_IDS, coords=[[k, k % 2] for k in range(6)])
+    rng = np.random.default_rng(4242)
+    real_read_rows = stdata._read_rows
+    for case in range(24):
+        m, crlf, quoted = 1 + case % 3, bool(case >> 2 & 1), bool(case >> 3 & 1)
+        stamps = [str(s) for s in sorted(rng.choice(90, 5, replace=False) - 20)]
+        rank = {int(s): k for k, s in enumerate(stamps)}
+        path = _write(tmp_path / f"z{case}.csv",
+                      _random_covariates(rng, stamps, _PARITY_IDS, m, crlf, quoted))
+        # an unquoted file that covers the panel never reaches csv.reader
+        monkeypatch.setattr(stdata, "_read_rows", real_read_rows if quoted else None)
+        got = _covariate_outcome(_column_covariates, path, rank, locs)
+        monkeypatch.setattr(stdata, "_read_rows", real_read_rows)
+        assert got == _covariate_outcome(_per_row_covariates, path, rank, locs), case
+        assert got[0] == (5, 6, m), case
+
+
+@pytest.mark.parametrize("body, line", [
+    ("1,s0,1\n1,s1,2\n2,s0,3\n", None),         # a cell not covered
+    ("1,s0,1\n1,s1,2\n2,s0,3\n2,s1,\n", 5),      # an empty value
+    ("1,s0,1\n1,s1,2\n2,s0,3\n2,s1, \n", 5),     # a blank value
+    ("1,s0,1\n1,s1,2\n2,s0,3\n2,s1,nan\n", 5),
+    ("1,s0,1\n1,s1,2\n2,s0,3\n2,s1,x\n", 5),
+    ("1,s0,1\n1,s1,2\n3,s0,3\n2,s1,4\n", 4),     # a stamp not in the panel
+    ("1,s0,1\n1,s0,2\n2,s0,3\n2,s1,4\n", 3),     # a duplicate
+    ("1,s0,1\n1,s9,2\n2,s0,3\n2,s1,4\n", None),  # an unknown id
+    ("1,s0,1\n1,s1\n2,s0,3\n2,s1,4\n", 3),       # a short row
+    ("1,s0,1\n1,s1,2\n2020-01-01,s0,3\n2,s1,4\n", 4),
+    ("1,s0,1\n1,s1,2\n2,s0,3\n2,s1,4\n2,s1,5\n", 6),
+    ("", None),                                   # header only
+    ('1,s0,1\n1,"s1",2\n2,s0,3\n2,s1,4\n', None),  # quoted and valid
+])
+def test_covariate_errors_match_per_row_reader(tmp_path, body, line):
+    locs = LocationSet(ids=("s0", "s1", "s2"), coords=[[0, 0], [1, 0], [0, 1]])
+    locs = locs.subset([0, 1])
+    rank = {1: 0, 2: 1}
+    path = _write(tmp_path / "z.csv", "t,id,z1\n" + body)
+    got = _covariate_outcome(_column_covariates, path, rank, locs)
+    assert got == _covariate_outcome(_per_row_covariates, path, rank, locs)
+    if line is not None:
+        assert got[1].startswith(f"{path}:{line}: ")
+
+
+def test_covariate_reader_bad_headers(tmp_path):
+    locs = LocationSet(ids=("s0", "s1"), coords=[[0, 0], [1, 0]])
+    for name, text in [("empty", ""), ("blank", "\n"), ("short", "t,id\n1,s0\n"),
+                       ("names", "time,id,z1\n1,s0,1\n")]:
+        path = _write(tmp_path / f"{name}.csv", text)
+        got = _covariate_outcome(_column_covariates, path, {1: 0}, locs)
+        assert got == _covariate_outcome(_per_row_covariates, path, {1: 0}, locs)
+        assert got[0] is ParseError, name
+
+
+# ---- save_frame against csv.writer ----
+
+def _save_frame_reference(frame, out):
+    """The csv.writer form save_frame writes, one row at a time."""
+    import csv
+    out.mkdir(parents=True, exist_ok=True)
+
+    def write(name, header, rows):
+        with open(out / name, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(rows)
+
+    ids = frame.locations.ids
+    write("locations.csv", ["id", "x1", "x2"],
+          ([loc] + [repr(float(c)) for c in frame.locations.coords[i]]
+           for i, loc in enumerate(ids)))
+    write("observations.csv", ["t", "id", "value"],
+          ([t + 1, loc, repr(float(frame.obs[t, i]))] for t in range(frame.n)
+           for i, loc in enumerate(ids) if not frame.missing[t, i]))
+    if frame.covariates is not None:
+        write("covariates.csv", ["t", "id"] + [f"z{j + 1}" for j in range(frame.m)],
+              ([t + 1, loc] + [repr(float(v)) for v in frame.covariates[t, i]]
+               for t in range(frame.n) for i, loc in enumerate(ids)))
+
+
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_save_frame_bytes_match_csv_writer(tmp_path, m):
+    ids = ("plain", "a,b", 'say "hi"', "two\nlines", " padded ", "cr\rhere",
+           "", "Zürich")
+    rng = np.random.default_rng(7 + m)
+    p, n = len(ids), 12
+    locs = LocationSet(ids=ids, coords=rng.uniform(-1, 1, (p, 2)))
+    obs = rng.standard_normal((n, p)) * 10.0 ** rng.integers(-8, 9, (n, p))
+    obs[np.arange(0, n, 2), rng.integers(0, p, n // 2)] = np.nan
+    obs[1, [2, 5]] = np.nan
+    obs[0, 1] = -0.0
+    frame = SpatioTemporalFrame(
+        locations=locs, obs=obs,
+        covariates=rng.standard_normal((n, p, m)) if m else None)
+    got = save_frame(frame, tmp_path / "got")
+    _save_frame_reference(frame, tmp_path / "want")
+    assert sorted(got) == (["covariates"] if m else []) + ["locations", "observations"]
+    for path in got.values():
+        assert path.read_bytes() == (tmp_path / "want" / path.name).read_bytes(), path.name
+    back = load_frame(got["locations"], got["observations"], got.get("covariates"))
+    assert back.locations.ids == tuple(i.strip() for i in ids)  # readers strip ids
+    assert back.obs.tobytes() == frame.obs.tobytes()
+
+
 def test_non_ascii_ids_round_trip_as_utf8(tmp_path):
     locs = LocationSet(ids=("Zürich", "東京", "São Paulo", "plain"),
                        coords=[[0, 0], [1, 0], [0, 1], [1, 1]])
