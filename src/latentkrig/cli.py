@@ -35,8 +35,8 @@ from .simbench import (TABLE_IDS, SimConfig, run_table, select_bandwidth,
                        select_tau)
 from .simbench import simulate as simulate_op
 from .stdata import (_METRICS, SpatioTemporalFrame, _fmt, _write_csv,
-                     load_frame, load_observation_table, random_partition,
-                     save_frame)
+                     _write_long_form, load_frame, load_observation_table,
+                     random_partition, save_frame)
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -104,30 +104,23 @@ def cmd_simulate(args) -> int:
     written = [paths["locations"], paths["observations"]]
     ids = draw.frame.locations.ids
 
-    xi_path = out / "truth_xi.csv"
-    _write_csv(xi_path, ["t", "id", "value"],
-               ((t + 1, ids[i], _fmt(draw.xi[t, i]))
-                for t in range(cfg.n) for i in range(cfg.p)))
-    written.append(xi_path)
+    def long_form(name: str, first: int, site_ids, values: np.ndarray) -> None:
+        written.append(out / name)
+        _write_long_form(out / name, ["t", "id", "value"],
+                         range(first, first + len(values)), site_ids,
+                         values[:, :, None])
 
+    long_form("truth_xi.csv", 1, ids, draw.xi)
     if draw.future_y is not None:
-        fpath = out / "future_y.csv"
-        _write_csv(fpath, ["t", "id", "value"],
-                   ((cfg.n + t + 1, ids[i], _fmt(draw.future_y[t, i]))
-                    for t in range(cfg.n_future) for i in range(cfg.p)))
-        written.append(fpath)
+        long_form("future_y.csv", cfg.n + 1, ids, draw.future_y)
     if draw.holdout_locations is not None:
         hl = out / "holdout_locations.csv"
         hids = draw.holdout_locations.ids
         _write_csv(hl, ["id", "x1", "x2"],
                    ((hids[i], _fmt(c[0]), _fmt(c[1]))
                     for i, c in enumerate(draw.holdout_locations.coords)))
-        hy = out / "holdout_y.csv"
-        _write_csv(hy, ["t", "id", "value"],
-                   ((t + 1, hids[i], _fmt(draw.holdout_y[t, i]))
-                    for t in range(cfg.n)
-                    for i in range(len(hids))))
-        written.extend([hl, hy])
+        written.append(hl)
+        long_form("holdout_y.csv", 1, hids, draw.holdout_y)
     for path in written:
         print(f"wrote {path}")
     return 0
@@ -227,10 +220,8 @@ def cmd_forecast(args) -> int:
         fit = fit_factors(frame, part, tau, k0=args.k0, p_star=args.p_star,
                           d_override=args.d)
         preds = forecast_op(frame, fit, horizons, args.j0, ridge=args.ridge)
-    ids = frame.locations.ids
-    rows = [(j, ids[i], _fmt(preds[row, i]))
-            for row, j in enumerate(horizons) for i in range(frame.p)]
-    _write_csv(Path(args.out), ["horizon", "id", "value"], rows)
+    _write_long_form(Path(args.out), ["horizon", "id", "value"], horizons,
+                     frame.locations.ids, preds[:, :, None])
     print(f"tau={_fmt(tau)}")
     print(f"wrote {args.out}")
     return 0
@@ -302,10 +293,8 @@ def cmd_deseason(args) -> int:
         counts = (~np.isnan(block)).sum(axis=0)
         # a site never seen in this phase stays NaN whatever its mean
         out[r::period] = block - np.nansum(block, axis=0) / np.maximum(counts, 1)
-    rows_out = [(stamps[t], ids[i], _fmt(out[t, i]))
-                for t in range(n) for i in range(len(ids))
-                if not np.isnan(out[t, i])]
-    _write_csv(Path(args.out), ["t", "id", "value"], rows_out)
+    _write_long_form(Path(args.out), ["t", "id", "value"], stamps, ids,
+                     out[:, :, None])
     print(f"wrote {args.out}")
     return 0
 

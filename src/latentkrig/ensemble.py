@@ -4,18 +4,21 @@ A single fit depends on an arbitrary split of the locations into two
 halves. Averaging the latent field over J independent random splits
 removes that arbitrariness and, by convexity of squared loss, the
 aggregate never has larger mean squared deviation than the average
-member (exactly, conditional on the data). The same averaging drives a
-divide-and-conquer mode for large p: locations are grouped into blocks
-of size q, each block is repeatedly fitted together with q companion
-locations sampled from its complement, and only the block's own
-estimates are kept, so no eigenanalysis ever exceeds 2q x 2q.
+member (exactly, conditional on the data). For large p, divide and
+conquer fits each block of q sites J times against q companions sampled
+from its complement and keeps only the block's own estimates, so no
+eigenanalysis ever exceeds 2q x 2q.
+
+One engine, ``fit_members``, fits every member (a Partition of all the
+sites, or a (sites, Partition) pair fitted on those sites' subframe),
+and one in-order reducer, ``_first_and_mean``, averages the members.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
 from typing import Callable, Iterator, TypeVar
 
@@ -81,8 +84,8 @@ def resolve_tau(frame: SpatioTemporalFrame, tau_policy: TauPolicy,
         return select_tau(frame, default_tau_grid(), folds=5,
                           rng_seed=rng_seed, k0=k0, p_star=p_star)
     tau = float(tau_policy)
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    if not 0 <= tau < np.inf:
+        raise ValueError("tau must be finite and >= 0")
     return tau
 
 
@@ -95,23 +98,39 @@ def _identity(fit: FactorModelFit) -> FactorModelFit:
     return fit
 
 
-def fit_members(frame: SpatioTemporalFrame, partitions: list[Partition],
+def fit_members(frame: SpatioTemporalFrame, partitions: list[Partition | tuple],
                 tau: float, k0: int = 0, p_star: int | None = None,
                 d_override: int | None = None, workers: int | None = None,
                 read: Callable[[FactorModelFit], R] = _identity) -> Iterator[R]:
-    """Fit one factor model per partition, yielding in partition order.
+    """Fit one factor model per member, yielding in member order.
 
-    Each fit is passed through ``read`` on the worker that made it and
-    only what ``read`` returns is kept, so a caller that needs a small
-    summary per member never holds J full fits. The default keeps the
-    fit itself. Members are fitted as the result is iterated.
+    A member is a Partition of all the frame's sites, or a (sites,
+    Partition) pair fitted on ``frame.subframe(sites)``, built on the
+    worker. Each fit is passed through ``read`` on its worker and only
+    what ``read`` returns is kept (by default the fit), so a caller need
+    not hold J full fits. Members are fitted as the result is iterated.
     """
 
-    def one(part: Partition) -> R:
-        return read(fit_factors(frame, part, tau, k0=k0, p_star=p_star,
+    def one(member) -> R:
+        sub, part = ((frame, member) if isinstance(member, Partition)
+                     else (frame.subframe(member[0]), member[1]))
+        return read(fit_factors(sub, part, tau, k0=k0, p_star=p_star,
                                 d_override=d_override))
 
     return _util.ordered_map(one, partitions, workers)
+
+
+def _first_and_mean(members) -> tuple:
+    """Member 0's field, the mean field (a running sum in member order,
+    bitwise np.mean of the stack), then each further reading per member."""
+    total, rest = None, []
+    for xi, *other in members:
+        if total is None:
+            first, total = xi, xi.copy()
+        else:
+            total += xi
+        rest.append(other)
+    return (first, total / len(rest), *zip(*rest))
 
 
 def enumerate_partitions(p: int) -> list[Partition]:
@@ -146,19 +165,12 @@ def aggregate_over_partitions(frame: SpatioTemporalFrame,
     """
     if not partitions:
         raise ValueError("need at least one partition")
-    total = np.zeros((frame.n, frame.p))
-    d_hats = []
-    for xi_hat, d_hat in fit_members(frame, partitions, tau, k0=k0,
-                                     p_star=p_star, d_override=d_override,
-                                     workers=workers,
-                                     read=lambda fit: (fit.xi_hat, fit.d_hat)):
-        total += xi_hat
-        d_hats.append(d_hat)
+    _, xi_tilde, d_hats = _first_and_mean(fit_members(
+        frame, partitions, tau, k0=k0, p_star=p_star, d_override=d_override,
+        workers=workers, read=lambda fit: (fit.xi_hat, fit.d_hat)))
     j = len(partitions)
-    counts = np.full(frame.p, j, dtype=np.int64)
-    return EnsembleFit(J=j, member_seeds=tuple(member_seeds),
-                       xi_tilde=total / j, per_location_counts=counts,
-                       d_hats=tuple(d_hats), tau=tau)
+    return EnsembleFit(J=j, member_seeds=tuple(member_seeds), xi_tilde=xi_tilde,
+                       per_location_counts=np.full(frame.p, j), d_hats=d_hats, tau=tau)
 
 
 def aggregate_fit(frame: SpatioTemporalFrame, J: int = DEFAULT_J,
@@ -208,50 +220,40 @@ def divide_and_conquer_fit(frame: SpatioTemporalFrame, q: int,
     and only the block's own latent estimates are kept. Every location
     is therefore estimated exactly J times.
 
-    Each (block, round) task has its own seed derived from rng_seed, so
-    results are reproducible for any worker count.
+    Each (block, round) member draws its companions from its own seed
+    derived from rng_seed, so results are reproducible for any worker count.
     """
     if J < 1:
         raise ValueError("J must be >= 1")
     p = frame.p
     blocks = assign_blocks(p, q, rng_seed)
-    n_blocks = len(blocks)
-    seeds = _util.member_seeds(rng_seed, 1 + n_blocks * J)
+    seeds = _util.member_seeds(rng_seed, 1 + len(blocks) * J)
     tau = resolve_tau(frame, tau_policy, seeds[0], k0=k0, p_star=p_star)
 
-    all_idx = np.arange(p)
-    tasks = []
+    members = []
     for b, block in enumerate(blocks):
-        complement = np.setdiff1d(all_idx, np.asarray(block, dtype=np.int64))
-        for r in range(J):
-            tasks.append((block, complement, seeds[1 + b * J + r]))
-
-    def one(task) -> tuple[tuple[int, ...], np.ndarray, int]:
-        block, complement, seed = task
-        rng = np.random.default_rng(seed)
-        companions = np.sort(rng.choice(complement, size=q, replace=False))
-        sub_idx = list(block) + [int(i) for i in companions]
-        sub = frame.subframe(sub_idx)
+        complement = np.setdiff1d(np.arange(p), block)
         part = Partition(set1=tuple(range(len(block))),
-                         set2=tuple(range(len(block), len(sub_idx))))
-        fit = fit_factors(sub, part, tau, k0=k0, p_star=p_star,
-                          d_override=d_override)
-        return block, fit.xi_hat[:, :len(block)], fit.d_hat
-
-    results = _util.ordered_map(one, tasks, workers)
-    total = np.zeros((frame.n, p))
+                         set2=tuple(range(len(block), len(block) + q)))
+        for seed in seeds[1 + b * J:1 + (b + 1) * J]:
+            companions = np.random.default_rng(seed).choice(complement, q, replace=False)
+            members.append((list(block) + sorted(companions.tolist()), part))
+    fits = fit_members(frame, members, tau, k0=k0, p_star=p_star,
+                       d_override=d_override, workers=workers,
+                       read=lambda fit: (fit.xi_hat[:, :len(fit.partition.set1)],
+                                         fit.d_hat))
+    xi_tilde = np.empty((frame.n, p))
     counts = np.zeros(p, dtype=np.int64)
     d_hats = []
-    for block, xi_block, d_hat in results:
-        cols = list(block)
-        total[:, cols] += xi_block
-        counts[cols] += 1
-        d_hats.append(d_hat)
+    for block in blocks:  # the block's J members, reduced as they arrive
+        _, mean, block_d_hats = _first_and_mean(islice(fits, J))
+        xi_tilde[:, list(block)] = mean
+        counts[list(block)] += len(block_d_hats)
+        d_hats += block_d_hats
     if np.any(counts != J):
         raise AssertionError("block scheme must estimate every location J times")
-    return EnsembleFit(J=J, member_seeds=tuple(seeds), xi_tilde=total / J,
-                       per_location_counts=counts, d_hats=tuple(d_hats),
-                       tau=tau)
+    return EnsembleFit(J=J, member_seeds=tuple(seeds), xi_tilde=xi_tilde,
+                       per_location_counts=counts, d_hats=tuple(d_hats), tau=tau)
 
 
 def ensemble_to_document(ens: EnsembleFit,

@@ -176,6 +176,8 @@ def gram_matrices(frame: SpatioTemporalFrame, partition: Partition,
     Exposed separately from fit_factors so that tau grid searches can
     build them once per partition and sweep tau via solve_loadings.
     """
+    if int(k0) != k0 or k0 < 0:
+        raise ValueError("k0 must be an integer >= 0")
     s = cross_covariance(frame, partition)
     m1 = s @ s.T
     m2 = s.T @ s
@@ -228,15 +230,15 @@ def fit_factors(frame: SpatioTemporalFrame, partition: Partition, tau: float,
     ----------
     frame : complete panel (impute first otherwise).
     partition : the location split; covariance blocks are built across it.
-    tau : roughness penalty weight, >= 0.
-    k0 : number of extra lags folded into the Gram matrices (0 = none).
+    tau : roughness penalty weight, finite and >= 0.
+    k0 : extra lags folded into the Gram matrices, an integer >= 0.
     p_star : scan width for the ratio estimator. Defaults to
         max(2, floor(min(p1, p2)/2)), which requires p >= 8; pass an
         explicit value (or d_override) for smaller panels.
     d_override : skip estimation and use this factor count.
     """
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    if not 0 <= tau < np.inf:
+        raise ValueError("tau must be finite and >= 0")
     if p_star is None and d_override is None and frame.p < 8:
         raise TooFewLocations(
             "default p_star needs p >= 8; pass p_star or d_override")
@@ -303,9 +305,9 @@ def _matrix_from_doc(doc: dict) -> np.ndarray:
     return np.array(doc["data"], dtype=np.float64).reshape(doc["rows"], doc["cols"])
 
 
-def fit_to_document(fit: FactorModelFit, locations: LocationSet | None = None,
-                    include_latent: bool = True) -> dict:
-    """JSON-ready dict for a fit; optionally embeds sites and latent field."""
+def fit_to_document(fit: FactorModelFit,
+                    locations: LocationSet | None = None) -> dict:
+    """JSON-ready dict for a fit and its latent field, optionally with sites."""
     doc = {
         "format": "latentkrig-fit",
         "version": 1,
@@ -319,9 +321,8 @@ def fit_to_document(fit: FactorModelFit, locations: LocationSet | None = None,
         "A2_hat": _matrix_doc(fit.A2_hat),
         "x_hat": _matrix_doc(fit.x_hat),
         "x_star_hat": _matrix_doc(fit.x_star_hat),
+        "xi_hat": _matrix_doc(fit.xi_hat),
     }
-    if include_latent:
-        doc["xi_hat"] = _matrix_doc(fit.xi_hat)
     if locations is not None:
         doc["locations"] = locations_to_doc(locations)
     return doc

@@ -35,7 +35,7 @@ import numpy as np
 from . import _util
 from .covariance import _autocovariances
 from .errors import LagTooLarge, NotPositiveDefinite, SingularInnovation
-from .ensemble import _member_partitions, fit_members
+from .ensemble import _first_and_mean, _member_partitions, fit_members
 from .factors import FactorModelFit
 from .stdata import SpatioTemporalFrame
 
@@ -113,15 +113,15 @@ def estimate_sigma_x(frame: SpatioTemporalFrame, fit: FactorModelFit,
 
 
 def _forecast_args(n: int, j, j0, ridge: float) -> tuple[list[int], int]:
-    """Checked horizons and j0: every j >= 1, j0 >= 0, ridge >= 0 and
-    max(j) + j0 < n/2."""
+    """Checked horizons and j0: every j >= 1, j0 >= 0, a finite ridge >= 0
+    and max(j) + j0 < n/2."""
     horizons = [j] if np.ndim(j) == 0 else list(j)
     if not horizons or any(int(h) != h or h < 1 for h in horizons):
         raise ValueError("j must be an integer >= 1 or a nonempty list of them")
     if int(j0) != j0 or j0 < 0:
         raise ValueError("j0 must be an integer >= 0")
-    if ridge < 0:
-        raise ValueError("ridge must be >= 0")
+    if not 0 <= ridge < np.inf:
+        raise ValueError("ridge must be finite and >= 0")
     horizons, j0 = [int(h) for h in horizons], int(j0)
     if max(horizons) + j0 >= n / 2:
         raise LagTooLarge(f"j + j0 = {max(horizons) + j0} needs n > 2*(j + j0) "
@@ -174,8 +174,8 @@ def forecast_ensemble(frame: SpatioTemporalFrame, J: int, j: int | Sequence[int]
     j is one horizon or a sequence of them, as in forecast; each member
     is fitted once for all horizons, and the arguments are checked
     before any member is fitted. Member seeds derive deterministically
-    from rng_seed by member index and members are averaged in index
-    order, so the result is identical for any worker count.
+    from rng_seed by member index and predictions are summed in index
+    order as they arrive, so the result is identical for any worker count.
     """
     if J < 1:
         raise ValueError("J must be >= 1")
@@ -183,5 +183,5 @@ def forecast_ensemble(frame: SpatioTemporalFrame, J: int, j: int | Sequence[int]
     partitions = _member_partitions(frame.p, _util.member_seeds(rng_seed, J))
     preds = fit_members(frame, partitions, tau, k0=k0, p_star=p_star,
                         d_override=d_override, workers=workers,
-                        read=lambda fit: forecast(frame, fit, j, j0, ridge=ridge))
-    return np.mean(np.stack(list(preds), axis=0), axis=0)
+                        read=lambda fit: (forecast(frame, fit, j, j0, ridge=ridge),))
+    return _first_and_mean(preds)[1]

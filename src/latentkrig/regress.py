@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularDesign
-from .stdata import LocationSet, SpatioTemporalFrame
+from .stdata import LocationSet, SpatioTemporalFrame, _fmt, _write_csv
 
 
 @dataclass
@@ -72,10 +72,6 @@ def smooth_beta(fit: RegressionFit, locations: LocationSet, s0, kernel) -> np.nd
 
 def save_betas(fit: RegressionFit, locations: LocationSet, path) -> None:
     """Write coefficients as CSV: id,b1,...,bm."""
-    import csv
-    m = fit.betas.shape[1]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id"] + [f"b{j + 1}" for j in range(m)])
-        for i, loc_id in enumerate(locations.ids):
-            w.writerow([loc_id] + [repr(float(v)) for v in fit.betas[i]])
+    _write_csv(path, ["id"] + [f"b{j + 1}" for j in range(fit.betas.shape[1])],
+               ([loc_id] + [_fmt(v) for v in row]
+                for loc_id, row in zip(locations.ids, fit.betas)))

@@ -30,7 +30,7 @@ from . import _util
 from .errors import EmptyKernelWindow, TooFewLocations
 from .factors import (_sweep_loadings, build_laplacian, fit_factors,
                       gram_matrices, subspace_distance)
-from .ensemble import _member_partitions, fit_members
+from .ensemble import _first_and_mean, _member_partitions, fit_members
 from .forecast import forecast
 from .kriging import KernelSpec, _raw_kernel, kernel_weights, krige_space
 from .stdata import (LocationSet, SpatioTemporalFrame, _write_csv,
@@ -347,19 +347,6 @@ def _replicate_mse_table1(setting, rep, sim_seed, pipe_seed, J, j0,
     ]
 
 
-def _first_and_mean(members) -> tuple:
-    """Member 0's field, the mean field (a running sum in member order,
-    bitwise np.mean of the stack), then each further reading per member."""
-    total, rest = None, []
-    for xi, *other in members:
-        if total is None:
-            first, total = xi, xi.copy()
-        else:
-            total += xi
-        rest.append(other)
-    return (first, total / len(rest), *zip(*rest))
-
-
 def _replicate_fig2(setting, rep, sim_seed, pipe_seed, J, j0,
                     tau_grid) -> list[MetricReport]:
     n, p = setting
@@ -402,29 +389,23 @@ def _replicate_table2(setting, rep, sim_seed, pipe_seed, J, j0,
     cv_seed, members_seed = _util.member_seeds(pipe_seed, 2)
     tau_cv = select_tau(frame, grid=tau_grid, rng_seed=cv_seed)
     partitions = _member_partitions(p, _util.member_seeds(members_seed, J))
-    xi_hat, xi_tilde, d_hats, preds = _first_and_mean(fit_members(
-        frame, partitions, tau_cv, workers=1,
-        read=lambda fit: (fit.xi_hat, fit.d_hat, forecast(frame, fit, horizons, j0))))
-
-    def space_preds(latent: np.ndarray) -> np.ndarray:
+    # a member's n latent rows with its forecast rows stacked below them
+    first, mean, d_hats = _first_and_mean(fit_members(
+        frame, partitions, tau_cv, workers=1, read=lambda fit: (np.vstack(
+            [fit.xi_hat, forecast(frame, fit, horizons, j0)]), fit.d_hat)))
+    space, time = [], []
+    for rows in (first, mean):  # member 0, then the aggregate
         kernel = KernelSpec(family="gaussian",
-                            h=select_bandwidth(latent, frame.locations))
-        return krige_space(latent, frame.locations,
+                            h=select_bandwidth(rows[:n], frame.locations))
+        pred = krige_space(rows[:n], frame.locations,
                            draw.holdout_locations.coords, kernel)
-
-    space_hat = mspe_space(space_preds(xi_hat), draw.holdout_y)
-    space_tilde = mspe_space(space_preds(xi_tilde), draw.holdout_y)
-
-    member_preds = np.stack(preds)
-    truths = [draw.future_y[ell - 1] for ell in horizons]
-    time_hat = [_mean_sq(member_preds[0, row], truth, "mspe_time")
-                for row, truth in enumerate(truths)]
-    time_tilde = [_mean_sq(member_preds[:, row].mean(axis=0), truth, "mspe_time")
-                  for row, truth in enumerate(truths)]
+        space.append(mspe_space(pred, draw.holdout_y))
+        time.append(tuple(_mean_sq(rows[n + k], draw.future_y[ell - 1], "mspe_time")
+                          for k, ell in enumerate(horizons)))
     return [MetricReport(
         n=n, p=p, replicate=rep, tau=tau_cv,
-        mspe_space_hat=space_hat, mspe_space_tilde=space_tilde,
-        mspe_time=tuple(time_hat), mspe_time_tilde=tuple(time_tilde),
+        mspe_space_hat=space[0], mspe_space_tilde=space[1],
+        mspe_time=time[0], mspe_time_tilde=time[1],
         d_hat_mean=float(d_hats[0]))]
 
 

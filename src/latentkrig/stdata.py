@@ -510,6 +510,21 @@ def _csv_field(value: str) -> str:
     return buf.getvalue()[:-3]
 
 
+def _write_long_form(path: Path, header: list[str], stamps, ids,
+                     values: np.ndarray) -> None:
+    """csv.writer's bytes for the rows (stamp, id, *values[t, i]) in time
+    order, one time step at a time; values is (len(stamps), len(ids), m)
+    and a cell whose first value is NaN is omitted."""
+    keep, m = ~np.isnan(values[:, :, 0]), values.shape[2]
+    mids = [f",{_csv_field(loc_id)}," for loc_id in ids]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for t, stamp in enumerate(stamps):  # ints and dates need no quoting
+            cells = map(",".join, zip(*[map(repr, values[t, keep[t]].ravel().tolist())] * m))
+            fh.write("".join(f"{stamp}{mid}{z}\r\n" for mid, z in
+                             zip(itertools.compress(mids, keep[t]), cells)))
+
+
 def save_frame(frame: SpatioTemporalFrame, out_dir) -> dict[str, Path]:
     """Write a panel in canonical CSV form; returns the file paths.
 
@@ -524,18 +539,12 @@ def save_frame(frame: SpatioTemporalFrame, out_dir) -> dict[str, Path]:
     _write_csv(paths["locations"], ["id", "x1", "x2"],
                ([loc_id] + [_fmt(c) for c in frame.locations.coords[i]]
                 for i, loc_id in enumerate(frame.locations.ids)))
-    tables = [("observations", ["t", "id", "value"], frame.obs[:, :, None])]
+    stamps = range(1, frame.n + 1)
+    _write_long_form(paths["observations"], ["t", "id", "value"], stamps,
+                     frame.locations.ids, frame.obs[:, :, None])
     if frame.covariates is not None:
         paths["covariates"] = out / "covariates.csv"
-        tables.append(("covariates", ["t", "id"] + [f"z{j + 1}" for j in range(frame.m)],
-                       frame.covariates))
-    mids = [f",{_csv_field(loc_id)}," for loc_id in frame.locations.ids]
-    for name, header, values in tables:  # csv.writer's bytes, one time step at a time
-        keep, m = ~np.isnan(values[:, :, 0]), values.shape[2]
-        with open(paths[name], "w", newline="", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\r\n")
-            for t in range(frame.n):
-                cells = map(",".join, zip(*[map(repr, values[t, keep[t]].ravel().tolist())] * m))
-                fh.write("".join(f"{t + 1}{mid}{z}\r\n" for mid, z in
-                                 zip(itertools.compress(mids, keep[t]), cells)))
+        _write_long_form(paths["covariates"],
+                         ["t", "id"] + [f"z{j + 1}" for j in range(frame.m)],
+                         stamps, frame.locations.ids, frame.covariates)
     return paths

@@ -1,10 +1,12 @@
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
-from latentkrig import load_ensemble, load_fit, load_frame
+from latentkrig import (SimConfig, forecast_ensemble, load_ensemble, load_fit,
+                        load_frame, simulate)
 from latentkrig._util import worker_count
 from latentkrig.cli import main
 from latentkrig.errors import ConfigError
@@ -45,6 +47,59 @@ def test_simulate_evaluation_extras(tmp_path, capsys):
     assert len(future) == 1 + 3 * 10
     holdout_locs = (out / "holdout_locations.csv").read_text().splitlines()
     assert len(holdout_locs) == 1 + 4
+
+
+def _csv_writer_bytes(header, rows) -> bytes:
+    """What csv.writer writes for these rows, as the CLI's per-row
+    generators wrote them before the one long-form writer."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue().encode()
+
+
+def test_long_form_outputs_are_csv_writer_bytes(tmp_path, capsys):
+    out = tmp_path / "panel"
+    code, stdout, _ = run(capsys, "simulate", "--n", "30", "--p", "10",
+                          "--seed", "2", "--n-future", "3",
+                          "--holdout-sites", "4", "--out", str(out))
+    assert code == 0
+    assert [line.rsplit("/", 1)[-1] for line in stdout.splitlines()[1:]] == [
+        "locations.csv", "observations.csv", "truth_xi.csv", "future_y.csv",
+        "holdout_locations.csv", "holdout_y.csv"]
+    draw = simulate(SimConfig(n=30, p=10, seed=2, n_future=3, holdout_sites=4))
+    ids = draw.frame.locations.ids
+    for name, first, site_ids, values in (
+            ("truth_xi", 1, ids, draw.xi), ("future_y", 31, ids, draw.future_y),
+            ("holdout_y", 1, draw.holdout_locations.ids, draw.holdout_y)):
+        rows = [(first + t, loc, repr(float(values[t, i])))
+                for t in range(len(values)) for i, loc in enumerate(site_ids)]
+        assert (out / f"{name}.csv").read_bytes() == _csv_writer_bytes(
+            ["t", "id", "value"], rows)
+
+    fc = tmp_path / "fc.csv"
+    code, _, _ = run(capsys, "forecast", str(out), "--j", "2,1", "--j0", "3",
+                     "--tau", "0.5", "--J", "3", "--seed", "5", "--out", str(fc))
+    assert code == 0
+    frame = load_frame(out / "locations.csv", out / "observations.csv")
+    preds = forecast_ensemble(frame, 3, [2, 1], 3, tau=0.5, rng_seed=5)
+    rows = [(j, loc, repr(float(preds[r, i])))
+            for r, j in enumerate((2, 1)) for i, loc in enumerate(ids)]
+    assert fc.read_bytes() == _csv_writer_bytes(["horizon", "id", "value"], rows)
+
+    # ISO dates, an id that needs quoting, and an empty cell, which is omitted
+    src, ds = tmp_path / "obs.csv", tmp_path / "ds.csv"
+    src.write_text('t,id,value\n2020-01-01,"q,1",1\n2020-01-01,b,5\n'
+                   '2020-01-02,"q,1",2\n2020-01-02,b,\n2020-01-03,"q,1",3\n'
+                   '2020-01-03,b,7\n2020-01-04,"q,1",4\n2020-01-04,b,10\n')
+    code, _, _ = run(capsys, "deseason", str(src), "--period", "2",
+                     "--out", str(ds))
+    assert code == 0
+    assert ds.read_bytes() == (
+        b't,id,value\r\n2020-01-01,"q,1",-1.0\r\n2020-01-01,b,-1.0\r\n'
+        b'2020-01-02,"q,1",-1.0\r\n2020-01-03,"q,1",1.0\r\n'
+        b'2020-01-03,b,1.0\r\n2020-01-04,"q,1",1.0\r\n2020-01-04,b,0.0\r\n')
 
 
 def test_fit_single_and_krige(data_dir, tmp_path, capsys):
@@ -156,6 +211,24 @@ def test_forecast_rejects_nonpositive_member_count(data_dir, tmp_path, capsys,
     assert code == 2
     assert err == "error: forecast: --J must be >= 1\n"
     assert stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["fit"], ["fit", "--ensemble", "2"],
+                                     ["forecast", "--j", "1"],
+                                     ["forecast", "--j", "1", "--J", "2"]],
+                         ids=["fit", "fit-ensemble", "forecast", "forecast-J"])
+@pytest.mark.parametrize("flag", [["--tau", "nan"], ["--tau", "inf"],
+                                  ["--k0", "-1"]],
+                         ids=["tau-nan", "tau-inf", "k0-negative"])
+def test_bad_tau_or_k0_exits_2(data_dir, tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
+    code, _, err = run(capsys, command[0], str(data_dir), *command[1:], *flag,
+                       "--seed", "3", "--out", str(out))
+    assert code == 2
+    assert err.startswith(f"error: {command[0]}: ") and err.count("\n") == 1
+    assert ("tau must be finite and >= 0" if flag[0] == "--tau"
+            else "k0 must be an integer >= 0") in err
     assert not out.exists()
 
 
@@ -295,6 +368,21 @@ def test_bad_point_spec(data_dir, tmp_path, capsys):
     code, _, err = run(capsys, "krige-space", str(model),
                        "--at", "0,0", "--h", "-2")
     assert code == 2
+
+
+def test_krige_space_rejects_fit_without_latent_field(data_dir, tmp_path,
+                                                     capsys):
+    model = tmp_path / "fit.json"
+    run(capsys, "fit", str(data_dir), "--tau", "0.0", "--seed", "3",
+        "--out", str(model))
+    doc = json.loads(model.read_text())
+    del doc["xi_hat"]
+    model.write_text(json.dumps(doc))
+    assert load_fit(model)[0].xi_hat.shape == (0, 16)
+    code, stdout, err = run(capsys, "krige-space", str(model),
+                            "--at", "0,0", "--h", "0.5")
+    assert code == 2 and stdout == ""
+    assert err == f"error: krige-space: {model}: model has no latent field\n"
 
 
 @pytest.mark.parametrize("case", ["array", "string", "number",

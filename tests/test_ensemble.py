@@ -14,6 +14,8 @@ from latentkrig import (
     enumerate_partitions,
     fit_factors,
     fit_members,
+    forecast,
+    forecast_ensemble,
     load_ensemble,
     load_fit,
     random_partition,
@@ -22,7 +24,7 @@ from latentkrig import (
     simulate,
 )
 from latentkrig._util import member_seeds
-from latentkrig.ensemble import ensemble_to_document
+from latentkrig.ensemble import _first_and_mean, ensemble_to_document
 from latentkrig.factors import fit_to_document
 from latentkrig.errors import BlockTooLarge, ParseError
 
@@ -112,6 +114,33 @@ def test_members_are_fitted_as_they_are_read(monkeypatch):
         assert ens.d_hats == tuple(f.d_hat for f in fits)
 
 
+def test_fit_members_site_pairs_fit_the_subframe():
+    frame = simulate(SimConfig(n=50, p=20, seed=8)).frame
+    sites = [13, 2, 7, 19, 0, 5, 11, 16, 3, 9]
+    members = [(sites, random_partition(10, s)) for s in (1, 2, 3)]
+    want = [fit_factors(frame.subframe(sites), part, 0.4, k0=1)
+            for _, part in members]
+    for workers in (1, 3):
+        got = list(fit_members(frame, members, 0.4, k0=1, workers=workers))
+        for g, w in zip(got, want):
+            assert g.partition == w.partition and g.d_hat == w.d_hat
+            for name in ("A1_hat", "A2_hat", "x_hat", "x_star_hat",
+                         "eigenvalues", "xi_hat"):
+                assert getattr(g, name).tobytes() == getattr(w, name).tobytes()
+
+
+def test_first_and_mean_is_the_stacked_mean():
+    rng = np.random.default_rng(3)
+    for J in (1, 2, 7, 50):
+        fields = [rng.standard_normal((6, 5)) for _ in range(J)]
+        kept = fields[0].copy()
+        first, mean, tags = _first_and_mean(
+            (f, j) for j, f in enumerate(fields))
+        assert first is fields[0] and np.array_equal(first, kept)
+        assert mean.tobytes() == np.mean(np.stack(fields), axis=0).tobytes()
+        assert tags == tuple(range(J))
+
+
 # ---- aggregate_fit ----
 
 def test_aggregate_fit_j1_is_single_fit():
@@ -150,8 +179,9 @@ def test_aggregate_fit_guards():
 def test_resolve_tau_passthrough_and_guards():
     frame, *_ = rank_k_frame(30, 8, k=1, seed=24, noise=0.2)
     assert resolve_tau(frame, 0.75, rng_seed=0) == 0.75
-    with pytest.raises(ValueError):
-        resolve_tau(frame, -1.0, rng_seed=0)
+    for tau in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tau must be finite and >= 0"):
+            resolve_tau(frame, tau, rng_seed=0)
     with pytest.raises(ValueError):
         resolve_tau(frame, "cv-twice", rng_seed=0)
 
@@ -208,6 +238,68 @@ def test_divide_and_conquer_two_block_identity():
     xi = np.empty_like(fit.xi_hat)
     xi[:, order] = fit.xi_hat
     np.testing.assert_allclose(dc.xi_tilde, xi, atol=1e-12)
+
+
+def _old_divide_and_conquer(frame, q, J, tau, rng_seed, k0):
+    """divide_and_conquer_fit as a per-task loop summing from zero, the
+    way it ran before it went through fit_members."""
+    blocks = assign_blocks(frame.p, q, rng_seed)
+    seeds = member_seeds(rng_seed, 1 + len(blocks) * J)
+    total = np.zeros((frame.n, frame.p))
+    counts = np.zeros(frame.p, dtype=np.int64)
+    d_hats = []
+    for b, block in enumerate(blocks):
+        complement = np.setdiff1d(np.arange(frame.p),
+                                  np.asarray(block, dtype=np.int64))
+        for r in range(J):
+            rng = np.random.default_rng(seeds[1 + b * J + r])
+            companions = np.sort(rng.choice(complement, size=q, replace=False))
+            sub_idx = list(block) + [int(i) for i in companions]
+            part = Partition(set1=tuple(range(len(block))),
+                             set2=tuple(range(len(block), len(sub_idx))))
+            fit = fit_factors(frame.subframe(sub_idx), part, tau, k0=k0)
+            total[:, list(block)] += fit.xi_hat[:, :len(block)]
+            counts[list(block)] += 1
+            d_hats.append(fit.d_hat)
+    return total / J, counts, tuple(d_hats), tuple(seeds)
+
+
+def _old_forecast_average(frame, J, j, j0, tau, k0, rng_seed):
+    """forecast_ensemble as the mean of the stacked member predictions."""
+    parts = [random_partition(frame.p, s) for s in member_seeds(rng_seed, J)]
+    preds = [forecast(frame, fit_factors(frame, part, tau, k0=k0), j, j0)
+             for part in parts]
+    return np.mean(np.stack(preds, axis=0), axis=0)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("q, J, tau, k0", [(6, 4, 0.0, 0), (5, 3, 0.7, 1)],
+                         ids=["blocks-of-5-below-q", "k0-1-tau-0.7"])
+def test_member_engine_matches_the_old_loops(workers, q, J, tau, k0):
+    frame = simulate(SimConfig(n=60, p=20, seed=4)).frame
+    dc = divide_and_conquer_fit(frame, q=q, J=J, tau_policy=tau, rng_seed=5,
+                                k0=k0, workers=workers)
+    xi, counts, d_hats, seeds = _old_divide_and_conquer(frame, q, J, tau, 5, k0)
+    assert {len(b) for b in assign_blocks(20, q, 5)} == {5}
+    assert dc.xi_tilde.tobytes() == xi.tobytes()
+    assert dc.per_location_counts.tobytes() == counts.tobytes()
+    assert (dc.d_hats, dc.member_seeds) == (d_hats, seeds)
+    for members, j in ((J, [1, 2, 3]), (J, 2), (1, [1, 2])):
+        got = forecast_ensemble(frame, members, j, 4, tau=tau, k0=k0,
+                                rng_seed=7, workers=workers)
+        want = _old_forecast_average(frame, members, j, 4, tau, k0, 7)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_divide_and_conquer_fails_on_a_missed_site(monkeypatch):
+    import latentkrig.ensemble as ensemble
+    frame = simulate(SimConfig(n=60, p=20, seed=4)).frame
+    real = ensemble.assign_blocks
+    monkeypatch.setattr(ensemble, "assign_blocks",
+                        lambda *a: [b[1:] if k == 0 else b
+                                    for k, b in enumerate(real(*a))])
+    with pytest.raises(AssertionError, match="every location J times"):
+        divide_and_conquer_fit(frame, q=5, J=2, rng_seed=5)
 
 
 # ---- EnsembleFit contract ----

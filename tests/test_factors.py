@@ -192,8 +192,12 @@ def test_fit_readout_uses_raw_panel():
 def test_fit_guards():
     frame = noise_frame(20, 6, seed=15)
     part = random_partition(6, 0)
-    with pytest.raises(ValueError):
-        fit_factors(frame, part, tau=-0.5)
+    for tau in (-0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tau must be finite and >= 0"):
+            fit_factors(frame, part, tau=tau, d_override=2)
+    for k0 in (-1, 0.5):
+        with pytest.raises(ValueError, match="k0 must be an integer >= 0"):
+            gram_matrices(frame, part, k0)
     with pytest.raises(TooFewLocations):
         fit_factors(frame, part, tau=0.0)  # p < 8 without p_star
     fit = fit_factors(frame, part, tau=0.0, d_override=2)

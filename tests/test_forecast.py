@@ -318,6 +318,8 @@ def test_forecast_ensemble_horizon_list_equals_per_horizon_calls():
     (dict(j=[]), ValueError),
     (dict(j=1, j0=-1), ValueError),
     (dict(j=1, ridge=-1.0), ValueError),
+    (dict(j=1, ridge=np.nan), ValueError),  # was ignored
+    (dict(j=1, ridge=np.inf), ValueError),  # gave an all-NaN forecast
 ])
 def test_forecast_ensemble_checks_arguments_before_fitting(monkeypatch,
                                                            kwargs, exc):

@@ -333,19 +333,6 @@ def test_cv_scores_peak_memory_stays_flat():
     assert peak <= 8 * 2 ** 20
 
 
-def test_first_and_mean_is_the_stacked_mean():
-    from latentkrig.simbench import _first_and_mean
-    rng = np.random.default_rng(3)
-    for J in (1, 2, 7, 50):
-        fields = [rng.standard_normal((6, 5)) for _ in range(J)]
-        kept = fields[0].copy()
-        first, mean, tags = _first_and_mean(
-            (f, j) for j, f in enumerate(fields))
-        assert first is fields[0] and np.array_equal(first, kept)
-        assert mean.tobytes() == np.mean(np.stack(fields), axis=0).tobytes()
-        assert tags == tuple(range(J))
-
-
 # ---- experiment harness ----
 
 def test_run_table_guards():
