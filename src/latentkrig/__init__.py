@@ -9,28 +9,23 @@ and imputation of missing cells. Averaging the estimate over many
 random site splits never hurts the per-cell squared error.
 """
 
-from .covariance import (cross_covariance, lagged_auto_covariance,
-                         lagged_covariances, masked_pairwise)
+from .covariance import cross_covariance, lagged_covariances, masked_pairwise
 from .ensemble import (EnsembleFit, aggregate_fit, aggregate_over_partitions,
-                       assign_blocks, divide_and_conquer_fit,
-                       enumerate_partitions, fit_members, load_ensemble,
-                       resolve_tau, save_ensemble)
+                       assign_blocks, divide_and_conquer_fit, fit_members,
+                       load_ensemble, resolve_tau, save_ensemble)
 from .errors import (BlockTooLarge, DuplicateCell, EmptyKernelWindow,
                      InsufficientOverlap, InvalidCoordinate, LagTooLarge,
-                     LatentKrigError, MissingDataError, NonInvertible,
-                     NotPositiveDefinite, NotSymmetric, NumericalError,
-                     ParseError, PeriodTooLarge, RankDeficient,
-                     SingularBlock, SingularDesign, SingularInnovation,
+                     LatentKrigError, MissingDataError, NotPositiveDefinite,
+                     NotSymmetric, NumericalError, ParseError, PeriodTooLarge,
+                     RankDeficient, SingularDesign, SingularInnovation,
                      TooFewEigenvalues, TooFewLocations, UnknownLocation)
 from .factors import (FactorModelFit, GraphLaplacian, assemble_latent,
                       build_laplacian, default_p_star, estimate_d,
-                      fit_factors, gram_matrices, load_fit,
-                      penalized_eigvecs, save_fit, solve_loadings,
-                      subspace_distance)
-from .forecast import (assemble_block_toeplitz, estimate_sigma_x, forecast,
-                       forecast_ensemble, recursive_toeplitz_inverse)
-from .kriging import (KernelSpec, best_linear_predictor, impute_missing,
-                      kernel_weights, krige_space, verify_dual_route)
+                      fit_factors, gram_matrices, load_fit, save_fit,
+                      solve_loadings, subspace_distance)
+from .forecast import (estimate_sigma_x, forecast, forecast_ensemble,
+                       recursive_toeplitz_inverse)
+from .kriging import KernelSpec, impute_missing, kernel_weights, krige_space
 from .regress import RegressionFit, detrend, save_betas, smooth_beta
 from .simbench import (SimConfig, SimulationDraw, loading_values, mse_xi,
                        mspe_space, run_table, select_bandwidth, select_tau,

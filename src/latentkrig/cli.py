@@ -7,6 +7,10 @@ artifacts back and emit predictions, impute fills missing cells, cv
 tunes the roughness weight, bench drives the experiment harness, and
 deseason removes a periodic component from an observation table.
 
+A single split is member 0 of the ensemble drawn from --seed, so fit
+and fit --ensemble 1 fit the same partition, and forecast is
+forecast --J 1.
+
 Exit codes: 0 on success, 2 for anything the user can fix (bad flags,
 malformed files, contract violations), 3 for numerical failures inside
 an estimate. Randomized subcommands print "seed=N" so runs can be
@@ -24,11 +28,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .ensemble import aggregate_fit, ensemble_from_document, save_ensemble
+from . import _util
+from .ensemble import (_member_partitions, aggregate_fit,
+                       ensemble_from_document, fit_members, save_ensemble)
 from .errors import (EXIT_NUMERICAL, EXIT_VALIDATION, LatentKrigError,
                      ParseError, PeriodTooLarge)
-from .factors import _read_document, fit_factors, fit_from_document, save_fit
-from .forecast import forecast as forecast_op
+from .factors import _read_document, fit_from_document, save_fit
 from .forecast import forecast_ensemble
 from .kriging import _FAMILIES, KernelSpec, impute_missing, krige_space
 from .simbench import (TABLE_IDS, SimConfig, run_table, select_bandwidth,
@@ -36,7 +41,7 @@ from .simbench import (TABLE_IDS, SimConfig, run_table, select_bandwidth,
 from .simbench import simulate as simulate_op
 from .stdata import (_METRICS, SpatioTemporalFrame, _fmt, _write_csv,
                      _write_long_form, load_frame, load_observation_table,
-                     random_partition, save_frame)
+                     save_frame)
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -44,9 +49,12 @@ def _parse_point(text: str) -> np.ndarray:
     if len(parts) != 2:
         raise ParseError(f"expected a coordinate pair 'x,y', got {text!r}")
     try:
-        return np.array([float(parts[0]), float(parts[1])])
+        point = np.array([float(parts[0]), float(parts[1])])
     except ValueError:
         raise ParseError(f"non-numeric coordinate in {text!r}") from None
+    if not np.all(np.isfinite(point)):
+        raise ParseError(f"non-finite coordinate in {text!r}")
+    return point
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -139,9 +147,9 @@ def cmd_fit(args) -> int:
         print(f"J={ens.J}")
         print(f"d_hat_mean={_fmt(float(np.mean(ens.d_hats)))}")
     else:
-        part = random_partition(frame.p, args.seed)
-        fit = fit_factors(frame, part, tau, k0=args.k0, p_star=args.p_star,
-                          d_override=args.d)
+        parts = _member_partitions(frame.p, _util.member_seeds(args.seed, 1))
+        fit = next(fit_members(frame, parts, tau, k0=args.k0,
+                               p_star=args.p_star, d_override=args.d))
         save_fit(fit, args.out, frame.locations)
         print(f"tau={_fmt(tau)}")
         print(f"d_hat={fit.d_hat}")
@@ -202,7 +210,7 @@ def cmd_krige_space(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    if args.J is not None and args.J < 1:
+    if args.J < 1:
         raise ParseError("--J must be >= 1")
     frame = _load_dir(args)
     print(f"seed={args.seed}")
@@ -210,16 +218,10 @@ def cmd_forecast(args) -> int:
     if not horizons:
         raise ParseError("--j must list at least one horizon")
     tau = _resolve_cli_tau(frame, args)
-    if args.J is not None and args.J > 1:
-        preds = forecast_ensemble(frame, args.J, horizons, args.j0, tau=tau,
-                                  k0=args.k0, p_star=args.p_star,
-                                  d_override=args.d, rng_seed=args.seed,
-                                  ridge=args.ridge)
-    else:
-        part = random_partition(frame.p, args.seed)
-        fit = fit_factors(frame, part, tau, k0=args.k0, p_star=args.p_star,
-                          d_override=args.d)
-        preds = forecast_op(frame, fit, horizons, args.j0, ridge=args.ridge)
+    preds = forecast_ensemble(frame, args.J, horizons, args.j0, tau=tau,
+                              k0=args.k0, p_star=args.p_star,
+                              d_override=args.d, rng_seed=args.seed,
+                              ridge=args.ridge)
     _write_long_form(Path(args.out), ["horizon", "id", "value"], horizons,
                      frame.locations.ids, preds[:, :, None])
     print(f"tau={_fmt(tau)}")
@@ -357,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kernel(p)
     _add_seed(p)
     p.add_argument("--ensemble", type=int, default=None, metavar="J",
-                   help="aggregate over J random partitions instead of one")
+                   help="aggregate over J random partitions instead of "
+                        "member 0 of --seed alone")
     p.add_argument("--out", required=True, help="model JSON path")
     p.set_defaults(func=cmd_fit)
 
@@ -381,8 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tau_flags(p)
     _add_estimator_flags(p)
     _add_kernel(p)
-    p.add_argument("--J", type=int, default=None,
-                   help="aggregate forecasts over J random partitions")
+    p.add_argument("--J", type=int, default=1,
+                   help="aggregate forecasts over J random partitions "
+                        "(default 1: member 0 of --seed)")
     p.add_argument("--ridge", type=float, default=0.0,
                    help="opt-in ridge added to the lag-0 factor covariance")
     _add_seed(p)

@@ -99,16 +99,6 @@ def masked_pairwise(obs: np.ndarray, missing: np.ndarray, rows, cols) -> np.ndar
     return (sum_xy - sum_x * sum_y / counts) / counts
 
 
-def lagged_auto_covariance(frame: SpatioTemporalFrame, cols, max_lag: int) -> list[np.ndarray]:
-    """Autocovariance matrices of the given columns for lags 0..max_lag.
-
-    Lag-k block: (1/n) * sum_{t=1..n-k} (y_{t+k} - ybar)(y_t - ybar)'.
-    The temporal predictor projects the readouts first (_autocovariances
-    with a basis) and never forms these p x p blocks.
-    """
-    return _autocovariances(frame, cols, max_lag)
-
-
 def _autocovariances(frame: SpatioTemporalFrame, cols, max_lag: int,
                      basis: np.ndarray | None = None) -> list[np.ndarray]:
     """Lags 0..max_lag of z = Y_c (or Y_c basis): z[k:]' z[:n-k] / n."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterator, TypeVar
 
@@ -131,24 +131,6 @@ def _first_and_mean(members) -> tuple:
             total += xi
         rest.append(other)
     return (first, total / len(rest), *zip(*rest))
-
-
-def enumerate_partitions(p: int) -> list[Partition]:
-    """Every partition with |set1| = p // 2, as C(p, p//2) labeled splits.
-
-    Small p only; the count grows combinatorially.
-    """
-    if p < 4:
-        raise ValueError("need p >= 4 to enumerate partitions")
-    if p > 16:
-        raise ValueError("enumeration is only for small p (p <= 16)")
-    p1 = p // 2
-    universe = range(p)
-    parts = []
-    for set1 in combinations(universe, p1):
-        set2 = tuple(i for i in universe if i not in set1)
-        parts.append(Partition(set1=set1, set2=set2))
-    return parts
 
 
 def aggregate_over_partitions(frame: SpatioTemporalFrame,

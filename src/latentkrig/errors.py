@@ -89,16 +89,8 @@ class EmptyKernelWindow(NumericalError):
     """All kernel weights vanished at the prediction site."""
 
 
-class NonInvertible(NumericalError):
-    """Dense covariance of the panel cannot be inverted."""
-
-
 class NotPositiveDefinite(NumericalError):
     """Covariance block fails the positive-definiteness check."""
-
-
-class SingularBlock(NumericalError):
-    """Partitioned inversion hit a singular diagonal block or Schur complement."""
 
 
 class SingularInnovation(NumericalError):

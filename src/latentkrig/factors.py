@@ -103,23 +103,6 @@ def _eig_desc(M: np.ndarray, penalty, taus):
         yield np.take_along_axis(evals, order, -1), evecs, order
 
 
-def penalized_eigvecs(M: np.ndarray, penalty, tau: float,
-                      d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-d orthonormal eigenvectors of sym(M) - tau * L.
-
-    M must be symmetric up to roundoff (relative Frobenius defect at most
-    1e-8); it is symmetrized as (M + M')/2 before decomposition. Returns
-    (vectors, eigenvalues) with the full eigenvalue list in descending
-    order. Signs follow a fixed convention: the first entry of each
-    vector larger than 1e-12 in magnitude is positive. Within numerically
-    tied eigenvalues the solver's ordering is kept.
-    """
-    if int(d) != d or not 1 <= d <= np.asarray(M).shape[0]:
-        raise ValueError("d out of range")
-    (evals,), evecs, order = next(_eig_desc(M, penalty, [tau]))
-    return _top_vectors(evecs, order, int(d))[0], evals
-
-
 def estimate_d(eigenvalues, p_star: int):
     """Eigenvalue-ratio estimate of the factor count.
 
@@ -174,7 +157,8 @@ def gram_matrices(frame: SpatioTemporalFrame, partition: Partition,
     """The two Gram matrices (M1, M2) fed to the penalized eigensolver.
 
     Exposed separately from fit_factors so that tau grid searches can
-    build them once per partition and sweep tau via solve_loadings.
+    build them once per partition and sweep the whole grid through
+    _sweep_loadings.
     """
     if int(k0) != k0 or k0 < 0:
         raise ValueError("k0 must be an integer >= 0")
@@ -194,8 +178,9 @@ def solve_loadings(m1: np.ndarray, m2: np.ndarray, lap1, lap2, tau: float,
     """Loading bases for both sides from precomputed Gram matrices.
 
     Returns (A1_hat, A2_hat, d_hat, eigenvalues). The factor count is
-    read off the penalized side-1 spectrum unless overridden. Exposed
-    separately so grid searches over tau can reuse the Gram matrices.
+    read off the penalized side-1 spectrum unless overridden. This is the
+    one-tau case of _sweep_loadings, which grid searches over tau call
+    directly with the whole grid.
     """
     return _sweep_loadings(m1, m2, lap1, lap2, [tau], p_star, d_override)[0]
 

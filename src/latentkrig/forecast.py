@@ -42,19 +42,6 @@ from .stdata import SpatioTemporalFrame
 _REL_SINGULAR = 1e-10
 
 
-def assemble_block_toeplitz(sigma_x: list[np.ndarray], k: int) -> np.ndarray:
-    """Dense W_k from lag blocks S(0..k); the oracle for the recursion."""
-    if k + 1 > len(sigma_x):
-        raise ValueError("need lag blocks 0..k")
-    d = sigma_x[0].shape[0]
-    w = np.empty(((k + 1) * d, (k + 1) * d))
-    for i in range(k + 1):
-        for l in range(k + 1):
-            block = sigma_x[l - i] if l >= i else sigma_x[i - l].T
-            w[i * d:(i + 1) * d, l * d:(l + 1) * d] = block
-    return w
-
-
 def _inv_small(mat: np.ndarray, d: int) -> np.ndarray:
     # every inversion in the recursion flows through here: d x d only
     assert mat.shape == (d, d), "recursion must never invert beyond d x d"

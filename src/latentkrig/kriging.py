@@ -6,9 +6,10 @@ Kernel normalizing constants cancel in the weight ratio, so only the
 shape matters. The same predictor arises from the formal best-linear-
 predictor route c(s0)' Sigma_y^{-1} y_t with c(s0) the sample covariance
 between the kriged latent series and the panel: because the latent field
-is a block projection of the panel, the two coincide identically, and
-``verify_dual_route`` checks that identity numerically on a fitted
-model.
+is a block projection of the panel, the two coincide identically. The
+package never forms that dense route; the test suite keeps it as an
+oracle (``verify_dual_route`` in tests/oracles.py) and checks the
+identity numerically on fitted models.
 
 Missing cells are recovered with the best linear predictor of the cell
 given the observations available at the same time point. Covariances are
@@ -24,20 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import masked_pairwise
-from .errors import (
-    EmptyKernelWindow,
-    NonInvertible,
-    NotPositiveDefinite,
-    NotSymmetric,
-)
-from .factors import FactorModelFit
+from .errors import EmptyKernelWindow
 from .stdata import LocationSet, SpatioTemporalFrame, distance_matrix
 
 logger = logging.getLogger(__name__)
 
 _FAMILIES = ("gaussian", "epanechnikov_2d")
-
-_DUAL_ROUTE_MAX_P = 200
 
 
 @dataclass
@@ -99,70 +92,6 @@ def krige_space(latent: np.ndarray, locations: LocationSet, s0,
     if latent.ndim != 2 or latent.shape[1] != locations.p:
         raise ValueError("latent field width disagrees with locations")
     return latent @ kernel_weights(locations, s0, kernel)
-
-
-def verify_dual_route(fit: FactorModelFit, frame: SpatioTemporalFrame,
-                           s0, kernel: KernelSpec) -> float:
-    """Max |difference| between the two spatial-prediction routes.
-
-    Route one krigs the fitted latent field directly. Route two computes
-    c(s0)' Sigma_y^{-1} y_t with c(s0) the sample covariance between the
-    kriged latent series and the panel (both centered) and Sigma_y the
-    dense panel covariance with divisor n. Equality is an algebraic
-    identity, so the return value only measures linear-algebra roundoff.
-
-    Guards: the dense route inverts a p x p matrix, so p is capped at 200
-    and n <= p (or a numerically singular Sigma_y) raises NonInvertible.
-    """
-    if frame.p > _DUAL_ROUTE_MAX_P:
-        raise ValueError(f"dense route capped at p <= {_DUAL_ROUTE_MAX_P}")
-    if not frame.is_complete:
-        raise NonInvertible("dense panel covariance needs a complete frame")
-    if frame.n <= frame.p:
-        raise NonInvertible("need n > p for an invertible panel covariance")
-    series = krige_space(fit.xi_hat, frame.locations, s0, kernel)
-    yc = frame.obs - frame.obs.mean(axis=0)
-    sigma_y = (yc.T @ yc) / frame.n
-    evals = np.linalg.eigvalsh(sigma_y)
-    if evals[0] <= 1e-12 * evals[-1]:
-        raise NonInvertible("panel covariance is numerically singular")
-    c = ((series - series.mean()) @ yc) / frame.n
-    dense = np.linalg.solve(sigma_y, frame.obs.T).T @ c
-    return float(np.max(np.abs(dense - series)))
-
-
-def best_linear_predictor(cov_zeta_eta: np.ndarray, var_eta: np.ndarray,
-                          mean_zeta, mean_eta, eta,
-                          var_zeta: np.ndarray | None = None
-                          ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Best linear predictor of zeta from eta, and its error covariance.
-
-    prediction = E[zeta] + Cov(zeta, eta) Var(eta)^{-1} (eta - E[eta]).
-    When ``var_zeta`` is given the second return value is the error
-    covariance Var(zeta) - Cov(zeta, eta) Var(eta)^{-1} Cov(eta, zeta);
-    otherwise it is None. Var(eta) must be symmetric positive definite
-    (relative eigenvalue floor 1e-12).
-    """
-    c = np.atleast_2d(np.asarray(cov_zeta_eta, dtype=np.float64))
-    v = np.asarray(var_eta, dtype=np.float64)
-    mu_z = np.atleast_1d(np.asarray(mean_zeta, dtype=np.float64))
-    mu_e = np.atleast_1d(np.asarray(mean_eta, dtype=np.float64))
-    e = np.atleast_1d(np.asarray(eta, dtype=np.float64))
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
-        raise ValueError("var_eta must be square")
-    norm = np.linalg.norm(v)
-    if norm > 0 and np.linalg.norm(v - v.T) > 1e-8 * norm:
-        raise NotSymmetric("var_eta deviates from symmetry")
-    evals = np.linalg.eigvalsh(0.5 * (v + v.T))
-    if evals[0] <= 1e-12 * max(evals[-1], 0.0) or evals[-1] <= 0.0:
-        raise NotPositiveDefinite("var_eta is not positive definite")
-    gain = np.linalg.solve(0.5 * (v + v.T), c.T).T
-    pred = mu_z + gain @ (e - mu_e)
-    err = None
-    if var_zeta is not None:
-        vz = np.atleast_2d(np.asarray(var_zeta, dtype=np.float64))
-        err = vz - gain @ c.T
-    return pred, err
 
 
 def impute_missing(frame: SpatioTemporalFrame) -> SpatioTemporalFrame:

@@ -495,8 +495,8 @@ def run_table(table_id: str, replicates: int, seed: int,
                          f"choose from {', '.join(TABLE_IDS)}")
     if replicates < 3:
         raise ValueError("need replicates >= 3 for mean/spread reporting")
-    if scale_factor <= 0:
-        raise ValueError("scale_factor must be > 0")
+    if not 0 < scale_factor < np.inf:
+        raise ValueError("scale_factor must be finite and > 0")
     settings = [(int(n), int(p)) for n, p in
                 (DEFAULT_SETTINGS if settings is None else settings)]
     J = max(1, round(100 * scale_factor))

@@ -32,24 +32,22 @@ from latentkrig import (
     KernelSpec,
     aggregate_over_partitions,
     build_laplacian,
-    enumerate_partitions,
     fit_factors,
     fit_members,
     impute_missing,
-    penalized_eigvecs,
     random_partition,
     recursive_toeplitz_inverse,
     simulate,
     simulate_factors,
     snr_estimate,
     subspace_distance,
-    verify_dual_route,
 )
 from latentkrig._util import member_seeds
-from latentkrig.forecast import assemble_block_toeplitz
 from latentkrig.simbench import FACTOR_STATIONARY_VARS, loading_values, run_table
 
-from oracles import partitioned_inverse, woodbury_identity_check
+from oracles import (assemble_block_toeplitz, enumerate_partitions,
+                     partitioned_inverse, penalized_eigvecs, verify_dual_route,
+                     woodbury_identity_check)
 
 MASTER_SEED = 314159
 

@@ -189,6 +189,38 @@ def test_forecast_single_fit_csv(data_dir, tmp_path, capsys):
     assert [r[1] for r in rows[1:17]] == [r[1] for r in rows[17:]]
 
 
+def _forecast_values(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    return np.array([float(r[2]) for r in rows]).reshape(-1, 16)
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+@pytest.mark.parametrize("k0", [0, 1])
+@pytest.mark.parametrize("tau", ["0", "0.7"])
+def test_single_fit_is_member_zero_of_its_seed(data_dir, tmp_path, capsys,
+                                               seed, k0, tau):
+    flags = ["--tau", tau, "--k0", str(k0), "--seed", str(seed)]
+    fit_path, ens_path = tmp_path / "fit.json", tmp_path / "ens.json"
+    assert run(capsys, "fit", str(data_dir), *flags,
+               "--out", str(fit_path))[0] == 0
+    assert run(capsys, "fit", str(data_dir), *flags, "--ensemble", "1",
+               "--out", str(ens_path))[0] == 0
+    assert np.array_equal(load_fit(fit_path)[0].xi_hat,
+                          load_ensemble(ens_path)[0].xi_tilde)
+
+    plain, j_one = tmp_path / "plain.csv", tmp_path / "j_one.csv"
+    fc = ["forecast", str(data_dir), "--j", "1,2", "--j0", "3", *flags]
+    assert run(capsys, *fc, "--out", str(plain))[0] == 0
+    assert run(capsys, *fc, "--J", "1", "--out", str(j_one))[0] == 0
+    frame = load_frame(data_dir / "locations.csv",
+                       data_dir / "observations.csv")
+    want = forecast_ensemble(frame, 1, [1, 2], 3, tau=float(tau), k0=k0,
+                             rng_seed=seed)
+    assert np.array_equal(_forecast_values(plain), want)
+    assert np.array_equal(_forecast_values(j_one), want)
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-1"])
 def test_bad_thread_count_exits_2(data_dir, tmp_path, capsys, monkeypatch,
                                   value):
@@ -298,6 +330,18 @@ def test_bench_command(tmp_path, capsys):
     assert "error: bench" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_bench_rejects_nonfinite_scale_factor(tmp_path, capsys, value):
+    out = tmp_path / "bench"
+    code, _, err = run(capsys, "bench", "--table", "fig1_distance",
+                       "--replicates", "3", "--seed", "8",
+                       "--n", "40", "--p", "16", "--scale-factor", value,
+                       "--out", str(out))
+    assert code == 2
+    assert err == "error: bench: scale_factor must be finite and > 0\n"
+    assert not out.exists()
+
+
 def test_deseason_removes_periodic_means(tmp_path, capsys):
     src = tmp_path / "obs.csv"
     n, period = 8, 2
@@ -368,6 +412,12 @@ def test_bad_point_spec(data_dir, tmp_path, capsys):
     code, _, err = run(capsys, "krige-space", str(model),
                        "--at", "0,0", "--h", "-2")
     assert code == 2
+    for point in ("nan,0", "0,inf", "1e400,0"):
+        code, stdout, err = run(capsys, "krige-space", str(model),
+                                "--at", point, "--h", "0.5")
+        assert code == 2 and stdout == ""
+        assert err == (f"error: krige-space: non-finite coordinate in "
+                       f"{point!r}\n")
 
 
 def test_krige_space_rejects_fit_without_latent_field(data_dir, tmp_path,

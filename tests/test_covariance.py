@@ -5,13 +5,13 @@ from latentkrig import (
     Partition,
     SpatioTemporalFrame,
     cross_covariance,
-    lagged_auto_covariance,
     lagged_covariances,
     masked_pairwise,
 )
 from latentkrig.errors import InsufficientOverlap, LagTooLarge, MissingDataError
 
 from conftest import grid_locations, noise_frame, rank_k_frame
+from oracles import lagged_auto_covariance
 
 
 def brute_cross(y1, y2):

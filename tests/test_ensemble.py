@@ -11,7 +11,6 @@ from latentkrig import (
     aggregate_over_partitions,
     assign_blocks,
     divide_and_conquer_fit,
-    enumerate_partitions,
     fit_factors,
     fit_members,
     forecast,
@@ -29,6 +28,7 @@ from latentkrig.factors import fit_to_document
 from latentkrig.errors import BlockTooLarge, ParseError
 
 from conftest import rank_k_frame
+from oracles import enumerate_partitions
 
 
 # ---- seed derivation ----

@@ -11,7 +11,6 @@ from latentkrig import (
     fit_factors,
     gram_matrices,
     load_fit,
-    penalized_eigvecs,
     random_partition,
     save_fit,
     subspace_distance,
@@ -24,6 +23,7 @@ from latentkrig.errors import (
 )
 
 from conftest import grid_locations, noise_frame, rank_k_frame
+from oracles import penalized_eigvecs
 
 
 # ---- graph Laplacian ----

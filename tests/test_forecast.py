@@ -6,10 +6,8 @@ import pytest
 from latentkrig import (
     Partition,
     SpatioTemporalFrame,
-    assemble_block_toeplitz,
     estimate_sigma_x,
     fit_factors,
-    lagged_auto_covariance,
     forecast,
     forecast_ensemble,
     random_partition,
@@ -20,12 +18,13 @@ from latentkrig.errors import (
     LagTooLarge,
     MissingDataError,
     NotPositiveDefinite,
-    SingularBlock,
     SingularInnovation,
 )
 
 from conftest import grid_locations, noise_frame, rank_k_frame
-from oracles import partitioned_inverse, woodbury_identity_check
+from oracles import (SingularBlock, assemble_block_toeplitz,
+                     lagged_auto_covariance, partitioned_inverse,
+                     woodbury_identity_check)
 
 
 def random_spd(rng, m):

@@ -7,25 +7,23 @@ from latentkrig import (
     KernelSpec,
     LocationSet,
     SpatioTemporalFrame,
-    best_linear_predictor,
     fit_factors,
     impute_missing,
     kernel_weights,
     krige_space,
     random_partition,
-    verify_dual_route,
 )
 from latentkrig import kriging
 from latentkrig.covariance import masked_pairwise
 from latentkrig.errors import (
     EmptyKernelWindow,
     InsufficientOverlap,
-    NonInvertible,
     NotPositiveDefinite,
     NotSymmetric,
 )
 
 from conftest import grid_locations, noise_frame, rank_k_frame
+from oracles import NonInvertible, best_linear_predictor, verify_dual_route
 
 
 # ---- kernels ----
