@@ -1,4 +1,4 @@
-"""Shared plumbing: worker pools and seed derivation.
+"""Shared plumbing: worker pools, seed derivation and memos.
 
 Randomized pipelines derive one integer seed per replicate from the
 caller's seed, run replicates through ``ordered_map``, and reduce in
@@ -10,6 +10,7 @@ or the reduction order.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator, Sequence, TypeVar
 
@@ -53,6 +54,28 @@ def ordered_map(fn: Callable[[T], R], items: Sequence[T],
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fn, items)
+
+
+class Memo:
+    """Arrays derived from an immutable owner, each built once and kept
+    read-only.
+
+    A build runs under the memo's lock, so pool workers that ask for the
+    same array wait for the first build and never repeat it. The lock is
+    reentrant: a build may read other arrays of the same memo.
+    """
+
+    def __init__(self) -> None:
+        self._values: dict = {}
+        self._lock = threading.RLock()
+
+    def get(self, key, build: Callable[[], np.ndarray]) -> np.ndarray:
+        with self._lock:
+            if key not in self._values:
+                value = build()
+                value.setflags(write=False)
+                self._values[key] = value
+            return self._values[key]
 
 
 def member_seeds(rng_seed: int, count: int) -> list[int]:

@@ -135,6 +135,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    if args.ensemble is not None and args.ensemble < 1:
+        raise ParseError("--ensemble must be >= 1")
     frame = _load_dir(args)
     print(f"seed={args.seed}")
     tau = _resolve_cli_tau(frame, args)
@@ -454,6 +456,8 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_merge_coordinate_flags(list(argv)))
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ParseError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except LatentKrigError as exc:
         print(f"error: {args.command}: {exc}", file=sys.stderr)

@@ -15,6 +15,13 @@ Lagged blocks use the full-sample means and sum over the time pairs that
 exist inside 1..n. Writing ac for the lead series and bc for the lagged
 one, lag k >= 1 pairs (t+k, t) for t = 1..n-k; lag -k pairs (t-k, t) for
 t = k+1..n, which is the transpose-free mirror of the same window.
+
+Every block is a slice of statistics shared by all fits of a frame and
+built once per frame: the centered panel Y_c, the p x p lag covariances
+C_j = Y_c[j:]' Y_c[:n-j] / n, and the partition-free products C_j C_j'.
+A partition reads S = C_0[S1, S2] and its lag-j blocks from C_j, so J
+random partitions of one panel cost one set of p x p products, not J
+sets of half-panel products.
 """
 
 from __future__ import annotations
@@ -24,22 +31,45 @@ import numpy as np
 from .errors import InsufficientOverlap, LagTooLarge, MissingDataError
 from .stdata import Partition, SpatioTemporalFrame
 
+
 def _centered_columns(frame: SpatioTemporalFrame, cols) -> np.ndarray:
     idx = list(cols)
     if frame.missing[:, idx].any():
         raise MissingDataError(
             "covariance over incomplete columns; impute or subset first")
-    block = frame.obs[:, idx]
-    return block - block.mean(axis=0)
+    # columns with missing cells center to NaN and are never read
+    return frame._memo.get("centered",
+                           lambda: frame.obs - frame.obs.mean(axis=0))[:, idx]
+
+
+def _lag(frame: SpatioTemporalFrame, j: int) -> np.ndarray:
+    """C_j = Y_c[j:]' Y_c[:n-j] / n over all sites of a complete frame."""
+    def build() -> np.ndarray:
+        yc = _centered_columns(frame, range(frame.p))
+        return (yc[j:].T @ yc[:frame.n - j]) / frame.n
+    return frame._memo.get(("lag", j), build)
+
+
+def _lag_gram(frame: SpatioTemporalFrame, j: int) -> np.ndarray:
+    """C_j C_j', the same for every partition of the frame."""
+    def build() -> np.ndarray:
+        c = _lag(frame, j)
+        return c @ c.T
+    return frame._memo.get(("lag_gram", j), build)
+
+
+def _check_lags(frame: SpatioTemporalFrame, partition: Partition, k0: int) -> None:
+    """Lags 0..k0 are identifiable and the partition splits the frame's sites."""
+    if k0 >= frame.n / 2:
+        raise LagTooLarge(f"k0={k0} needs n > 2*k0 (n={frame.n})")
+    if partition.p != frame.p:
+        raise ValueError("partition does not match frame width")
 
 
 def cross_covariance(frame: SpatioTemporalFrame, partition: Partition) -> np.ndarray:
-    """Lag-0 cross-set covariance, a (p1, p2) matrix with divisor n."""
-    if partition.p != frame.p:
-        raise ValueError("partition does not match frame width")
-    y1 = _centered_columns(frame, partition.set1)
-    y2 = _centered_columns(frame, partition.set2)
-    return (y1.T @ y2) / frame.n
+    """Lag-0 cross-set covariance C_0[S1, S2], a (p1, p2) matrix with divisor n."""
+    _check_lags(frame, partition, 0)
+    return _lag(frame, 0)[np.ix_(partition.set1, partition.set2)]
 
 
 def lagged_covariances(frame: SpatioTemporalFrame, partition: Partition,
@@ -49,25 +79,18 @@ def lagged_covariances(frame: SpatioTemporalFrame, partition: Partition,
     Returns one tuple (auto1, auto2, cross_lead, cross_lag) per lag j in
     1..k0: the set-1 autocovariance at lag j, the set-2 autocovariance
     at lag j, the cross-set covariance at lag j, and the cross-set
-    covariance at lag -j. All use full-sample means and divisor n.
+    covariance at lag -j. All use full-sample means and divisor n, and
+    all are blocks of C_j: C_j[S1, S1], C_j[S2, S2], C_j[S1, S2] and
+    C_j[S2, S1]'.
     """
     if int(k0) != k0 or k0 < 1:
         raise ValueError("k0 must be an integer >= 1 (lags start at 1)")
     k0 = int(k0)
-    if k0 >= frame.n / 2:
-        raise LagTooLarge(f"k0={k0} needs n > 2*k0 (n={frame.n})")
-    if partition.p != frame.p:
-        raise ValueError("partition does not match frame width")
-    n = frame.n
-    y1 = _centered_columns(frame, partition.set1)
-    y2 = _centered_columns(frame, partition.set2)
-    blocks = []
-    for j in range(1, k0 + 1):
-        lead1, lag1 = y1[j:], y1[:n - j]
-        lead2, lag2 = y2[j:], y2[:n - j]
-        blocks.append(((lead1.T @ lag1) / n, (lead2.T @ lag2) / n,
-                       (lead1.T @ lag2) / n, (lag1.T @ lead2) / n))
-    return blocks
+    _check_lags(frame, partition, k0)
+    s1, s2 = partition.set1, partition.set2
+    return [(c[np.ix_(s1, s1)], c[np.ix_(s2, s2)], c[np.ix_(s1, s2)],
+             c[np.ix_(s2, s1)].T)
+            for c in (_lag(frame, j) for j in range(1, k0 + 1))]
 
 
 def masked_pairwise(obs: np.ndarray, missing: np.ndarray, rows, cols) -> np.ndarray:

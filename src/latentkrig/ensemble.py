@@ -12,6 +12,11 @@ eigenanalysis ever exceeds 2q x 2q.
 One engine, ``fit_members``, fits every member (a Partition of all the
 sites, or a (sites, Partition) pair fitted on those sites' subframe),
 and one in-order reducer, ``_first_and_mean``, averages the members.
+Members of one frame share its panel statistics: the centered panel,
+its lag covariances and their partition-free Gram products are built
+once per frame, and the Laplacian weights once per location set, by
+whichever member asks first, and every other member slices them. A
+subframe member builds its own, so it is bitwise a fit of the subframe.
 """
 
 from __future__ import annotations
@@ -108,7 +113,8 @@ def fit_members(frame: SpatioTemporalFrame, partitions: list[Partition | tuple],
     Partition) pair fitted on ``frame.subframe(sites)``, built on the
     worker. Each fit is passed through ``read`` on its worker and only
     what ``read`` returns is kept (by default the fit), so a caller need
-    not hold J full fits. Members are fitted as the result is iterated.
+    not hold J full fits; a fit's readouts are formed only if ``read``
+    uses them. Members are fitted as the result is iterated.
     """
 
     def one(member) -> R:

@@ -24,16 +24,18 @@ the eigenvalue ratio method on the spectrum of M1 - tau * L1.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .covariance import cross_covariance, lagged_covariances
+from .covariance import _check_lags, _lag, _lag_gram
 from .errors import (NotSymmetric, ParseError, RankDeficient, TooFewEigenvalues,
                      TooFewLocations)
 from .stdata import (LocationSet, Partition, SpatioTemporalFrame,
-                     distance_matrix, locations_from_doc, locations_to_doc)
+                     locations_from_doc, locations_to_doc,
+                     pairwise_distances)
 
 _SIGN_EPS = 1e-12
 _EIG_FLOOR = 1e-300
@@ -48,16 +50,23 @@ class GraphLaplacian:
     L: np.ndarray
 
 
+def _site_weights(locations: LocationSet) -> np.ndarray:
+    """w_ij = 1/(1 + dist) between all sites, zero diagonal, built once per
+    LocationSet."""
+    def build() -> np.ndarray:
+        w = 1.0 / (1.0 + pairwise_distances(locations))
+        np.fill_diagonal(w, 0.0)
+        return w
+    return locations._memo.get("laplacian_weights", build)
+
+
 def build_laplacian(locations: LocationSet, subset) -> GraphLaplacian:
-    """Graph Laplacian of the sites ``subset`` under the set's metric."""
+    """Graph Laplacian of the sites ``subset`` under the set's metric,
+    sliced from weights shared by every subset of the same set."""
     idx = list(subset)
     if not idx:
         raise TooFewLocations("laplacian needs a nonempty subset")
-    coords = locations.coords[idx]
-    dist = distance_matrix(coords, coords, locations.distance_metric,
-                           locations.radius)
-    w = 1.0 / (1.0 + dist)
-    np.fill_diagonal(w, 0.0)
+    w = _site_weights(locations)[np.ix_(idx, idx)]
     lap = -w
     np.fill_diagonal(lap, w.sum(axis=1))
     return GraphLaplacian(W=w, L=lap)
@@ -138,23 +147,52 @@ class FactorModelFit:
     the latent-field estimate A A' y at every original column position.
     eigenvalues is the full descending spectrum of M1 - tau * L1 used by
     the ratio estimator.
+
+    fit_factors leaves the three readouts to be read off its panel the
+    first time they are used, so a caller that needs only the loadings,
+    as a forecast member does, never forms them. A fit loaded from a
+    document carries its stored readouts instead.
     """
 
     partition: Partition
     A1_hat: np.ndarray
     A2_hat: np.ndarray
-    x_hat: np.ndarray
-    x_star_hat: np.ndarray
     d_hat: int
     eigenvalues: np.ndarray
-    xi_hat: np.ndarray
     tau: float
     k0: int
+    _frame: SpatioTemporalFrame | None = field(default=None, init=False,
+                                               repr=False, compare=False)
+
+    @cached_property
+    def x_hat(self) -> np.ndarray:
+        return self._frame.obs[:, list(self.partition.set1)] @ self.A1_hat
+
+    @cached_property
+    def x_star_hat(self) -> np.ndarray:
+        return self._frame.obs[:, list(self.partition.set2)] @ self.A2_hat
+
+    @cached_property
+    def xi_hat(self) -> np.ndarray:
+        return assemble_latent(self._frame, self.partition, self.A1_hat,
+                               self.A2_hat)
 
 
 def gram_matrices(frame: SpatioTemporalFrame, partition: Partition,
                   k0: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """The two Gram matrices (M1, M2) fed to the penalized eigensolver.
+
+    With S = C_0[S1, S2] and the frame's shared lag covariances C_j,
+
+        M1 = S S' + sum_{j=1..k0} [(C_j C_j')[S1, S1] + C_j[S2, S1]' C_j[S2, S1]]
+        M2 = S' S + sum_{j=1..k0} [(C_j C_j')[S2, S2] + C_j[S1, S2]' C_j[S1, S2]]
+
+    The first lag term is the sum S_1(j) S_1(j)' + S_12(j) S_12(j)' of
+    the set-1 autocovariance and lead cross-covariance terms, which is
+    C_j[S1, :] C_j[S1, :]'. It is a slice of the partition-free C_j C_j',
+    so each partition pays for two lag products per lag, not four. Every
+    caller, one partition or many, uses this formula, so a single fit
+    and an ensemble member on the same frame agree bitwise.
 
     Exposed separately from fit_factors so that tau grid searches can
     build them once per partition and sweep the whole grid through
@@ -162,13 +200,17 @@ def gram_matrices(frame: SpatioTemporalFrame, partition: Partition,
     """
     if int(k0) != k0 or k0 < 0:
         raise ValueError("k0 must be an integer >= 0")
-    s = cross_covariance(frame, partition)
+    k0 = int(k0)
+    _check_lags(frame, partition, k0)
+    s1, s2 = partition.set1, partition.set2
+    s = _lag(frame, 0)[np.ix_(s1, s2)]
     m1 = s @ s.T
     m2 = s.T @ s
-    if k0 >= 1:
-        for s1, s2, s12p, s12m in lagged_covariances(frame, partition, k0):
-            m1 += s1 @ s1.T + s12p @ s12p.T + s12m @ s12m.T
-            m2 += s2 @ s2.T + s12p.T @ s12p + s12m.T @ s12m
+    for j in range(1, k0 + 1):
+        c, cc = _lag(frame, j), _lag_gram(frame, j)
+        lead, back = c[np.ix_(s1, s2)], c[np.ix_(s2, s1)]
+        m1 += cc[np.ix_(s1, s1)] + back.T @ back
+        m2 += cc[np.ix_(s2, s2)] + lead.T @ lead
     return m1, m2
 
 
@@ -232,13 +274,11 @@ def fit_factors(frame: SpatioTemporalFrame, partition: Partition, tau: float,
                   for s in (partition.set1, partition.set2))
     a1, a2, d_hat, evals1 = solve_loadings(m1, m2, lap1, lap2, tau,
                                            p_star, d_override)
-    x_hat = frame.obs[:, list(partition.set1)] @ a1
-    x_star_hat = frame.obs[:, list(partition.set2)] @ a2
-    xi = assemble_latent(frame, partition, a1, a2)
-    return FactorModelFit(partition=partition, A1_hat=a1, A2_hat=a2,
-                          x_hat=x_hat, x_star_hat=x_star_hat, d_hat=d_hat,
-                          eigenvalues=evals1, xi_hat=xi, tau=float(tau),
-                          k0=int(k0))
+    fit = FactorModelFit(partition=partition, A1_hat=a1, A2_hat=a2,
+                         d_hat=d_hat, eigenvalues=evals1, tau=float(tau),
+                         k0=int(k0))
+    fit._frame = frame
+    return fit
 
 
 def assemble_latent(frame: SpatioTemporalFrame, partition: Partition,
@@ -321,14 +361,14 @@ def fit_from_document(doc: dict) -> tuple[FactorModelFit, LocationSet | None]:
         partition=part,
         A1_hat=_matrix_from_doc(doc["A1_hat"]),
         A2_hat=_matrix_from_doc(doc["A2_hat"]),
-        x_hat=_matrix_from_doc(doc["x_hat"]),
-        x_star_hat=_matrix_from_doc(doc["x_star_hat"]),
         d_hat=int(doc["d_hat"]),
         eigenvalues=np.array(doc["eigenvalues"], dtype=np.float64),
-        xi_hat=_matrix_from_doc(xi) if xi is not None else np.zeros((0, part.p)),
         tau=float(doc["tau"]),
         k0=int(doc["k0"]),
     )
+    fit.x_hat = _matrix_from_doc(doc["x_hat"])
+    fit.x_star_hat = _matrix_from_doc(doc["x_star_hat"])
+    fit.xi_hat = _matrix_from_doc(xi) if xi is not None else np.zeros((0, part.p))
     locs = locations_from_doc(doc["locations"]) if "locations" in doc else None
     return fit, locs
 

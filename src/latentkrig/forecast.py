@@ -20,7 +20,8 @@ so only d x d matrices are ever inverted (asserted structurally). Factor
 autocovariances come from the fitted loadings: S(k) = A' C_y(k) A with
 C_y(k) the lag-k autocovariance of the panel columns in the loading's
 location set, taken from the projected readouts (the lag-k
-autocovariance of the n x d series Y_c A) so C_y(k) is never formed.
+autocovariance of the n x d series Y_c A, with Y_c the centered panel
+the frame's fits share) so C_y(k) is never formed.
 W_{j0}^{-1} needs only S(0..j0), so one inverse per side serves every
 horizon. Panel-level predictions are y_hat = A x_hat(j) per side of the
 partition, using raw (uncentered) factor readouts.
@@ -159,10 +160,11 @@ def forecast_ensemble(frame: SpatioTemporalFrame, J: int, j: int | Sequence[int]
     """Average of j-step predictions over J random-partition fits.
 
     j is one horizon or a sequence of them, as in forecast; each member
-    is fitted once for all horizons, and the arguments are checked
-    before any member is fitted. Member seeds derive deterministically
-    from rng_seed by member index and predictions are summed in index
-    order as they arrive, so the result is identical for any worker count.
+    is fitted once for all horizons and reads only its loadings, and
+    the arguments are checked before any member is fitted. Member seeds
+    derive deterministically from rng_seed by member index and
+    predictions are summed in index order as they arrive, so the result
+    is identical for any worker count.
     """
     if J < 1:
         raise ValueError("J must be >= 1")

@@ -35,7 +35,7 @@ _FAMILIES = ("gaussian", "epanechnikov_2d")
 
 @dataclass
 class KernelSpec:
-    """Kernel family and bandwidth h > 0.
+    """Kernel family and finite bandwidth h > 0.
 
     gaussian: radial, K(u) proportional to exp(-|u|^2 / 2), valid for any
     distance metric. epanechnikov_2d: product kernel (1 - u1^2)(1 - u2^2)
@@ -49,8 +49,8 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if not self.h > 0:
-            raise ValueError("bandwidth must be positive")
+        if not 0 < self.h < np.inf:
+            raise ValueError("bandwidth must be positive and finite")
 
 
 def _raw_kernel(locations: LocationSet, sites, family: str, dist=None):

@@ -30,6 +30,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._util import Memo
 from .errors import (
     DuplicateCell,
     InsufficientOverlap,
@@ -51,7 +52,9 @@ class LocationSet:
 
     coords is a (p, 2) float array. distance_metric selects planar
     euclidean distance or great-circle distance on a sphere of the given
-    radius (kilometres by default).
+    radius (kilometres by default). Values derived from the sites, such
+    as the Laplacian weights, are built once per set in a private memo;
+    a subset is a new set with its own.
     """
 
     ids: tuple[str, ...]
@@ -59,6 +62,7 @@ class LocationSet:
     distance_metric: str = "euclidean"
     radius: float = EARTH_RADIUS_KM
     _column: dict[str, int] = field(init=False, repr=False, compare=False)
+    _memo: Memo = field(init=False, repr=False, compare=False, default_factory=Memo)
 
     def __post_init__(self) -> None:
         self.ids = tuple(str(i) for i in self.ids)
@@ -185,7 +189,10 @@ class SpatioTemporalFrame:
     Instances are treated as immutable after construction; operations that
     change data return new frames. filled_cells records imputation
     provenance as (time_index, location_id) pairs and is None for frames
-    that were never imputed.
+    that were never imputed. Panel statistics derived from the frame
+    (the centered panel and its lag covariances) are kept in a private
+    memo and shared by every fit of the frame; a subframe is a new frame
+    with its own.
     """
 
     locations: LocationSet
@@ -193,6 +200,7 @@ class SpatioTemporalFrame:
     covariates: np.ndarray | None = None
     missing: np.ndarray | None = None
     filled_cells: tuple[tuple[int, str], ...] | None = None
+    _memo: Memo = field(init=False, repr=False, compare=False, default_factory=Memo)
 
     def __post_init__(self) -> None:
         obs = np.array(self.obs, dtype=np.float64)

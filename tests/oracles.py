@@ -7,8 +7,10 @@ partitioned inverse, the two Schur-complement routes and the dense
 Toeplitz matrix live here, as references for criterion 1 and the
 forecast unit tests. The dense best-linear-predictor route for spatial
 kriging, the general best linear predictor, the p x p lagged
-autocovariances, the one-tau penalized eigensolve and the enumeration
-of every split of a small panel are references of the same kind.
+autocovariances, the one-tau penalized eigensolve, the Gram matrices
+built block by block from each partition's own half-panel covariances,
+and the enumeration of every split of a small panel are references of
+the same kind.
 """
 
 from itertools import combinations
@@ -111,6 +113,28 @@ def lagged_auto_covariance(frame: SpatioTemporalFrame, cols,
     with a basis) and never forms these p x p blocks.
     """
     return _autocovariances(frame, cols, max_lag)
+
+
+def blockwise_gram_matrices(frame: SpatioTemporalFrame, partition: Partition,
+                            k0: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """gram_matrices from the blocks of each lag, every block formed from
+    its own centered half-panel columns:
+
+        M1 = S S' + sum_j [S_1(j) S_1(j)' + S_12(j) S_12(j)' + S_12(-j) S_12(-j)']
+        M2 = S' S + sum_j [S_2(j) S_2(j)' + S_12(j)' S_12(j) + S_12(-j)' S_12(-j)]
+    """
+    n = frame.n
+    y1, y2 = (frame.obs[:, list(s)] - frame.obs[:, list(s)].mean(axis=0)
+              for s in (partition.set1, partition.set2))
+    s = (y1.T @ y2) / n
+    m1, m2 = s @ s.T, s.T @ s
+    for j in range(1, k0 + 1):
+        lead1, lag1, lead2, lag2 = y1[j:], y1[:n - j], y2[j:], y2[:n - j]
+        s1, s2 = (lead1.T @ lag1) / n, (lead2.T @ lag2) / n
+        s12p, s12m = (lead1.T @ lag2) / n, (lag1.T @ lead2) / n
+        m1 += s1 @ s1.T + s12p @ s12p.T + s12m @ s12m.T
+        m2 += s2 @ s2.T + s12p.T @ s12p + s12m.T @ s12m
+    return m1, m2
 
 
 def penalized_eigvecs(M: np.ndarray, penalty, tau: float,

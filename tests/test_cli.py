@@ -233,15 +233,39 @@ def test_bad_thread_count_exits_2(data_dir, tmp_path, capsys, monkeypatch,
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("value", ["0", "-2"])
+FORECAST_J = ["forecast", "--j", "1", "--j0", "2", "--J"]
+
+
+@pytest.mark.parametrize("command, value", [
+    (FORECAST_J, "0"), (FORECAST_J, "-2"),
+    (["fit", "--ensemble"], "0"), (["fit", "--ensemble"], "-2"),
+], ids=["0", "-2", "fit-ensemble-0", "fit-ensemble--2"])
 def test_forecast_rejects_nonpositive_member_count(data_dir, tmp_path, capsys,
-                                                   value):
-    out = tmp_path / "fc.csv"
-    code, stdout, err = run(capsys, "forecast", str(data_dir), "--j", "1",
-                            "--j0", "2", "--tau", "0.0", "--J", value,
-                            "--seed", "5", "--out", str(out))
+                                                   command, value):
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, command[0], str(data_dir), *command[1:],
+                            value, "--tau", "0.0", "--seed", "5",
+                            "--out", str(out))
     assert code == 2
-    assert err == "error: forecast: --J must be >= 1\n"
+    assert err == f"error: {command[0]}: {command[-1]} must be >= 1\n"
+    assert stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--n", "20", "--p", "8"],
+    ["fit", "DATA"],
+    ["forecast", "DATA", "--j", "1"],
+    ["cv", "DATA"],
+    ["bench", "--table", "mse_table1", "--replicates", "1"],
+], ids=lambda command: command[0])
+def test_negative_seed_exits_2_before_any_output(data_dir, tmp_path, capsys,
+                                                 command):
+    out = tmp_path / "out"
+    argv = [str(data_dir) if tok == "DATA" else tok for tok in command]
+    code, stdout, err = run(capsys, *argv, "--seed", "-1", "--out", str(out))
+    assert code == 2
+    assert err == f"error: {command[0]}: --seed must be >= 0, got -1\n"
     assert stdout == ""
     assert not out.exists()
 
@@ -409,9 +433,11 @@ def test_bad_point_spec(data_dir, tmp_path, capsys):
     code, _, err = run(capsys, "krige-space", str(model),
                        "--at", "1.0", "--h", "0.5")
     assert code == 2
-    code, _, err = run(capsys, "krige-space", str(model),
-                       "--at", "0,0", "--h", "-2")
-    assert code == 2
+    for h in ("-2", "inf"):
+        code, stdout, err = run(capsys, "krige-space", str(model),
+                                "--at", "0,0", "--h", h)
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: krige-space: ") and err.count("\n") == 1
     for point in ("nan,0", "0,inf", "1e400,0"):
         code, stdout, err = run(capsys, "krige-space", str(model),
                                 "--at", point, "--h", "0.5")

@@ -5,6 +5,7 @@ from latentkrig import (
     Partition,
     SpatioTemporalFrame,
     cross_covariance,
+    fit_factors,
     lagged_covariances,
     masked_pairwise,
 )
@@ -110,6 +111,8 @@ def test_covariance_requires_complete_columns():
         cross_covariance(frame, part)
     with pytest.raises(MissingDataError):
         lagged_covariances(frame, part, k0=1)
+    with pytest.raises(MissingDataError):
+        fit_factors(frame, part, 0.0, k0=1, d_override=1)
     # complete columns still work
     lagged_auto_covariance(frame, (0, 2), 1)
     with pytest.raises(MissingDataError):

@@ -23,7 +23,7 @@ from latentkrig.errors import (
 )
 
 from conftest import grid_locations, noise_frame, rank_k_frame
-from oracles import penalized_eigvecs
+from oracles import blockwise_gram_matrices, penalized_eigvecs
 
 
 # ---- graph Laplacian ----
@@ -148,6 +148,21 @@ def test_default_p_star():
 
 
 # ---- gram matrices and the full fit ----
+
+@pytest.mark.parametrize("k0", [0, 1, 2])
+def test_gram_matrices_match_the_blockwise_oracle(k0):
+    for p in (12, 13):  # halves of 6 and 6, then 6 and 7, and 3 against the rest
+        frame, *_ = rank_k_frame(40, p, k=2, seed=31, noise=0.5)
+        frame = SpatioTemporalFrame(locations=frame.locations,
+                                    obs=frame.obs + np.arange(float(p)))
+        rest = tuple(i for i in range(p) if i not in (0, 4, 9))
+        for part in (random_partition(p, 2), Partition(set1=(0, 4, 9), set2=rest)):
+            for got, want in zip(gram_matrices(frame, part, k0),
+                                 blockwise_gram_matrices(frame, part, k0)):
+                assert got.shape == want.shape
+                np.testing.assert_allclose(got, want, rtol=1e-12,
+                                           atol=1e-12 * np.abs(want).max())
+
 
 def test_gram_matrices_symmetric_psd():
     frame = noise_frame(30, 10, seed=12)

@@ -311,6 +311,42 @@ def test_forecast_ensemble_horizon_list_equals_per_horizon_calls():
     np.testing.assert_array_equal(one, per_horizon)
 
 
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_forecast_members_share_one_set_of_panel_statistics(monkeypatch,
+                                                             threads):
+    import latentkrig.factors as factors
+    import latentkrig.stdata as stdata
+    from latentkrig import SimConfig, simulate
+    from latentkrig._util import Memo
+    args = (4, [1, 2], 3)
+    kwargs = dict(tau=0.7, k0=1, rng_seed=7)
+    want = forecast_ensemble(simulate(SimConfig(n=60, p=20, seed=4)).frame,
+                             *args, **kwargs)
+    calls, built = [], []
+
+    def counted(name, fn):
+        return lambda *a, **k: calls.append(name) or fn(*a, **k)
+
+    # count every call, whichever module's binding runs it
+    for name, fn in (("distance_matrix", stdata.distance_matrix),
+                     ("assemble_latent", factors.assemble_latent)):
+        for mod in [m for key, m in sys.modules.items()
+                    if key.startswith("latentkrig")]:
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted(name, fn))
+    real_get = Memo.get
+    monkeypatch.setattr(Memo, "get", lambda self, key, build: real_get(
+        self, key, lambda: built.append(key) or build()))
+    monkeypatch.setenv("LATENT_KRIG_THREADS", threads)
+    got = forecast_ensemble(simulate(SimConfig(n=60, p=20, seed=4)).frame,
+                            *args, **kwargs)
+    assert got.tobytes() == want.tobytes()
+    assert sorted(map(str, built)) == sorted(map(str, [
+        "centered", ("lag", 0), ("lag", 1), ("lag_gram", 1),
+        "laplacian_weights"]))
+    assert calls == ["distance_matrix"]
+
+
 @pytest.mark.parametrize("kwargs, exc", [
     (dict(j=[1, 30]), LagTooLarge),     # 30 + 0 >= 40 / 2
     (dict(j=[1, 0]), ValueError),
