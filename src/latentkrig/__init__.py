@@ -12,7 +12,7 @@ random site splits never hurts the per-cell squared error.
 from .covariance import cross_covariance, lagged_covariances, masked_pairwise
 from .ensemble import (EnsembleFit, aggregate_fit, aggregate_over_partitions,
                        assign_blocks, divide_and_conquer_fit, fit_members,
-                       load_ensemble, resolve_tau, save_ensemble)
+                       load_ensemble, save_ensemble)
 from .errors import (BlockTooLarge, DuplicateCell, EmptyKernelWindow,
                      InsufficientOverlap, InvalidCoordinate, LagTooLarge,
                      LatentKrigError, MissingDataError, NotPositiveDefinite,

@@ -34,7 +34,7 @@ from .ensemble import (_member_partitions, aggregate_fit,
 from .errors import (EXIT_NUMERICAL, EXIT_VALIDATION, LatentKrigError,
                      ParseError, PeriodTooLarge)
 from .factors import _read_document, fit_from_document, save_fit
-from .forecast import forecast_ensemble
+from .forecast import _forecast_args, forecast_ensemble
 from .kriging import _FAMILIES, KernelSpec, impute_missing, krige_space
 from .simbench import (TABLE_IDS, SimConfig, run_table, select_bandwidth,
                        select_tau)
@@ -92,11 +92,25 @@ def _load_dir(args) -> SpatioTemporalFrame:
                       distance_metric=args.metric)
 
 
+def _load_for_fit(args) -> SpatioTemporalFrame:
+    """The panel, once --d and --p-star are known to suit it, so a bad
+    flag fails before any cross-validation runs."""
+    frame = _load_dir(args)
+    if args.d is not None and not 1 <= args.d <= frame.p // 2:
+        raise ParseError(f"--d must be in 1..{frame.p // 2} for p={frame.p}, "
+                         f"got {args.d}")
+    if args.p_star is not None and args.p_star < 2:
+        raise ParseError(f"--p-star must be >= 2, got {args.p_star}")
+    return frame
+
+
 def _resolve_cli_tau(frame: SpatioTemporalFrame, args) -> float:
+    """--tau, or the --tau-grid point cross-validated with the fit's own
+    --k0 and --p-star."""
     if args.tau_grid is not None:
         return select_tau(frame, grid=_parse_grid(args.tau_grid),
                           folds=args.folds, rng_seed=args.seed, k0=args.k0,
-                          family=args.kernel)
+                          p_star=args.p_star, family=args.kernel)
     return args.tau if args.tau is not None else 0.0
 
 
@@ -137,11 +151,11 @@ def cmd_simulate(args) -> int:
 def cmd_fit(args) -> int:
     if args.ensemble is not None and args.ensemble < 1:
         raise ParseError("--ensemble must be >= 1")
-    frame = _load_dir(args)
+    frame = _load_for_fit(args)
     print(f"seed={args.seed}")
     tau = _resolve_cli_tau(frame, args)
     if args.ensemble is not None:
-        ens = aggregate_fit(frame, J=args.ensemble, tau_policy=tau,
+        ens = aggregate_fit(frame, J=args.ensemble, tau=tau,
                             k0=args.k0, p_star=args.p_star,
                             rng_seed=args.seed, d_override=args.d)
         save_ensemble(ens, args.out, frame.locations)
@@ -214,11 +228,12 @@ def cmd_krige_space(args) -> int:
 def cmd_forecast(args) -> int:
     if args.J < 1:
         raise ParseError("--J must be >= 1")
-    frame = _load_dir(args)
+    frame = _load_for_fit(args)
     print(f"seed={args.seed}")
     horizons = _parse_ints(args.j)
     if not horizons:
         raise ParseError("--j must list at least one horizon")
+    _forecast_args(frame.n, horizons, args.j0, args.ridge)
     tau = _resolve_cli_tau(frame, args)
     preds = forecast_ensemble(frame, args.J, horizons, args.j0, tau=tau,
                               k0=args.k0, p_star=args.p_star,

@@ -36,8 +36,6 @@ from .factors import (FactorModelFit, _matrix_doc, _matrix_from_doc,
 from .stdata import (LocationSet, Partition, SpatioTemporalFrame,
                      locations_from_doc, locations_to_doc, random_partition)
 
-TauPolicy = float | str
-
 DEFAULT_J = 100
 
 R = TypeVar("R")
@@ -63,35 +61,13 @@ class EnsembleFit:
         self.xi_tilde = np.asarray(self.xi_tilde, dtype=np.float64)
         self.per_location_counts = np.asarray(self.per_location_counts,
                                               dtype=np.int64)
+        self.tau = float(self.tau)
         if self.J < 1:
             raise ValueError("J must be >= 1")
         if self.per_location_counts.shape != (self.xi_tilde.shape[1],):
             raise ValueError("per_location_counts must have one entry per location")
         if np.any(self.per_location_counts < 1):
             raise ValueError("every location needs at least one contributing member")
-
-
-def resolve_tau(frame: SpatioTemporalFrame, tau_policy: TauPolicy,
-                rng_seed: int, k0: int = 0,
-                p_star: int | None = None) -> float:
-    """Turn a tau policy into a number.
-
-    A float is used as-is. "cv-once" runs five-fold location
-    cross-validation on the default grid, seeded by rng_seed, and the
-    selected value is reused for every member; re-validating per member
-    would cost a full grid of eigendecompositions per replicate without
-    making members comparable.
-    """
-    if isinstance(tau_policy, str):
-        if tau_policy != "cv-once":
-            raise ValueError(f"unknown tau policy {tau_policy!r}")
-        from .simbench import default_tau_grid, select_tau
-        return select_tau(frame, default_tau_grid(), folds=5,
-                          rng_seed=rng_seed, k0=k0, p_star=p_star)
-    tau = float(tau_policy)
-    if not 0 <= tau < np.inf:
-        raise ValueError("tau must be finite and >= 0")
-    return tau
 
 
 def _member_partitions(p: int, seeds: list[int]) -> list[Partition]:
@@ -162,7 +138,7 @@ def aggregate_over_partitions(frame: SpatioTemporalFrame,
 
 
 def aggregate_fit(frame: SpatioTemporalFrame, J: int = DEFAULT_J,
-                  tau_policy: TauPolicy = 0.0, k0: int = 0,
+                  tau: float = 0.0, k0: int = 0,
                   p_star: int | None = None, rng_seed: int = 0,
                   d_override: int | None = None,
                   workers: int | None = None) -> EnsembleFit:
@@ -175,8 +151,9 @@ def aggregate_fit(frame: SpatioTemporalFrame, J: int = DEFAULT_J,
     """
     if J < 1:
         raise ValueError("J must be >= 1")
+    if not 0 <= tau < np.inf:
+        raise ValueError("tau must be finite and >= 0")
     seeds = _util.member_seeds(rng_seed, J)
-    tau = resolve_tau(frame, tau_policy, seeds[0], k0=k0, p_star=p_star)
     return aggregate_over_partitions(frame, _member_partitions(frame.p, seeds),
                                      tau, k0=k0, p_star=p_star,
                                      d_override=d_override,
@@ -194,7 +171,7 @@ def assign_blocks(p: int, q: int, rng_seed: int) -> list[tuple[int, ...]]:
 
 
 def divide_and_conquer_fit(frame: SpatioTemporalFrame, q: int,
-                           J: int = DEFAULT_J, tau_policy: TauPolicy = 0.0,
+                           J: int = DEFAULT_J, tau: float = 0.0,
                            rng_seed: int = 0, k0: int = 0,
                            p_star: int | None = None,
                            d_override: int | None = None,
@@ -213,10 +190,12 @@ def divide_and_conquer_fit(frame: SpatioTemporalFrame, q: int,
     """
     if J < 1:
         raise ValueError("J must be >= 1")
+    if not 0 <= tau < np.inf:
+        raise ValueError("tau must be finite and >= 0")
     p = frame.p
     blocks = assign_blocks(p, q, rng_seed)
+    # seeds[0] is reserved; the (block, round) members use seeds[1:]
     seeds = _util.member_seeds(rng_seed, 1 + len(blocks) * J)
-    tau = resolve_tau(frame, tau_policy, seeds[0], k0=k0, p_star=p_star)
 
     members = []
     for b, block in enumerate(blocks):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularDesign
+from .kriging import kernel_weights
 from .stdata import LocationSet, SpatioTemporalFrame, _fmt, _write_csv
 
 
@@ -65,7 +66,6 @@ def smooth_beta(fit: RegressionFit, locations: LocationSet, s0, kernel) -> np.nd
     a convex combination: each output component lies within the range of
     the per-site estimates.
     """
-    from .kriging import kernel_weights  # local import avoids a cycle
     w = kernel_weights(locations, s0, kernel)
     return fit.betas.T @ w
 

@@ -348,11 +348,13 @@ def test_criterion_7_imputation_beats_baseline():
 _DIGEST_SCRIPT = r"""
 import hashlib
 import numpy as np
-from latentkrig import SimConfig, aggregate_fit, forecast_ensemble, simulate
+from latentkrig import (SimConfig, aggregate_fit, forecast_ensemble,
+                        select_tau, simulate)
 from latentkrig.simbench import run_table
 
 draw = simulate(SimConfig(n=160, p=100, seed=12))
-ens = aggregate_fit(draw.frame, J=24, tau_policy="cv-once", rng_seed=9)
+tau = select_tau(draw.frame, rng_seed=9)
+ens = aggregate_fit(draw.frame, J=24, tau=tau, rng_seed=9)
 fc = forecast_ensemble(draw.frame, J=8, j=1, j0=3, rng_seed=4)
 reports, summary = run_table("fig1_distance", replicates=3, seed=7,
                              settings=[(80, 50)])

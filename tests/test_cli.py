@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from latentkrig import (SimConfig, forecast_ensemble, load_ensemble, load_fit,
-                        load_frame, simulate)
+                        load_frame, select_tau, simulate)
+from latentkrig import cli
 from latentkrig._util import worker_count
 from latentkrig.cli import main
 from latentkrig.errors import ConfigError
@@ -286,6 +287,51 @@ def test_bad_tau_or_k0_exits_2(data_dir, tmp_path, capsys, command, flag):
     assert ("tau must be finite and >= 0" if flag[0] == "--tau"
             else "k0 must be an integer >= 0") in err
     assert not out.exists()
+
+
+def _no_cv(*args, **kwargs):
+    raise AssertionError("select_tau ran before a bad flag was rejected")
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["forecast", "--j", "1", "--j0", "-1"], "j0 must be"),
+    (["forecast", "--j", "100"], "j + j0 = 106"),
+    (["forecast", "--j", "1", "--ridge", "nan"], "ridge must be"),
+    (["forecast", "--j", "1", "--d", "9"], "--d must be in 1..8"),
+    (["forecast", "--j", "1", "--p-star", "1"], "--p-star must be >= 2"),
+    (["fit", "--p-star", "1"], "--p-star must be >= 2"),
+    (["fit", "--d", "0"], "--d must be in 1..8"),
+    (["fit", "--ensemble", "2", "--d", "9"], "--d must be in 1..8"),
+], ids=["forecast-j0", "forecast-j", "forecast-ridge", "forecast-d",
+        "forecast-p-star", "fit-p-star", "fit-d", "fit-ensemble-d"])
+def test_bad_estimator_flag_exits_2_before_cv(data_dir, tmp_path, capsys,
+                                              monkeypatch, argv, named):
+    monkeypatch.setattr(cli, "select_tau", _no_cv)
+    out = tmp_path / "out"
+    code, _, err = run(capsys, argv[0], str(data_dir), *argv[1:],
+                       "--tau-grid", "0:5:21", "--seed", "3",
+                       "--out", str(out))
+    assert code == 2
+    assert err.startswith(f"error: {argv[0]}: ") and err.count("\n") == 1
+    assert named in err
+    assert not out.exists()
+
+
+def test_tau_grid_cross_validates_with_the_fits_p_star(tmp_path, capsys):
+    # a wide panel on which p_star changes the tau that CV selects
+    data = tmp_path / "wide"
+    assert run(capsys, "simulate", "--n", "80", "--p", "400", "--seed", "1",
+               "--out", str(data))[0] == 0
+    frame = load_frame(data / "locations.csv", data / "observations.csv")
+    grid = [0, 0.5, 1, 2, 5]
+    want = select_tau(frame, grid, rng_seed=1, p_star=10)
+    assert want != select_tau(frame, grid, rng_seed=1)
+    flags = ["--tau-grid", "0,0.5,1,2,5", "--p-star", "10", "--seed", "1"]
+    for command in (["fit"], ["forecast", "--j", "1"]):
+        code, stdout, _ = run(capsys, command[0], str(data), *command[1:],
+                              *flags, "--out", str(tmp_path / "out"))
+        assert code == 0
+        assert f"tau={want!r}" in stdout.splitlines()
 
 
 def test_worker_count_reads_environment(monkeypatch):

@@ -18,7 +18,6 @@ from latentkrig import (
     load_ensemble,
     load_fit,
     random_partition,
-    resolve_tau,
     save_ensemble,
     simulate,
 )
@@ -145,7 +144,7 @@ def test_first_and_mean_is_the_stacked_mean():
 
 def test_aggregate_fit_j1_is_single_fit():
     frame, *_ = rank_k_frame(40, 10, k=2, seed=21, noise=0.4)
-    ens = aggregate_fit(frame, J=1, tau_policy=0.0, p_star=4, rng_seed=5)
+    ens = aggregate_fit(frame, J=1, tau=0.0, p_star=4, rng_seed=5)
     from latentkrig import random_partition
     part = random_partition(10, member_seeds(5, 1)[0])
     fit = fit_factors(frame, part, 0.0, p_star=4)
@@ -156,9 +155,9 @@ def test_aggregate_fit_j1_is_single_fit():
 
 def test_aggregate_fit_worker_invariance():
     frame, *_ = rank_k_frame(40, 12, k=2, seed=22, noise=0.4)
-    one = aggregate_fit(frame, J=6, tau_policy=0.0, p_star=4, rng_seed=9,
+    one = aggregate_fit(frame, J=6, tau=0.0, p_star=4, rng_seed=9,
                         workers=1)
-    four = aggregate_fit(frame, J=6, tau_policy=0.0, p_star=4, rng_seed=9,
+    four = aggregate_fit(frame, J=6, tau=0.0, p_star=4, rng_seed=9,
                          workers=4)
     np.testing.assert_array_equal(one.xi_tilde, four.xi_tilde)
     assert one.d_hats == four.d_hats
@@ -174,24 +173,19 @@ def test_aggregate_fit_guards():
         aggregate_over_partitions(frame, [], tau=0.0)
 
 
-# ---- tau policy ----
+# ---- tau ----
 
-def test_resolve_tau_passthrough_and_guards():
+def test_ensemble_tau_passthrough_and_guards():
     frame, *_ = rank_k_frame(30, 8, k=1, seed=24, noise=0.2)
-    assert resolve_tau(frame, 0.75, rng_seed=0) == 0.75
+    ens = aggregate_fit(frame, J=2, tau=1, p_star=4)
+    assert type(ens.tau) is float and ens.tau == 1.0
+    assert divide_and_conquer_fit(frame, q=4, J=2, tau=0.75,
+                                  p_star=4).tau == 0.75
     for tau in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tau must be finite and >= 0"):
-            resolve_tau(frame, tau, rng_seed=0)
-    with pytest.raises(ValueError):
-        resolve_tau(frame, "cv-twice", rng_seed=0)
-
-
-def test_resolve_tau_cv_once_returns_grid_member():
-    frame, *_ = rank_k_frame(40, 20, k=2, seed=25, noise=0.5)
-    tau = resolve_tau(frame, "cv-once", rng_seed=3)
-    from latentkrig.simbench import default_tau_grid
-    assert tau in default_tau_grid()
-    assert resolve_tau(frame, "cv-once", rng_seed=3) == tau
+            aggregate_fit(frame, J=2, tau=tau)
+        with pytest.raises(ValueError, match="tau must be finite and >= 0"):
+            divide_and_conquer_fit(frame, q=4, J=2, tau=tau)
 
 
 # ---- divide and conquer ----
@@ -211,9 +205,9 @@ def test_assign_blocks():
 
 def test_divide_and_conquer_counts_and_determinism():
     frame, *_ = rank_k_frame(50, 12, k=2, seed=26, noise=0.4)
-    dc1 = divide_and_conquer_fit(frame, q=4, J=3, tau_policy=0.0,
+    dc1 = divide_and_conquer_fit(frame, q=4, J=3, tau=0.0,
                                  rng_seed=11, p_star=3, workers=1)
-    dc3 = divide_and_conquer_fit(frame, q=4, J=3, tau_policy=0.0,
+    dc3 = divide_and_conquer_fit(frame, q=4, J=3, tau=0.0,
                                  rng_seed=11, p_star=3, workers=3)
     assert np.all(dc1.per_location_counts == 3)
     assert len(dc1.d_hats) == 9  # 3 blocks x 3 rounds
@@ -227,7 +221,7 @@ def test_divide_and_conquer_two_block_identity():
     draw = simulate(SimConfig(n=120, p=16, seed=5))
     frame = draw.frame
     q = 8
-    dc = divide_and_conquer_fit(frame, q=q, J=3, tau_policy=0.0, rng_seed=21)
+    dc = divide_and_conquer_fit(frame, q=q, J=3, tau=0.0, rng_seed=21)
     assert np.all(dc.per_location_counts == 3)
     blocks = assign_blocks(16, q, rng_seed=21)
     # the same two sets as one labeled partition of the full frame
@@ -277,7 +271,7 @@ def _old_forecast_average(frame, J, j, j0, tau, k0, rng_seed):
                          ids=["blocks-of-5-below-q", "k0-1-tau-0.7"])
 def test_member_engine_matches_the_old_loops(workers, q, J, tau, k0):
     frame = simulate(SimConfig(n=60, p=20, seed=4)).frame
-    dc = divide_and_conquer_fit(frame, q=q, J=J, tau_policy=tau, rng_seed=5,
+    dc = divide_and_conquer_fit(frame, q=q, J=J, tau=tau, rng_seed=5,
                                 k0=k0, workers=workers)
     xi, counts, d_hats, seeds = _old_divide_and_conquer(frame, q, J, tau, 5, k0)
     assert {len(b) for b in assign_blocks(20, q, 5)} == {5}
@@ -324,7 +318,7 @@ def test_ensemble_fit_validation():
 
 def test_ensemble_save_load_round_trip(tmp_path):
     frame, *_ = rank_k_frame(30, 8, k=1, seed=27, noise=0.3)
-    ens = aggregate_fit(frame, J=4, tau_policy=0.5, p_star=3, rng_seed=2)
+    ens = aggregate_fit(frame, J=4, tau=0.5, p_star=3, rng_seed=2)
     path = tmp_path / "ens.json"
     save_ensemble(ens, path, locations=frame.locations)
     back, locs = load_ensemble(path)
@@ -345,7 +339,7 @@ def test_model_loaders_raise_parse_error_naming_path(tmp_path, loader, case):
     if loader is load_fit:
         doc = fit_to_document(fit_factors(frame, random_partition(8, 3), 0.0))
     else:
-        doc = ensemble_to_document(aggregate_fit(frame, J=2, tau_policy=0.0))
+        doc = ensemble_to_document(aggregate_fit(frame, J=2, tau=0.0))
     if case == "missing key":
         del doc["tau"]
     elif case == "mistyped field":
