@@ -22,7 +22,7 @@ from .errors import (BlockTooLarge, DuplicateCell, EmptyKernelWindow,
 from .factors import (FactorModelFit, GraphLaplacian, assemble_latent,
                       build_laplacian, default_p_star, estimate_d,
                       fit_factors, gram_matrices, load_fit, save_fit,
-                      solve_loadings, subspace_distance)
+                      subspace_distance)
 from .forecast import (estimate_sigma_x, forecast, forecast_ensemble,
                        recursive_toeplitz_inverse)
 from .kriging import KernelSpec, impute_missing, kernel_weights, krige_space

@@ -106,11 +106,12 @@ def _load_for_fit(args) -> SpatioTemporalFrame:
 
 def _resolve_cli_tau(frame: SpatioTemporalFrame, args) -> float:
     """--tau, or the --tau-grid point cross-validated with the fit's own
-    --k0 and --p-star."""
+    --k0, --p-star and --d."""
     if args.tau_grid is not None:
         return select_tau(frame, grid=_parse_grid(args.tau_grid),
                           folds=args.folds, rng_seed=args.seed, k0=args.k0,
-                          p_star=args.p_star, family=args.kernel)
+                          p_star=args.p_star, family=args.kernel,
+                          d_override=args.d)
     return args.tau if args.tau is not None else 0.0
 
 

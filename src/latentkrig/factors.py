@@ -194,9 +194,8 @@ def gram_matrices(frame: SpatioTemporalFrame, partition: Partition,
     caller, one partition or many, uses this formula, so a single fit
     and an ensemble member on the same frame agree bitwise.
 
-    Exposed separately from fit_factors so that tau grid searches can
-    build them once per partition and sweep the whole grid through
-    _sweep_loadings.
+    Every fit builds them through _fit_grid, once per partition for a
+    whole tau grid.
     """
     if int(k0) != k0 or k0 < 0:
         raise ValueError("k0 must be an integer >= 0")
@@ -214,21 +213,21 @@ def gram_matrices(frame: SpatioTemporalFrame, partition: Partition,
     return m1, m2
 
 
-def solve_loadings(m1: np.ndarray, m2: np.ndarray, lap1, lap2, tau: float,
-                   p_star: int | None = None, d_override: int | None = None
-                   ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-    """Loading bases for both sides from precomputed Gram matrices.
+def _fit_grid(frame: SpatioTemporalFrame, partition: Partition, taus,
+              k0: int = 0, p_star: int | None = None,
+              d_override: int | None = None) -> list[FactorModelFit]:
+    """fit_factors at each tau in taus on one split, without its guards.
 
-    Returns (A1_hat, A2_hat, d_hat, eigenvalues). The factor count is
-    read off the penalized side-1 spectrum unless overridden. This is the
-    one-tau case of _sweep_loadings, which grid searches over tau call
-    directly with the whole grid.
+    The Gram matrices are built once, the Laplacians only when some tau
+    is > 0, and each side sweeps the grid in stacked eigensolves, so
+    every fit is bitwise the one-tau fit. The factor count is read off
+    the penalized side-1 spectrum unless overridden.
     """
-    return _sweep_loadings(m1, m2, lap1, lap2, [tau], p_star, d_override)[0]
-
-
-def _sweep_loadings(m1, m2, lap1, lap2, taus, p_star=None, d_override=None) -> list:
-    """solve_loadings at each tau in taus by stacked eigensolves, bitwise per tau."""
+    taus = np.asarray(taus, dtype=np.float64).reshape(-1)
+    m1, m2 = gram_matrices(frame, partition, k0)
+    lap1, lap2 = ((None, None) if not np.any(taus > 0) else
+                  (build_laplacian(frame.locations, s)
+                   for s in (partition.set1, partition.set2)))
     p1, p2 = m1.shape[0], m2.shape[0]
     side1 = []
     for evals, evecs, order in _eig_desc(m1, lap1, taus):
@@ -244,8 +243,14 @@ def _sweep_loadings(m1, m2, lap1, lap2, taus, p_star=None, d_override=None) -> l
     d_max = max(d for _, d, _ in side1)
     side2 = [a2 for _, evecs, order in _eig_desc(m2, lap2, taus)
              for a2 in _top_vectors(evecs, order, d_max)]
-    return [(a1, a2[:, :d].copy(), d, evals1)
-            for (a1, d, evals1), a2 in zip(side1, side2)]
+    fits = []
+    for (a1, d, evals1), a2, tau in zip(side1, side2, taus):
+        fit = FactorModelFit(partition=partition, A1_hat=a1,
+                             A2_hat=a2[:, :d].copy(), d_hat=d,
+                             eigenvalues=evals1, tau=float(tau), k0=int(k0))
+        fit._frame = frame
+        fits.append(fit)
+    return fits
 
 
 def fit_factors(frame: SpatioTemporalFrame, partition: Partition, tau: float,
@@ -269,16 +274,7 @@ def fit_factors(frame: SpatioTemporalFrame, partition: Partition, tau: float,
     if p_star is None and d_override is None and frame.p < 8:
         raise TooFewLocations(
             "default p_star needs p >= 8; pass p_star or d_override")
-    m1, m2 = gram_matrices(frame, partition, k0)
-    lap1, lap2 = (None if tau == 0 else build_laplacian(frame.locations, s)
-                  for s in (partition.set1, partition.set2))
-    a1, a2, d_hat, evals1 = solve_loadings(m1, m2, lap1, lap2, tau,
-                                           p_star, d_override)
-    fit = FactorModelFit(partition=partition, A1_hat=a1, A2_hat=a2,
-                         d_hat=d_hat, eigenvalues=evals1, tau=float(tau),
-                         k0=int(k0))
-    fit._frame = frame
-    return fit
+    return _fit_grid(frame, partition, [tau], k0, p_star, d_override)[0]
 
 
 def assemble_latent(frame: SpatioTemporalFrame, partition: Partition,

@@ -28,8 +28,7 @@ import numpy as np
 
 from . import _util
 from .errors import EmptyKernelWindow, TooFewLocations
-from .factors import (_sweep_loadings, build_laplacian, fit_factors,
-                      gram_matrices, subspace_distance)
+from .factors import _fit_grid, fit_factors, subspace_distance
 from .ensemble import _first_and_mean, _member_partitions, fit_members
 from .forecast import forecast
 from .kriging import KernelSpec, _raw_kernel, kernel_weights, krige_space
@@ -43,6 +42,7 @@ from .stdata import (LocationSet, SpatioTemporalFrame, _write_csv,
 FACTOR_STATIONARY_VARS = (1.0 / 0.36, 1.25, 0.73 / 0.64)
 
 DEFAULT_BURNIN = 500
+BANDWIDTH_GRID_SIZE = 30
 DEFAULT_HOLDOUT_SITES = 50
 DEFAULT_SETTINGS = tuple((n, p) for n in (80, 160, 320) for p in (50, 100, 200))
 TABLE_IDS = ("mse_table1", "kriging_table2", "fig1_distance", "fig2_mse")
@@ -57,7 +57,6 @@ class SimConfig:
     seed: int
     n_future: int = 0
     holdout_sites: int = 0
-    burnin: int = DEFAULT_BURNIN
 
 
 @dataclass
@@ -117,14 +116,14 @@ def simulate(config: SimConfig) -> SimulationDraw:
     n, p = config.n, config.p
     if n < 4 or p < 4:
         raise ValueError("need n >= 4 and p >= 4")
-    if config.n_future < 0 or config.holdout_sites < 0 or config.burnin < 0:
-        raise ValueError("n_future, holdout_sites, burnin must be >= 0")
+    if config.n_future < 0 or config.holdout_sites < 0:
+        raise ValueError("n_future, holdout_sites must be >= 0")
     rng = np.random.default_rng(config.seed)
     coords = rng.uniform(-1.0, 1.0, size=(p, 2))
     h = config.holdout_sites
     coords_h = rng.uniform(-1.0, 1.0, size=(h, 2)) if h else None
     steps = n + config.n_future
-    x = simulate_factors(steps, config.burnin, rng)
+    x = simulate_factors(steps, DEFAULT_BURNIN, rng)
     a = loading_values(coords)
     xi_all = x @ a.T
     y_all = xi_all + rng.standard_normal((steps, p))
@@ -193,7 +192,7 @@ def default_tau_grid() -> np.ndarray:
 
 
 def select_bandwidth(latent: np.ndarray, locs: LocationSet,
-                     family: str = "gaussian", grid_size: int = 30) -> float:
+                     family: str = "gaussian") -> float:
     """Bandwidth by leave-one-location-out reconstruction of the latent field.
 
     Scans a 30-point log grid from 0.1 x the median nearest-neighbour
@@ -202,10 +201,10 @@ def select_bandwidth(latent: np.ndarray, locs: LocationSet,
     near-optimal grid point wins, so exact ties (constant fields) give
     the smallest h. No randomness.
     """
-    return _loo_bandwidth(locs, np.asarray(latent, dtype=np.float64), None, family, grid_size)
+    return _loo_bandwidth(locs, np.asarray(latent, dtype=np.float64), None, family)
 
 
-def _loo_bandwidth(locs, vt, u, family, grid_size=30) -> float:
+def _loo_bandwidth(locs, vt, u, family) -> float:
     """select_bandwidth's checks, grid and tie rule for the field u @ vt,
     or vt when u is None. Per h the LOO residual is u @ g with g = vt K /
     tot - vt, so with u its mean square is sum((u'u) * (g g')) / (n p)
@@ -224,7 +223,7 @@ def _loo_bandwidth(locs, vt, u, family, grid_size=30) -> float:
     diam = float(dist.max())
     if med_nn <= 0.0 or diam <= 0.0:
         raise ValueError("degenerate geometry: coincident locations")
-    grid = np.geomspace(0.1 * med_nn, 2.0 * diam, grid_size)
+    grid = np.geomspace(0.1 * med_nn, 2.0 * diam, BANDWIDTH_GRID_SIZE)
     errs = np.empty(grid.size)
     for gi, h in enumerate(grid):
         k = raw(h)
@@ -241,20 +240,20 @@ def _loo_bandwidth(locs, vt, u, family, grid_size=30) -> float:
 
 def select_tau(frame: SpatioTemporalFrame, grid=None, folds: int = 5,
                rng_seed: int = 0, k0: int = 0, p_star: int | None = None,
-               family: str = "gaussian") -> float:
+               family: str = "gaussian", d_override: int | None = None) -> float:
     """Roughness weight by k-fold cross-validation over locations.
 
     Locations are shuffled into folds of (near) equal size by rng_seed.
-    Per fold, the model is fitted on the remaining locations once per
-    grid value (the Gram matrices and Laplacians are shared across the
-    grid) and the held-out locations are predicted by spatial kriging;
-    the score is the squared error against their observed series. The
-    bandwidth is chosen once per fold from the tau = 0 fit, so one
-    p_train x p_test kernel-weight matrix W serves the whole grid, and
-    that fit is grid point 0 when the grid holds 0. Per side, the whole
-    grid is one stacked sweep of eigendecompositions; every point then
-    costs the d-dimensional readouts y A times A' W. Smallest tau wins
-    ties because the grid is scanned in ascending order.
+    Per fold, the model is fitted on the remaining locations at every
+    grid value through the same path as fit_factors, with the same k0,
+    p_star and d_override, and the held-out locations are predicted by
+    spatial kriging; the score is the squared error against their
+    observed series. The bandwidth is chosen once per fold from the
+    tau = 0 fit, so one p_train x p_test kernel-weight matrix W serves
+    the whole grid, and that fit is grid point 0 when the grid holds 0.
+    Every grid point then costs the d-dimensional readouts y A times
+    A' W. Smallest tau wins ties because the grid is scanned in
+    ascending order.
     """
     tau_grid = np.unique(np.asarray(
         default_tau_grid() if grid is None else grid, dtype=np.float64))
@@ -266,11 +265,13 @@ def select_tau(frame: SpatioTemporalFrame, grid=None, folds: int = 5,
         raise ValueError("folds must be >= 2")
     if frame.p < 2 * folds:
         raise TooFewLocations(f"{folds}-fold CV needs p >= {2 * folds}")
-    scores = _cv_scores(frame, tau_grid, folds, rng_seed, k0, p_star, family)
+    scores = _cv_scores(frame, tau_grid, folds, rng_seed, k0, p_star, family,
+                        d_override)
     return float(tau_grid[int(np.argmin(scores.sum(axis=0)))])
 
 
-def _cv_scores(frame, tau_grid, folds, rng_seed, k0, p_star, family) -> np.ndarray:
+def _cv_scores(frame, tau_grid, folds, rng_seed, k0, p_star, family,
+               d_override=None) -> np.ndarray:
     """(folds, grid) matrix of held-out mean squared errors for select_tau;
     tau_grid is ascending and unique, as select_tau passes it."""
     p = frame.p
@@ -283,12 +284,11 @@ def _cv_scores(frame, tau_grid, folds, rng_seed, k0, p_star, family) -> np.ndarr
         sub = frame.subframe(sorted(set(range(p)) - set(test_idx)))
         part = random_partition(sub.p, fold_seeds[f])
         set1, set2 = list(part.set1), list(part.set2)
-        m1, m2 = gram_matrices(sub, part, k0)
-        lap1, lap2 = (build_laplacian(sub.locations, s) for s in (set1, set2))
-        taus = np.union1d(0.0, tau_grid)  # tau = 0 picks the bandwidth
-        loadings = _sweep_loadings(m1, m2, lap1, lap2, taus, p_star=p_star)
+        # tau = 0 picks the bandwidth
+        fits = _fit_grid(sub, part, np.union1d(0.0, tau_grid), k0, p_star,
+                         d_override)
         y1, y2 = sub.obs[:, set1], sub.obs[:, set2]
-        a1, a2, d, _ = loadings[0]
+        a1, a2, d = fits[0].A1_hat, fits[0].A2_hat, fits[0].d_hat
         vt = np.zeros((2 * d, sub.p))
         vt[:d, set1], vt[d:, set2] = a1.T, a2.T
         kernel = KernelSpec(family=family, h=_loo_bandwidth(
@@ -297,7 +297,8 @@ def _cv_scores(frame, tau_grid, folds, rng_seed, k0, p_star, family) -> np.ndarr
                            kernel)
         w1, w2 = w[set1], w[set2]
         y_test = frame.obs[:, test_idx]
-        for gi, (a1, a2, *_) in enumerate(loadings[taus.size - tau_grid.size:]):
+        for gi, fit in enumerate(fits[len(fits) - tau_grid.size:]):
+            a1, a2 = fit.A1_hat, fit.A2_hat
             pred = (y1 @ a1) @ (a1.T @ w1) + (y2 @ a2) @ (a2.T @ w2)
             scores[f, gi] = np.mean((pred - y_test) ** 2)
     return scores

@@ -334,6 +334,21 @@ def test_tau_grid_cross_validates_with_the_fits_p_star(tmp_path, capsys):
         assert f"tau={want!r}" in stdout.splitlines()
 
 
+def test_tau_grid_cross_validates_with_the_fits_d(tmp_path, capsys):
+    # every fold holds --d factors, as the fit after it does
+    data = tmp_path / "wide"
+    assert run(capsys, "simulate", "--n", "80", "--p", "400", "--seed", "1",
+               "--out", str(data))[0] == 0
+    frame = load_frame(data / "locations.csv", data / "observations.csv")
+    grid = [0, 0.5, 1, 2, 5]
+    assert select_tau(frame, grid, rng_seed=1, d_override=3) == 0.0
+    assert select_tau(frame, grid, rng_seed=1) == 0.5
+    code, stdout, _ = run(capsys, "fit", str(data), "--tau-grid", "0,0.5,1,2,5",
+                          "--d", "3", "--seed", "1", "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert "tau=0.0" in stdout.splitlines()
+
+
 def test_worker_count_reads_environment(monkeypatch):
     for raw, expect in (("", 1), ("  ", 1), ("1", 1), ("3", 3), (" 2 ", 2)):
         monkeypatch.setenv("LATENT_KRIG_THREADS", raw)

@@ -244,9 +244,9 @@ def test_tau_pulls_vectors_toward_smoothness():
 
 # ---- the stacked tau sweep against the one-matrix path it replaced ----
 
-def _solve_loadings_reference(m1, m2, lap1, lap2, tau, p_star):
+def _one_matrix_reference(m1, m2, lap1, lap2, tau, p_star, d_override=None):
     """One eigh per side, argsort, the ratio rule and the sign loop, as
-    solve_loadings computed them one tau at a time."""
+    each fit was computed one tau at a time before the stacked sweep."""
     out = []
     for m, lap in ((m1, lap1), (m2, lap2)):
         evals, evecs = np.linalg.eigh(0.5 * (m + m.T) - tau * lap.L)
@@ -254,7 +254,8 @@ def _solve_loadings_reference(m1, m2, lap1, lap2, tau, p_star):
         out.append((evals[order], evecs[:, order]))
     (evals1, evecs1), (_, evecs2) = out
     lam = np.maximum(evals1, 1e-300)
-    d = min(int(np.argmax(lam[:p_star - 1] / lam[1:p_star])) + 1, m2.shape[0])
+    d = (d_override if d_override is not None else
+         min(int(np.argmax(lam[:p_star - 1] / lam[1:p_star])) + 1, m2.shape[0]))
     bases = []
     for evecs in (evecs1, evecs2):
         v = evecs[:, :d].copy()
@@ -269,24 +270,32 @@ def _solve_loadings_reference(m1, m2, lap1, lap2, tau, p_star):
 @pytest.mark.parametrize("k0, p_star, grid", [
     (0, None, [0.0, 0.1, 0.5, 2.0, 10.0]),
     (1, None, [0.3, 1.0, 4.0]),
-    (0, 3, list(np.linspace(0.0, 10.0, 37))),   # more taus than one stack
+    (0, 3, list(np.linspace(0.0, 10.0, 37))),   # three stacks
     (1, 5, [0.0, 7.5])])
-def test_tau_sweep_is_bitwise_the_per_tau_solve(k0, p_star, grid):
-    from latentkrig.factors import _sweep_loadings, solve_loadings
+def test_tau_sweep_is_bitwise_the_per_tau_solve(k0, p_star, grid, d_override=None):
+    from latentkrig.factors import _fit_grid
     frame, *_ = rank_k_frame(60, 24, k=3, seed=21, noise=0.7)
     part = random_partition(24, 5)
     m1, m2 = gram_matrices(frame, part, k0)
     lap1, lap2 = (build_laplacian(frame.locations, s) for s in (part.set1, part.set2))
-    swept = _sweep_loadings(m1, m2, lap1, lap2, grid, p_star)
+    swept = _fit_grid(frame, part, grid, k0, p_star, d_override)
     assert len(swept) == len(grid)
     width = p_star if p_star is not None else default_p_star(12, 12)
+    names = ("A1_hat", "A2_hat", "d_hat", "eigenvalues")
     for tau, got in zip(grid, swept):
-        one = solve_loadings(m1, m2, lap1, lap2, tau, p_star)
-        ref = _solve_loadings_reference(m1, m2, lap1, lap2, tau, width)
-        for a, b, c in zip(got, one, ref):
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes() \
-                == np.asarray(c).tobytes(), tau
-        assert got[0].flags.c_contiguous and got[1].flags.c_contiguous
+        one = fit_factors(frame, part, tau, k0, p_star, d_override)
+        ref = _one_matrix_reference(m1, m2, lap1, lap2, tau, width, d_override)
+        for name, want in zip(names, ref):
+            assert np.asarray(getattr(got, name)).tobytes() \
+                == np.asarray(getattr(one, name)).tobytes() \
+                == np.asarray(want).tobytes(), (tau, name)
+        assert (got.tau, got.k0) == (one.tau, one.k0) == (tau, k0)
+        assert got.xi_hat.tobytes() == one.xi_hat.tobytes()
+        assert got.A1_hat.flags.c_contiguous and got.A2_hat.flags.c_contiguous
+
+
+def test_tau_sweep_with_d_override_is_bitwise_the_per_tau_solve():
+    test_tau_sweep_is_bitwise_the_per_tau_solve(0, None, [0.0, 0.5, 3.0], d_override=2)
 
 
 def test_estimate_d_rows_match_single_spectra():
@@ -304,15 +313,22 @@ def test_estimate_d_rows_match_single_spectra():
 
 def test_fit_at_tau_zero_builds_no_laplacian(monkeypatch):
     import latentkrig.factors as factors
+    from latentkrig.simbench import _cv_scores
     frame, *_ = rank_k_frame(50, 16, k=2, seed=23, noise=0.5)
     part = random_partition(16, 2)
-    m1, m2 = gram_matrices(frame, part, 0)
-    laps = [build_laplacian(frame.locations, s) for s in (part.set1, part.set2)]
-    a1, a2, _, _ = factors.solve_loadings(m1, m2, *laps, 0.0)
+    penalized = factors._fit_grid(frame, part, [0.0, 1.0])[0]
+    grams, real_gram = [], factors.gram_matrices
     monkeypatch.setattr(factors, "build_laplacian", None)
+    monkeypatch.setattr(factors, "gram_matrices",
+                        lambda *args: grams.append(1) or real_gram(*args))
     fit = fit_factors(frame, part, tau=0.0)
-    assert fit.A1_hat.tobytes() == a1.tobytes()
-    assert fit.A2_hat.tobytes() == a2.tobytes()
+    assert fit.A1_hat.tobytes() == penalized.A1_hat.tobytes()
+    assert fit.A2_hat.tobytes() == penalized.A2_hat.tobytes()
+    assert grams == [1]
+    grams.clear()
+    # nor does a cross-validation over {0}, with one Gram build per fold
+    _cv_scores(frame, np.array([0.0]), 5, 2, 0, None, "gaussian")
+    assert grams == [1] * 5
 
 
 # ---- subspace distance ----

@@ -215,9 +215,7 @@ def test_select_tau_guards():
 def _cv_scores_per_site(frame, grid, folds, rng_seed, k0, family):
     """Reference fold x tau scores: the full latent field at every tau,
     kriged one held-out site at a time."""
-    from latentkrig import (KernelSpec, assemble_latent, build_laplacian,
-                            gram_matrices, krige_space, random_partition,
-                            solve_loadings)
+    from latentkrig import KernelSpec, fit_factors, krige_space, random_partition
     from latentkrig._util import member_seeds
     p = frame.p
     groups = np.array_split(np.random.default_rng(rng_seed).permutation(p),
@@ -228,13 +226,9 @@ def _cv_scores_per_site(frame, grid, folds, rng_seed, k0, family):
         test_idx = sorted(int(i) for i in grp)
         sub = frame.subframe([i for i in range(p) if i not in test_idx])
         part = random_partition(sub.p, fold_seeds[f])
-        m1, m2 = gram_matrices(sub, part, k0)
-        laps = [build_laplacian(sub.locations, s)
-                for s in (part.set1, part.set2)]
 
         def latent_at(tau):
-            a1, a2, _, _ = solve_loadings(m1, m2, *laps, tau)
-            return assemble_latent(sub, part, a1, a2)
+            return fit_factors(sub, part, tau, k0).xi_hat
 
         kernel = KernelSpec(family, select_bandwidth(
             latent_at(0.0), sub.locations, family=family))
