@@ -28,9 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _util
-from .ensemble import (_member_partitions, aggregate_fit,
-                       ensemble_from_document, fit_members, save_ensemble)
+from .ensemble import (_seeded_members, aggregate_fit, ensemble_from_document,
+                       save_ensemble)
 from .errors import (EXIT_NUMERICAL, EXIT_VALIDATION, LatentKrigError,
                      ParseError, PeriodTooLarge)
 from .factors import _read_document, fit_from_document, save_fit
@@ -93,14 +92,24 @@ def _load_dir(args) -> SpatioTemporalFrame:
 
 
 def _load_for_fit(args) -> SpatioTemporalFrame:
-    """The panel, once --d and --p-star are known to suit it, so a bad
-    flag fails before any cross-validation runs."""
+    """The panel, once --folds, --d and --p-star are known to suit it, so
+    a bad flag fails before any cross-validation runs. A fit splits its
+    sites in two halves, and under --tau-grid each fold fits the panel
+    less a held-out group of up to ceil(p/folds) sites, so --d and
+    --p-star are bounded by half the fewest sites any fit sees."""
     frame = _load_dir(args)
-    if args.d is not None and not 1 <= args.d <= frame.p // 2:
-        raise ParseError(f"--d must be in 1..{frame.p // 2} for p={frame.p}, "
-                         f"got {args.d}")
-    if args.p_star is not None and args.p_star < 2:
-        raise ParseError(f"--p-star must be >= 2, got {args.p_star}")
+    p = width = frame.p
+    where = f"p={p}"
+    if args.tau_grid is not None:
+        if not 2 <= args.folds <= p // 2:
+            raise ParseError(f"--folds must be in 2..{p // 2} for p={p}, "
+                             f"got {args.folds}")
+        width = p - -(-p // args.folds)
+        where += f" with {args.folds}-fold --tau-grid"
+    for flag, value, low in (("--d", args.d, 1), ("--p-star", args.p_star, 2)):
+        if value is not None and not low <= value <= width // 2:
+            raise ParseError(f"{flag} must be in {low}..{width // 2} for "
+                             f"{where}, got {value}")
     return frame
 
 
@@ -164,9 +173,8 @@ def cmd_fit(args) -> int:
         print(f"J={ens.J}")
         print(f"d_hat_mean={_fmt(float(np.mean(ens.d_hats)))}")
     else:
-        parts = _member_partitions(frame.p, _util.member_seeds(args.seed, 1))
-        fit = next(fit_members(frame, parts, tau, k0=args.k0,
-                               p_star=args.p_star, d_override=args.d))
+        fit = next(_seeded_members(frame, 1, args.seed, tau, k0=args.k0,
+                                   p_star=args.p_star, d_override=args.d))
         save_fit(fit, args.out, frame.locations)
         print(f"tau={_fmt(tau)}")
         print(f"d_hat={fit.d_hat}")

@@ -102,6 +102,26 @@ def fit_members(frame: SpatioTemporalFrame, partitions: list[Partition | tuple],
     return _util.ordered_map(one, partitions, workers)
 
 
+def _check_members(J: int, tau: float) -> None:
+    if J < 1:
+        raise ValueError("J must be >= 1")
+    if not 0 <= tau < np.inf:
+        raise ValueError("tau must be finite and >= 0")
+
+
+def _seeded_members(frame: SpatioTemporalFrame, J: int, rng_seed: int,
+                    tau: float, k0: int = 0, p_star: int | None = None,
+                    d_override: int | None = None, workers: int | None = None,
+                    read: Callable[[FactorModelFit], R] = _identity) -> Iterator[R]:
+    """The J members drawn from rng_seed, checked before any is fitted:
+    member j fits the partition of the j-th seed derived from rng_seed,
+    so member 0 is the single fit of that seed."""
+    _check_members(J, tau)
+    partitions = _member_partitions(frame.p, _util.member_seeds(rng_seed, J))
+    return fit_members(frame, partitions, tau, k0=k0, p_star=p_star,
+                       d_override=d_override, workers=workers, read=read)
+
+
 def _first_and_mean(members) -> tuple:
     """Member 0's field, the mean field (a running sum in member order,
     bitwise np.mean of the stack), then each further reading per member."""
@@ -149,10 +169,7 @@ def aggregate_fit(frame: SpatioTemporalFrame, J: int = DEFAULT_J,
     latent-field estimate (each location sits on one side or the other
     of every partition, so counts equal J everywhere).
     """
-    if J < 1:
-        raise ValueError("J must be >= 1")
-    if not 0 <= tau < np.inf:
-        raise ValueError("tau must be finite and >= 0")
+    _check_members(J, tau)
     seeds = _util.member_seeds(rng_seed, J)
     return aggregate_over_partitions(frame, _member_partitions(frame.p, seeds),
                                      tau, k0=k0, p_star=p_star,
@@ -188,10 +205,7 @@ def divide_and_conquer_fit(frame: SpatioTemporalFrame, q: int,
     Each (block, round) member draws its companions from its own seed
     derived from rng_seed, so results are reproducible for any worker count.
     """
-    if J < 1:
-        raise ValueError("J must be >= 1")
-    if not 0 <= tau < np.inf:
-        raise ValueError("tau must be finite and >= 0")
+    _check_members(J, tau)
     p = frame.p
     blocks = assign_blocks(p, q, rng_seed)
     # seeds[0] is reserved; the (block, round) members use seeds[1:]

@@ -33,10 +33,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _util
 from .covariance import _autocovariances
 from .errors import LagTooLarge, NotPositiveDefinite, SingularInnovation
-from .ensemble import _first_and_mean, _member_partitions, fit_members
+from .ensemble import _first_and_mean, _seeded_members
 from .factors import FactorModelFit
 from .stdata import SpatioTemporalFrame
 
@@ -166,11 +165,8 @@ def forecast_ensemble(frame: SpatioTemporalFrame, J: int, j: int | Sequence[int]
     predictions are summed in index order as they arrive, so the result
     is identical for any worker count.
     """
-    if J < 1:
-        raise ValueError("J must be >= 1")
     _forecast_args(frame.n, j, j0, ridge)
-    partitions = _member_partitions(frame.p, _util.member_seeds(rng_seed, J))
-    preds = fit_members(frame, partitions, tau, k0=k0, p_star=p_star,
-                        d_override=d_override, workers=workers,
-                        read=lambda fit: (forecast(frame, fit, j, j0, ridge=ridge),))
+    preds = _seeded_members(frame, J, rng_seed, tau, k0=k0, p_star=p_star,
+                            d_override=d_override, workers=workers,
+                            read=lambda fit: (forecast(frame, fit, j, j0, ridge=ridge),))
     return _first_and_mean(preds)[1]

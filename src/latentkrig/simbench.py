@@ -14,8 +14,10 @@ cross-validation over locations (fit on four fifths, spatially krige
 the held-out fifth, score against the observed panel) and the kernel
 bandwidth by leave-one-location-out reconstruction of the latent field.
 
-run_table drives the full pipeline over replicated settings and writes
-CSV/JSON artifacts with per-setting means and spread.
+run_table drives the full pipeline over replicated settings: it
+simulates each replicate and cross-validates its tau once, hands both to
+the table's replicate function, and writes CSV/JSON artifacts with
+per-setting means and spread.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from . import _util
 from .errors import EmptyKernelWindow, TooFewLocations
 from .factors import _fit_grid, fit_factors, subspace_distance
-from .ensemble import _first_and_mean, _member_partitions, fit_members
+from .ensemble import _first_and_mean, _seeded_members
 from .forecast import forecast
 from .kriging import KernelSpec, _raw_kernel, kernel_weights, krige_space
 from .stdata import (LocationSet, SpatioTemporalFrame, _write_csv,
@@ -45,7 +47,6 @@ DEFAULT_BURNIN = 500
 BANDWIDTH_GRID_SIZE = 30
 DEFAULT_HOLDOUT_SITES = 50
 DEFAULT_SETTINGS = tuple((n, p) for n in (80, 160, 320) for p in (50, 100, 200))
-TABLE_IDS = ("mse_table1", "kriging_table2", "fig1_distance", "fig2_mse")
 
 
 @dataclass(frozen=True)
@@ -329,70 +330,41 @@ class MetricReport:
     subspace_distances: tuple[float, float] | None = None
 
 
-def _replicate_mse_table1(setting, rep, sim_seed, pipe_seed, J, j0,
-                          tau_grid) -> list[MetricReport]:
-    n, p = setting
-    draw = simulate(SimConfig(n=n, p=p, seed=sim_seed))
-    cv_seed, part_seed = _util.member_seeds(pipe_seed, 2)
-    tau_cv = select_tau(draw.frame, grid=tau_grid, rng_seed=cv_seed)
-    part = random_partition(p, part_seed)
-    fit_cv = fit_factors(draw.frame, part, tau_cv)
-    fit_zero = fit_factors(draw.frame, part, 0.0)
-    return [
-        MetricReport(n=n, p=p, replicate=rep, tau=tau_cv, variant="tau_cv",
-                     mse_xi_hat=mse_xi(fit_cv.xi_hat, draw.xi),
-                     d_hat_mean=float(fit_cv.d_hat)),
-        MetricReport(n=n, p=p, replicate=rep, tau=0.0, variant="tau_zero",
-                     mse_xi_hat=mse_xi(fit_zero.xi_hat, draw.xi),
-                     d_hat_mean=float(fit_zero.d_hat)),
-    ]
+# Each replicate function gets the simulated draw, its cross-validated tau
+# and the seed its fits draw from, and returns its report rows as dicts.
+
+def _replicate_mse_table1(draw, tau_cv, seed, J, j0) -> list[dict]:
+    # both variants fit one partition, so one Gram build serves both
+    fits = _fit_grid(draw.frame, random_partition(draw.frame.p, seed),
+                     [tau_cv, 0.0])
+    return [dict(tau=fit.tau, variant=variant, d_hat_mean=float(fit.d_hat),
+                 mse_xi_hat=mse_xi(fit.xi_hat, draw.xi))
+            for variant, fit in zip(("tau_cv", "tau_zero"), fits)]
 
 
-def _replicate_fig2(setting, rep, sim_seed, pipe_seed, J, j0,
-                    tau_grid) -> list[MetricReport]:
-    n, p = setting
-    draw = simulate(SimConfig(n=n, p=p, seed=sim_seed))
-    cv_seed, members_seed = _util.member_seeds(pipe_seed, 2)
-    tau_cv = select_tau(draw.frame, grid=tau_grid, rng_seed=cv_seed)
-    partitions = _member_partitions(p, _util.member_seeds(members_seed, J))
-    xi_hat, xi_tilde, d_hats = _first_and_mean(fit_members(
-        draw.frame, partitions, tau_cv, workers=1,
+def _replicate_fig2(draw, tau_cv, seed, J, j0) -> list[dict]:
+    xi_hat, xi_tilde, d_hats = _first_and_mean(_seeded_members(
+        draw.frame, J, seed, tau_cv, workers=1,
         read=lambda fit: (fit.xi_hat, fit.d_hat)))
-    return [MetricReport(
-        n=n, p=p, replicate=rep, tau=tau_cv,
-        mse_xi_hat=mse_xi(xi_hat, draw.xi),
-        mse_xi_tilde=mse_xi(xi_tilde, draw.xi),
-        d_hat_mean=float(np.mean(d_hats)))]
+    return [dict(tau=tau_cv, mse_xi_hat=mse_xi(xi_hat, draw.xi),
+                 mse_xi_tilde=mse_xi(xi_tilde, draw.xi),
+                 d_hat_mean=float(np.mean(d_hats)))]
 
 
-def _replicate_fig1(setting, rep, sim_seed, pipe_seed, J, j0,
-                    tau_grid) -> list[MetricReport]:
-    n, p = setting
-    draw = simulate(SimConfig(n=n, p=p, seed=sim_seed))
-    cv_seed, part_seed = _util.member_seeds(pipe_seed, 2)
-    tau_cv = select_tau(draw.frame, grid=tau_grid, rng_seed=cv_seed)
-    fit = fit_factors(draw.frame, random_partition(p, part_seed), tau_cv)
+def _replicate_fig1(draw, tau_cv, seed, J, j0) -> list[dict]:
+    fit = fit_factors(draw.frame, random_partition(draw.frame.p, seed), tau_cv)
     d1 = subspace_distance(fit.A1_hat, draw.loadings[list(fit.partition.set1)])
     d2 = subspace_distance(fit.A2_hat, draw.loadings[list(fit.partition.set2)])
-    return [MetricReport(n=n, p=p, replicate=rep, tau=tau_cv,
-                         d_hat_mean=float(fit.d_hat),
-                         subspace_distances=(d1, d2))]
+    return [dict(tau=tau_cv, d_hat_mean=float(fit.d_hat),
+                 subspace_distances=(d1, d2))]
 
 
-def _replicate_table2(setting, rep, sim_seed, pipe_seed, J, j0,
-                      tau_grid) -> list[MetricReport]:
-    n, p = setting
-    horizons = (1, 2)
-    draw = simulate(SimConfig(n=n, p=p, seed=sim_seed,
-                              n_future=len(horizons),
-                              holdout_sites=DEFAULT_HOLDOUT_SITES))
-    frame = draw.frame
-    cv_seed, members_seed = _util.member_seeds(pipe_seed, 2)
-    tau_cv = select_tau(frame, grid=tau_grid, rng_seed=cv_seed)
-    partitions = _member_partitions(p, _util.member_seeds(members_seed, J))
+def _replicate_table2(draw, tau_cv, seed, J, j0) -> list[dict]:
+    frame, n = draw.frame, draw.frame.n
+    horizons = tuple(range(1, draw.config.n_future + 1))
     # a member's n latent rows with its forecast rows stacked below them
-    first, mean, d_hats = _first_and_mean(fit_members(
-        frame, partitions, tau_cv, workers=1, read=lambda fit: (np.vstack(
+    first, mean, d_hats = _first_and_mean(_seeded_members(
+        frame, J, seed, tau_cv, workers=1, read=lambda fit: (np.vstack(
             [fit.xi_hat, forecast(frame, fit, horizons, j0)]), fit.d_hat)))
     space, time = [], []
     for rows in (first, mean):  # member 0, then the aggregate
@@ -403,19 +375,20 @@ def _replicate_table2(setting, rep, sim_seed, pipe_seed, J, j0,
         space.append(mspe_space(pred, draw.holdout_y))
         time.append(tuple(_mean_sq(rows[n + k], draw.future_y[ell - 1], "mspe_time")
                           for k, ell in enumerate(horizons)))
-    return [MetricReport(
-        n=n, p=p, replicate=rep, tau=tau_cv,
-        mspe_space_hat=space[0], mspe_space_tilde=space[1],
-        mspe_time=time[0], mspe_time_tilde=time[1],
-        d_hat_mean=float(d_hats[0]))]
+    return [dict(tau=tau_cv, mspe_space_hat=space[0], mspe_space_tilde=space[1],
+                 mspe_time=time[0], mspe_time_tilde=time[1],
+                 d_hat_mean=float(d_hats[0]))]
 
 
-_REPLICATE_FNS = {
-    "mse_table1": _replicate_mse_table1,
-    "kriging_table2": _replicate_table2,
-    "fig1_distance": _replicate_fig1,
-    "fig2_mse": _replicate_fig2,
+# table id -> (replicate function, the SimConfig extras of its draws)
+_TABLES = {
+    "mse_table1": (_replicate_mse_table1, {}),
+    "kriging_table2": (_replicate_table2,
+                       {"n_future": 2, "holdout_sites": DEFAULT_HOLDOUT_SITES}),
+    "fig1_distance": (_replicate_fig1, {}),
+    "fig2_mse": (_replicate_fig2, {}),
 }
+TABLE_IDS = tuple(_TABLES)
 
 _SCALAR_METRICS = ("mse_xi_hat", "mse_xi_tilde", "mspe_space_hat",
                    "mspe_space_tilde", "d_hat_mean")
@@ -491,7 +464,7 @@ def run_table(table_id: str, replicates: int, seed: int,
     artifacts (CSV of per-replicate rows, JSON summary) are written when
     out_dir is given. Returns (reports, summary).
     """
-    if table_id not in _REPLICATE_FNS:
+    if table_id not in _TABLES:
         raise ValueError(f"unknown table id {table_id!r}; "
                          f"choose from {', '.join(TABLE_IDS)}")
     if replicates < 3:
@@ -501,7 +474,7 @@ def run_table(table_id: str, replicates: int, seed: int,
     settings = [(int(n), int(p)) for n, p in
                 (DEFAULT_SETTINGS if settings is None else settings)]
     J = max(1, round(100 * scale_factor))
-    fn = _REPLICATE_FNS[table_id]
+    fn, extra = _TABLES[table_id]
     setting_seeds = _util.member_seeds(seed, len(settings))
     tasks = []
     for si, setting in enumerate(settings):
@@ -511,8 +484,12 @@ def run_table(table_id: str, replicates: int, seed: int,
             tasks.append((setting, rep, sim_seed, pipe_seed))
 
     def one(task) -> list[MetricReport]:
-        setting, rep, sim_seed, pipe_seed = task
-        return fn(setting, rep, sim_seed, pipe_seed, J, j0, tau_grid)
+        (n, p), rep, sim_seed, pipe_seed = task
+        draw = simulate(SimConfig(n, p, sim_seed, **extra))
+        cv_seed, fit_seed = _util.member_seeds(pipe_seed, 2)
+        tau_cv = select_tau(draw.frame, grid=tau_grid, rng_seed=cv_seed)
+        return [MetricReport(n=n, p=p, replicate=rep, **row)
+                for row in fn(draw, tau_cv, fit_seed, J, j0)]
 
     reports = [r for batch in _util.ordered_map(one, tasks, workers)
                for r in batch]

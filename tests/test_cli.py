@@ -297,13 +297,20 @@ def _no_cv(*args, **kwargs):
     (["forecast", "--j", "1", "--j0", "-1"], "j0 must be"),
     (["forecast", "--j", "100"], "j + j0 = 106"),
     (["forecast", "--j", "1", "--ridge", "nan"], "ridge must be"),
-    (["forecast", "--j", "1", "--d", "9"], "--d must be in 1..8"),
-    (["forecast", "--j", "1", "--p-star", "1"], "--p-star must be >= 2"),
-    (["fit", "--p-star", "1"], "--p-star must be >= 2"),
-    (["fit", "--d", "0"], "--d must be in 1..8"),
-    (["fit", "--ensemble", "2", "--d", "9"], "--d must be in 1..8"),
+    # p = 16 under 5-fold --tau-grid: a fold fits 12 sites, so 6 per side
+    (["forecast", "--j", "1", "--d", "9"], "--d must be in 1..6"),
+    (["forecast", "--j", "1", "--p-star", "1"], "--p-star must be in 2..6"),
+    (["fit", "--p-star", "1"], "--p-star must be in 2..6"),
+    (["fit", "--d", "0"], "--d must be in 1..6"),
+    (["fit", "--ensemble", "2", "--d", "9"], "--d must be in 1..6"),
+    (["fit", "--d", "7"], "--d must be in 1..6"),
+    (["forecast", "--j", "1", "--p-star", "7"], "--p-star must be in 2..6"),
+    (["fit", "--folds", "1"], "--folds must be in 2..8"),
+    (["fit", "--folds", "9"], "--folds must be in 2..8"),
 ], ids=["forecast-j0", "forecast-j", "forecast-ridge", "forecast-d",
-        "forecast-p-star", "fit-p-star", "fit-d", "fit-ensemble-d"])
+        "forecast-p-star", "fit-p-star", "fit-d", "fit-ensemble-d",
+        "fit-d-over-fold", "forecast-p-star-over-fold", "fit-folds-1",
+        "fit-folds-9"])
 def test_bad_estimator_flag_exits_2_before_cv(data_dir, tmp_path, capsys,
                                               monkeypatch, argv, named):
     monkeypatch.setattr(cli, "select_tau", _no_cv)
@@ -315,6 +322,20 @@ def test_bad_estimator_flag_exits_2_before_cv(data_dir, tmp_path, capsys,
     assert err.startswith(f"error: {argv[0]}: ") and err.count("\n") == 1
     assert named in err
     assert not out.exists()
+
+
+def test_d_bound_follows_the_folds(data_dir, tmp_path, capsys):
+    # p = 16: a single fit takes --d up to 8, a 5-fold CV up to 6
+    out = tmp_path / "out"
+    code, stdout, _ = run(capsys, "fit", str(data_dir), "--tau-grid", "0,1",
+                          "--d", "6", "--seed", "1", "--out", str(out))
+    assert code == 0 and "d_hat=6" in stdout.splitlines()
+    code, stdout, err = run(capsys, "fit", str(data_dir), "--p-star", "9",
+                            "--seed", "1", "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert "--p-star must be in 2..8 for p=16, got 9" in err
+    assert run(capsys, "fit", str(data_dir), "--d", "8", "--seed", "1",
+               "--out", str(out))[0] == 0
 
 
 def test_tau_grid_cross_validates_with_the_fits_p_star(tmp_path, capsys):

@@ -21,6 +21,7 @@ from latentkrig import (
     save_ensemble,
     simulate,
 )
+from latentkrig import ensemble
 from latentkrig._util import member_seeds
 from latentkrig.ensemble import _first_and_mean, ensemble_to_document
 from latentkrig.factors import fit_to_document
@@ -171,6 +172,24 @@ def test_aggregate_fit_guards():
         aggregate_fit(frame, J=0)
     with pytest.raises(ValueError):
         aggregate_over_partitions(frame, [], tau=0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda frame: aggregate_fit(frame, J=0),
+    lambda frame: aggregate_fit(frame, J=2, tau=float("nan")),
+    lambda frame: forecast_ensemble(frame, 0, 1, 0),
+    lambda frame: forecast_ensemble(frame, 2, 1, 0, tau=float("nan")),
+    lambda frame: forecast_ensemble(frame, 2, 1, 0, tau=-1.0),
+], ids=["aggregate-J", "aggregate-tau", "forecast-J", "forecast-tau-nan",
+        "forecast-tau-negative"])
+def test_seeded_ensembles_check_before_fitting(monkeypatch, call):
+    frame, *_ = rank_k_frame(30, 8, k=1, seed=25, noise=0.2)
+    calls = []
+    monkeypatch.setattr(ensemble, "fit_factors", lambda *a, **k:
+                        calls.append(1) or fit_factors(*a, **k))
+    with pytest.raises(ValueError):
+        call(frame)
+    assert calls == []
 
 
 # ---- tau ----

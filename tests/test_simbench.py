@@ -4,17 +4,25 @@ import numpy as np
 import pytest
 
 from latentkrig import (
+    KernelSpec,
     LocationSet,
     SimConfig,
     SpatioTemporalFrame,
+    aggregate_fit,
+    fit_factors,
+    forecast_ensemble,
+    krige_space,
     mse_xi,
     mspe_space,
+    random_partition,
     select_bandwidth,
     select_tau,
     simulate,
     simulate_factors,
     snr_estimate,
+    subspace_distance,
 )
+from latentkrig._util import member_seeds
 from latentkrig.simbench import (
     FACTOR_STATIONARY_VARS,
     default_tau_grid,
@@ -377,6 +385,65 @@ def test_run_table_mse_variants(tmp_path):
         assert block["metrics"]["mse_xi_hat"]["count"] == 3
     zero_rows = [r for r in reports if r.variant == "tau_zero"]
     assert all(r.tau == 0.0 for r in zero_rows)
+
+
+def _table_oracle(table, draw, tau, fit_seed, J):
+    """One replicate's report fields from the public calls: the documented
+    pipeline each table is meant to run."""
+    frame, truth = draw.frame, draw.xi
+    if table == "mse_table1":
+        part = random_partition(frame.p, fit_seed)
+        fits = [fit_factors(frame, part, t) for t in (tau, 0.0)]
+        return [dict(variant=v, tau=t, mse_xi_hat=mse_xi(fit.xi_hat, truth),
+                     d_hat_mean=float(fit.d_hat))
+                for v, t, fit in zip(("tau_cv", "tau_zero"), (tau, 0.0), fits)]
+    if table == "fig1_distance":
+        fit = fit_factors(frame, random_partition(frame.p, fit_seed), tau)
+        dists = tuple(subspace_distance(a, draw.loadings[list(s)])
+                      for a, s in ((fit.A1_hat, fit.partition.set1),
+                                   (fit.A2_hat, fit.partition.set2)))
+        return [dict(tau=tau, d_hat_mean=float(fit.d_hat),
+                     subspace_distances=dists)]
+    # member 0 is the one-member ensemble of the same seed
+    one, ens = (aggregate_fit(frame, j, tau, rng_seed=fit_seed) for j in (1, J))
+    if table == "fig2_mse":
+        return [dict(tau=tau, mse_xi_hat=mse_xi(one.xi_tilde, truth),
+                     mse_xi_tilde=mse_xi(ens.xi_tilde, truth),
+                     d_hat_mean=float(np.mean(ens.d_hats)))]
+    row = dict(tau=tau, d_hat_mean=float(ens.d_hats[0]))
+    for j, latent, space, time in ((1, one.xi_tilde, "mspe_space_hat", "mspe_time"),
+                                   (J, ens.xi_tilde, "mspe_space_tilde",
+                                    "mspe_time_tilde")):
+        kernel = KernelSpec("gaussian", select_bandwidth(latent, frame.locations))
+        row[space] = mspe_space(krige_space(
+            latent, frame.locations, draw.holdout_locations.coords, kernel),
+            draw.holdout_y)
+        preds = forecast_ensemble(frame, j, [1, 2], 6, tau, rng_seed=fit_seed)
+        row[time] = tuple(float(np.mean((pred - future) ** 2))
+                          for pred, future in zip(preds, draw.future_y))
+    return [row]
+
+
+@pytest.mark.parametrize("table", ["mse_table1", "fig1_distance", "fig2_mse",
+                                   "kriging_table2"])
+def test_run_table_is_the_library_pipeline(table):
+    # each replicate simulates from sim_seed, cross-validates tau from
+    # cv_seed and fits from fit_seed, all derived from the table seed
+    (n, p), seed, replicates = (80, 50), 13, 3
+    reports, _ = run_table(table, replicates, seed, scale_factor=0.05,
+                           settings=[(n, p)], workers=1)
+    extra = (dict(n_future=2, holdout_sites=50) if table == "kriging_table2"
+             else {})
+    rep_seeds = member_seeds(member_seeds(seed, 1)[0], replicates)
+    want = []
+    for rep, rep_seed in enumerate(rep_seeds):
+        sim_seed, pipe_seed = member_seeds(rep_seed, 2)
+        cv_seed, fit_seed = member_seeds(pipe_seed, 2)
+        draw = simulate(SimConfig(n, p, sim_seed, **extra))
+        tau = select_tau(draw.frame, rng_seed=cv_seed)
+        want += [MetricReport(n=n, p=p, replicate=rep, **row)
+                 for row in _table_oracle(table, draw, tau, fit_seed, J=5)]
+    assert reports == want
 
 
 def test_summarize_reports_means():
