@@ -3,9 +3,10 @@
 Subcommands bind the library end to end: simulate writes a synthetic
 panel as CSV, fit estimates the latent structure (single split or
 aggregated) into a JSON model document, krige-space and forecast read
-artifacts back and emit predictions, impute fills missing cells, cv
-tunes the roughness weight, bench drives the experiment harness, and
-deseason removes a periodic component from an observation table.
+artifacts back and emit predictions, impute fills missing cells, bench
+drives the experiment harness, and deseason removes a periodic component
+from an observation table. fit and forecast tune the roughness weight
+by cross-validation under --tau-grid.
 
 A single split is member 0 of the ensemble drawn from --seed, so fit
 and fit --ensemble 1 fit the same partition, and forecast is
@@ -265,21 +266,6 @@ def cmd_impute(args) -> int:
     return 0
 
 
-def cmd_cv(args) -> int:
-    frame = _load_dir(args)
-    print(f"seed={args.seed}")
-    grid = _parse_grid(args.tau_grid) if args.tau_grid is not None else None
-    tau = select_tau(frame, grid=grid, folds=args.folds, rng_seed=args.seed,
-                     k0=args.k0, family=args.kernel)
-    print(f"tau={_fmt(tau)}")
-    if args.out:
-        Path(args.out).write_text(
-            json.dumps({"tau": tau, "seed": args.seed, "folds": args.folds})
-            + "\n", encoding="utf-8")
-        print(f"wrote {args.out}")
-    return 0
-
-
 def cmd_bench(args) -> int:
     settings = None
     if args.n is not None or args.p is not None:
@@ -424,18 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_metric(p)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_impute)
-
-    p = sub.add_parser("cv", help="cross-validate the roughness weight tau")
-    p.add_argument("data")
-    _add_metric(p)
-    p.add_argument("--tau-grid", default=None,
-                   help="grid spec (default 0:10:101)")
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--k0", type=int, default=0)
-    _add_kernel(p)
-    _add_seed(p)
-    p.add_argument("--out", default=None, help="optional JSON result path")
-    p.set_defaults(func=cmd_cv)
 
     p = sub.add_parser("bench", help="run a benchmark experiment")
     p.add_argument("--table", required=True, choices=TABLE_IDS)

@@ -66,33 +66,6 @@ def _check_lags(frame: SpatioTemporalFrame, partition: Partition, k0: int) -> No
         raise ValueError("partition does not match frame width")
 
 
-def cross_covariance(frame: SpatioTemporalFrame, partition: Partition) -> np.ndarray:
-    """Lag-0 cross-set covariance C_0[S1, S2], a (p1, p2) matrix with divisor n."""
-    _check_lags(frame, partition, 0)
-    return _lag(frame, 0)[np.ix_(partition.set1, partition.set2)]
-
-
-def lagged_covariances(frame: SpatioTemporalFrame, partition: Partition,
-                       k0: int) -> list[tuple[np.ndarray, ...]]:
-    """Auto- and cross-set blocks for lags 1..k0.
-
-    Returns one tuple (auto1, auto2, cross_lead, cross_lag) per lag j in
-    1..k0: the set-1 autocovariance at lag j, the set-2 autocovariance
-    at lag j, the cross-set covariance at lag j, and the cross-set
-    covariance at lag -j. All use full-sample means and divisor n, and
-    all are blocks of C_j: C_j[S1, S1], C_j[S2, S2], C_j[S1, S2] and
-    C_j[S2, S1]'.
-    """
-    if int(k0) != k0 or k0 < 1:
-        raise ValueError("k0 must be an integer >= 1 (lags start at 1)")
-    k0 = int(k0)
-    _check_lags(frame, partition, k0)
-    s1, s2 = partition.set1, partition.set2
-    return [(c[np.ix_(s1, s1)], c[np.ix_(s2, s2)], c[np.ix_(s1, s2)],
-             c[np.ix_(s2, s1)].T)
-            for c in (_lag(frame, j) for j in range(1, k0 + 1))]
-
-
 def masked_pairwise(obs: np.ndarray, missing: np.ndarray, rows, cols) -> np.ndarray:
     """Covariance block of obs columns rows x cols tolerating missing cells.
 

@@ -9,7 +9,7 @@ conquer fits each block of q sites J times against q companions sampled
 from its complement and keeps only the block's own estimates, so no
 eigenanalysis ever exceeds 2q x 2q.
 
-One engine, ``fit_members``, fits every member (a Partition of all the
+One engine, ``_fit_members``, fits every member (a Partition of all the
 sites, or a (sites, Partition) pair fitted on those sites' subframe),
 and one in-order reducer, ``_first_and_mean``, averages the members.
 Members of one frame share its panel statistics: the centered panel,
@@ -21,7 +21,6 @@ subframe member builds its own, so it is bitwise a fit of the subframe.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -32,7 +31,7 @@ import numpy as np
 from . import _util
 from .errors import BlockTooLarge
 from .factors import (FactorModelFit, _matrix_doc, _matrix_from_doc,
-                      _read_document, fit_factors)
+                      _read_document, _write_document, fit_factors)
 from .stdata import (LocationSet, Partition, SpatioTemporalFrame,
                      locations_from_doc, locations_to_doc, random_partition)
 
@@ -79,10 +78,11 @@ def _identity(fit: FactorModelFit) -> FactorModelFit:
     return fit
 
 
-def fit_members(frame: SpatioTemporalFrame, partitions: list[Partition | tuple],
-                tau: float, k0: int = 0, p_star: int | None = None,
-                d_override: int | None = None, workers: int | None = None,
-                read: Callable[[FactorModelFit], R] = _identity) -> Iterator[R]:
+def _fit_members(frame: SpatioTemporalFrame,
+                 partitions: list[Partition | tuple], tau: float, k0: int = 0,
+                 p_star: int | None = None, d_override: int | None = None,
+                 workers: int | None = None,
+                 read: Callable[[FactorModelFit], R] = _identity) -> Iterator[R]:
     """Fit one factor model per member, yielding in member order.
 
     A member is a Partition of all the frame's sites, or a (sites,
@@ -118,8 +118,8 @@ def _seeded_members(frame: SpatioTemporalFrame, J: int, rng_seed: int,
     so member 0 is the single fit of that seed."""
     _check_members(J, tau)
     partitions = _member_partitions(frame.p, _util.member_seeds(rng_seed, J))
-    return fit_members(frame, partitions, tau, k0=k0, p_star=p_star,
-                       d_override=d_override, workers=workers, read=read)
+    return _fit_members(frame, partitions, tau, k0=k0, p_star=p_star,
+                        d_override=d_override, workers=workers, read=read)
 
 
 def _first_and_mean(members) -> tuple:
@@ -149,7 +149,7 @@ def aggregate_over_partitions(frame: SpatioTemporalFrame,
     """
     if not partitions:
         raise ValueError("need at least one partition")
-    _, xi_tilde, d_hats = _first_and_mean(fit_members(
+    _, xi_tilde, d_hats = _first_and_mean(_fit_members(
         frame, partitions, tau, k0=k0, p_star=p_star, d_override=d_override,
         workers=workers, read=lambda fit: (fit.xi_hat, fit.d_hat)))
     j = len(partitions)
@@ -219,10 +219,10 @@ def divide_and_conquer_fit(frame: SpatioTemporalFrame, q: int,
         for seed in seeds[1 + b * J:1 + (b + 1) * J]:
             companions = np.random.default_rng(seed).choice(complement, q, replace=False)
             members.append((list(block) + sorted(companions.tolist()), part))
-    fits = fit_members(frame, members, tau, k0=k0, p_star=p_star,
-                       d_override=d_override, workers=workers,
-                       read=lambda fit: (fit.xi_hat[:, :len(fit.partition.set1)],
-                                         fit.d_hat))
+    fits = _fit_members(frame, members, tau, k0=k0, p_star=p_star,
+                        d_override=d_override, workers=workers,
+                        read=lambda fit: (fit.xi_hat[:, :len(fit.partition.set1)],
+                                          fit.d_hat))
     xi_tilde = np.empty((frame.n, p))
     counts = np.zeros(p, dtype=np.int64)
     d_hats = []
@@ -270,8 +270,7 @@ def ensemble_from_document(doc: dict) -> tuple[EnsembleFit, LocationSet | None]:
 
 def save_ensemble(ens: EnsembleFit, path: str | Path,
                   locations: LocationSet | None = None) -> None:
-    Path(path).write_text(json.dumps(ensemble_to_document(ens, locations)) + "\n",
-                          encoding="utf-8")
+    _write_document(path, ensemble_to_document(ens, locations))
 
 
 def load_ensemble(path: str | Path) -> tuple[EnsembleFit, LocationSet | None]:

@@ -42,14 +42,6 @@ _EIG_FLOOR = 1e-300
 _EIGH_STACK = 16  # matrices per stacked eigh; keeps peak memory flat
 
 
-@dataclass
-class GraphLaplacian:
-    """Weights w_ij = 1/(1 + dist) and L = diag(rowsum W) - W."""
-
-    W: np.ndarray
-    L: np.ndarray
-
-
 def _site_weights(locations: LocationSet) -> np.ndarray:
     """w_ij = 1/(1 + dist) between all sites, zero diagonal, built once per
     LocationSet."""
@@ -60,16 +52,16 @@ def _site_weights(locations: LocationSet) -> np.ndarray:
     return locations._memo.get("laplacian_weights", build)
 
 
-def build_laplacian(locations: LocationSet, subset) -> GraphLaplacian:
-    """Graph Laplacian of the sites ``subset`` under the set's metric,
-    sliced from weights shared by every subset of the same set."""
+def build_laplacian(locations: LocationSet, subset) -> np.ndarray:
+    """Graph Laplacian L = diag(rowsum W) - W of the sites ``subset``, with
+    W their weights sliced from those shared by every subset of the set."""
     idx = list(subset)
     if not idx:
         raise TooFewLocations("laplacian needs a nonempty subset")
     w = _site_weights(locations)[np.ix_(idx, idx)]
     lap = -w
     np.fill_diagonal(lap, w.sum(axis=1))
-    return GraphLaplacian(W=w, L=lap)
+    return lap
 
 
 def _laplacian_matrix(penalty, dim: int, taus: np.ndarray) -> np.ndarray:
@@ -77,7 +69,7 @@ def _laplacian_matrix(penalty, dim: int, taus: np.ndarray) -> np.ndarray:
         if np.any(taus != 0.0):
             raise ValueError("tau > 0 requires a Laplacian")
         return np.zeros((dim, dim))
-    mat = penalty.L if isinstance(penalty, GraphLaplacian) else np.asarray(penalty, float)
+    mat = np.asarray(penalty, float)
     if mat.shape != (dim, dim):
         raise ValueError("Laplacian shape disagrees with M")
     return mat
@@ -370,8 +362,12 @@ def fit_from_document(doc: dict) -> tuple[FactorModelFit, LocationSet | None]:
 
 
 def save_fit(fit: FactorModelFit, path, locations: LocationSet | None = None) -> None:
-    doc = fit_to_document(fit, locations)
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    _write_document(path, fit_to_document(fit, locations))
+
+
+def _write_document(path, doc: dict) -> None:
+    """Compact JSON plus a newline, UTF-8: the one writer of model documents."""
+    Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
 
 
 def _read_document(path, build):

@@ -115,13 +115,14 @@ def impute_missing(frame: SpatioTemporalFrame) -> SpatioTemporalFrame:
     identities (a duplicated column predicts its twin exactly) intact.
     One pass: predictors never feed on previously filled cells. Observed
     cells are returned bit-identical; provenance on ``filled_cells``. One
-    INFO log record counts cells, groups, floored and non-PSD groups.
+    INFO log record counts cells, groups, floored and non-PSD groups, and
+    one WARNING, only if some group is non-PSD, counts those and their cells.
     """
     if frame.is_complete:
         return frame
     obs = np.array(frame.obs)
     filled: list[tuple[int, str]] = []
-    groups = floored = non_psd = 0
+    groups = floored = non_psd = non_psd_cells = 0
     for i in range(frame.p):
         miss_t = np.nonzero(frame.missing[:, i])[0]
         if miss_t.size == 0:
@@ -144,16 +145,17 @@ def impute_missing(frame: SpatioTemporalFrame) -> SpatioTemporalFrame:
                 floored += 1
                 if evals[0] <= 1e-12 * max(evals[-1], 0.0):
                     non_psd += 1
-                    for t in ts:
-                        logger.warning("non-PSD available-covariance at t=%d, "
-                                       "id=%s; spectrum floored at %.3e",
-                                       t, frame.locations.ids[i], floor)
+                    non_psd_cells += len(ts)
                 gain = evecs @ ((evecs.T @ c) / np.maximum(evals, floor))
             else:
                 gain = np.linalg.solve(v, c)
             obs[ts, i] = frame.obs[np.ix_(ts, avail)] @ gain
         groups += len(by_row)
         filled.extend((int(t), frame.locations.ids[i]) for t in miss_t)
+    if non_psd:
+        logger.warning("non-PSD available-covariance in %d availability "
+                       "groups (%d cells); spectra floored", non_psd,
+                       non_psd_cells)
     logger.info("imputed %d cells in %d availability groups; floored %d, "
                 "non-PSD %d", len(filled), groups, floored, non_psd)
     return SpatioTemporalFrame(locations=frame.locations, obs=obs,

@@ -148,24 +148,6 @@ def simulate(config: SimConfig) -> SimulationDraw:
     return draw
 
 
-def snr_estimate(mc_points: int = 100_000, rng_seed: int = 0) -> float:
-    """Signal-to-noise ratio of the generator by Monte Carlo integration.
-
-    Root of the latent variance integrated over the unit square, against
-    the unit nugget standard deviation: sqrt of the site-average of
-    sum_j a_j(s)^2 Var(x_j) over uniform draws on [-1, 1]^2. Averaging
-    the variance before the root (not pointwise standard deviations)
-    is what reproduces the documented value near 0.72; the pointwise
-    form lands near 0.65 instead.
-    """
-    if mc_points < 1:
-        raise ValueError("mc_points must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    u = rng.uniform(-1.0, 1.0, size=(mc_points, 2))
-    var_xi = loading_values(u) ** 2 @ np.asarray(FACTOR_STATIONARY_VARS)
-    return float(np.sqrt(np.mean(var_xi)))
-
-
 def _mean_sq(a, b, what: str) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

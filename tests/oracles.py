@@ -7,10 +7,11 @@ partitioned inverse, the two Schur-complement routes and the dense
 Toeplitz matrix live here, as references for criterion 1 and the
 forecast unit tests. The dense best-linear-predictor route for spatial
 kriging, the general best linear predictor, the p x p lagged
-autocovariances, the one-tau penalized eigensolve, the Gram matrices
-built block by block from each partition's own half-panel covariances,
-and the enumeration of every split of a small panel are references of
-the same kind.
+autocovariances, a partition's cross-set and lagged covariance blocks,
+the one-tau penalized eigensolve, the Gram matrices built block by block
+from each partition's own half-panel covariances, the generator's
+signal-to-noise integral and the enumeration of every split of a small
+panel are references of the same kind.
 """
 
 from itertools import combinations
@@ -18,11 +19,12 @@ from itertools import combinations
 import numpy as np
 
 from latentkrig import Partition, SpatioTemporalFrame, krige_space
-from latentkrig.covariance import _autocovariances
+from latentkrig.covariance import _autocovariances, _check_lags, _lag
 from latentkrig.errors import (NotPositiveDefinite, NotSymmetric,
                                NumericalError)
 from latentkrig.factors import _eig_desc, _top_vectors
 from latentkrig.forecast import _REL_SINGULAR
+from latentkrig.simbench import FACTOR_STATIONARY_VARS, loading_values
 
 _DUAL_ROUTE_MAX_P = 200
 
@@ -115,6 +117,33 @@ def lagged_auto_covariance(frame: SpatioTemporalFrame, cols,
     return _autocovariances(frame, cols, max_lag)
 
 
+def cross_covariance(frame: SpatioTemporalFrame, partition: Partition) -> np.ndarray:
+    """Lag-0 cross-set covariance C_0[S1, S2], a (p1, p2) matrix with divisor n."""
+    _check_lags(frame, partition, 0)
+    return _lag(frame, 0)[np.ix_(partition.set1, partition.set2)]
+
+
+def lagged_covariances(frame: SpatioTemporalFrame, partition: Partition,
+                       k0: int) -> list[tuple[np.ndarray, ...]]:
+    """Auto- and cross-set blocks for lags 1..k0.
+
+    Returns one tuple (auto1, auto2, cross_lead, cross_lag) per lag j in
+    1..k0: the set-1 autocovariance at lag j, the set-2 autocovariance
+    at lag j, the cross-set covariance at lag j, and the cross-set
+    covariance at lag -j. All use full-sample means and divisor n, and
+    all are blocks of C_j: C_j[S1, S1], C_j[S2, S2], C_j[S1, S2] and
+    C_j[S2, S1]'.
+    """
+    if int(k0) != k0 or k0 < 1:
+        raise ValueError("k0 must be an integer >= 1 (lags start at 1)")
+    k0 = int(k0)
+    _check_lags(frame, partition, k0)
+    s1, s2 = partition.set1, partition.set2
+    return [(c[np.ix_(s1, s1)], c[np.ix_(s2, s2)], c[np.ix_(s1, s2)],
+             c[np.ix_(s2, s1)].T)
+            for c in (_lag(frame, j) for j in range(1, k0 + 1))]
+
+
 def blockwise_gram_matrices(frame: SpatioTemporalFrame, partition: Partition,
                             k0: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """gram_matrices from the blocks of each lag, every block formed from
@@ -152,6 +181,24 @@ def penalized_eigvecs(M: np.ndarray, penalty, tau: float,
         raise ValueError("d out of range")
     (evals,), evecs, order = next(_eig_desc(M, penalty, [tau]))
     return _top_vectors(evecs, order, int(d))[0], evals
+
+
+def snr_estimate(mc_points: int = 100_000, rng_seed: int = 0) -> float:
+    """Signal-to-noise ratio of the generator by Monte Carlo integration.
+
+    Root of the latent variance integrated over the unit square, against
+    the unit nugget standard deviation: sqrt of the site-average of
+    sum_j a_j(s)^2 Var(x_j) over uniform draws on [-1, 1]^2. Averaging
+    the variance before the root (not pointwise standard deviations)
+    is what reproduces the documented value near 0.72; the pointwise
+    form lands near 0.65 instead.
+    """
+    if mc_points < 1:
+        raise ValueError("mc_points must be >= 1")
+    rng = np.random.default_rng(rng_seed)
+    u = rng.uniform(-1.0, 1.0, size=(mc_points, 2))
+    var_xi = loading_values(u) ** 2 @ np.asarray(FACTOR_STATIONARY_VARS)
+    return float(np.sqrt(np.mean(var_xi)))
 
 
 def enumerate_partitions(p: int) -> list[Partition]:

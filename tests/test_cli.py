@@ -257,7 +257,6 @@ def test_forecast_rejects_nonpositive_member_count(data_dir, tmp_path, capsys,
     ["simulate", "--n", "20", "--p", "8"],
     ["fit", "DATA"],
     ["forecast", "DATA", "--j", "1"],
-    ["cv", "DATA"],
     ["bench", "--table", "mse_table1", "--replicates", "1"],
 ], ids=lambda command: command[0])
 def test_negative_seed_exits_2_before_any_output(data_dir, tmp_path, capsys,
@@ -406,15 +405,22 @@ def test_impute_fills_and_reports(tmp_path, capsys):
     np.testing.assert_array_equal(back.obs[~mask], frame.obs[~mask])
 
 
-def test_cv_command(data_dir, tmp_path, capsys):
-    out = tmp_path / "cv.json"
-    code, stdout, _ = run(capsys, "cv", str(data_dir),
-                          "--tau-grid", "0,1", "--seed", "6",
-                          "--out", str(out))
+def test_fit_tau_grid_prints_and_stores_the_cv_tau(data_dir, tmp_path, capsys):
+    model = tmp_path / "fit.json"
+    code, stdout, _ = run(capsys, "fit", str(data_dir), "--tau-grid", "0,1",
+                          "--seed", "6", "--out", str(model))
     assert code == 0
-    doc = json.loads(out.read_text())
-    assert doc["tau"] in (0.0, 1.0)
-    assert doc["seed"] == 6
+    tau = float(stdout.splitlines()[1].removeprefix("tau="))
+    frame = load_frame(data_dir / "locations.csv", data_dir / "observations.csv")
+    assert tau == json.loads(model.read_text())["tau"] \
+        == select_tau(frame, [0.0, 1.0], rng_seed=6)
+
+
+def test_cv_subcommand_exits_2(data_dir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cv", str(data_dir), "--seed", "6"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'cv'" in capsys.readouterr().err
 
 
 def test_bench_command(tmp_path, capsys):

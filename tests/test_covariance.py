@@ -4,15 +4,13 @@ import pytest
 from latentkrig import (
     Partition,
     SpatioTemporalFrame,
-    cross_covariance,
     fit_factors,
-    lagged_covariances,
     masked_pairwise,
 )
 from latentkrig.errors import InsufficientOverlap, LagTooLarge, MissingDataError
 
 from conftest import grid_locations, noise_frame, rank_k_frame
-from oracles import lagged_auto_covariance
+from oracles import cross_covariance, lagged_auto_covariance, lagged_covariances
 
 
 def brute_cross(y1, y2):

@@ -12,7 +12,6 @@ from latentkrig import (
     assign_blocks,
     divide_and_conquer_fit,
     fit_factors,
-    fit_members,
     forecast,
     forecast_ensemble,
     load_ensemble,
@@ -23,7 +22,8 @@ from latentkrig import (
 )
 from latentkrig import ensemble
 from latentkrig._util import member_seeds
-from latentkrig.ensemble import _first_and_mean, ensemble_to_document
+from latentkrig.ensemble import (_first_and_mean, _fit_members,
+                                 ensemble_to_document)
 from latentkrig.factors import fit_to_document
 from latentkrig.errors import BlockTooLarge, ParseError
 
@@ -67,7 +67,7 @@ def test_aggregation_never_worse_per_cell():
     draw = simulate(SimConfig(n=10, p=4, seed=77))
     frame = draw.frame
     parts = enumerate_partitions(4)
-    fits = fit_members(frame, parts, tau=0.0, p_star=2)
+    fits = _fit_members(frame, parts, tau=0.0, p_star=2)
     ens = aggregate_over_partitions(frame, parts, tau=0.0, p_star=2)
     member_stack = np.stack([f.xi_hat for f in fits])
     np.testing.assert_allclose(ens.xi_tilde, member_stack.mean(axis=0),
@@ -81,11 +81,11 @@ def test_aggregation_never_worse_per_cell():
 def test_fit_members_read_keeps_only_what_it_returns():
     frame, *_ = rank_k_frame(40, 8, k=1, seed=12, noise=0.3)
     parts = enumerate_partitions(8)[:5]
-    fits = list(fit_members(frame, parts, tau=0.0, p_star=3))
+    fits = list(_fit_members(frame, parts, tau=0.0, p_star=3))
     for workers in (1, 3):
-        read = list(fit_members(frame, parts, tau=0.0, p_star=3,
-                                workers=workers,
-                                read=lambda fit: (fit.d_hat, fit.xi_hat[-1])))
+        read = list(_fit_members(frame, parts, tau=0.0, p_star=3,
+                                 workers=workers,
+                                 read=lambda fit: (fit.d_hat, fit.xi_hat[-1])))
         assert [d for d, _ in read] == [f.d_hat for f in fits]
         for (_, last), fit in zip(read, fits):
             assert last.tobytes() == fit.xi_hat[-1].tobytes()
@@ -95,12 +95,12 @@ def test_members_are_fitted_as_they_are_read(monkeypatch):
     import latentkrig.ensemble as ensemble
     frame, *_ = rank_k_frame(40, 8, k=1, seed=12, noise=0.3)
     parts = enumerate_partitions(8)[:4]
-    fits = list(fit_members(frame, parts, tau=0.0, p_star=3))
+    fits = list(_fit_members(frame, parts, tau=0.0, p_star=3))
     calls = []
     real = ensemble.fit_factors
     monkeypatch.setattr(ensemble, "fit_factors",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
-    members = fit_members(frame, parts, tau=0.0, p_star=3, workers=1)
+    members = _fit_members(frame, parts, tau=0.0, p_star=3, workers=1)
     assert calls == []
     assert next(members).xi_hat.tobytes() == fits[0].xi_hat.tobytes()
     assert len(calls) == 1
@@ -121,7 +121,7 @@ def test_fit_members_site_pairs_fit_the_subframe():
     want = [fit_factors(frame.subframe(sites), part, 0.4, k0=1)
             for _, part in members]
     for workers in (1, 3):
-        got = list(fit_members(frame, members, 0.4, k0=1, workers=workers))
+        got = list(_fit_members(frame, members, 0.4, k0=1, workers=workers))
         for g, w in zip(got, want):
             assert g.partition == w.partition and g.d_hat == w.d_hat
             for name in ("A1_hat", "A2_hat", "x_hat", "x_star_hat",
@@ -255,7 +255,7 @@ def test_divide_and_conquer_two_block_identity():
 
 def _old_divide_and_conquer(frame, q, J, tau, rng_seed, k0):
     """divide_and_conquer_fit as a per-task loop summing from zero, the
-    way it ran before it went through fit_members."""
+    way it ran before it went through _fit_members."""
     blocks = assign_blocks(frame.p, q, rng_seed)
     seeds = member_seeds(rng_seed, 1 + len(blocks) * J)
     total = np.zeros((frame.n, frame.p))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from latentkrig.errors import (
     TooFewEigenvalues,
     TooFewLocations,
 )
+from latentkrig.factors import fit_to_document
 
 from conftest import grid_locations, noise_frame, rank_k_frame
 from oracles import blockwise_gram_matrices, penalized_eigvecs
@@ -32,19 +35,19 @@ def test_laplacian_two_points_distance_one():
     locs = LocationSet(ids=("a", "b"), coords=[[0.0, 0.0], [1.0, 0.0]])
     lap = build_laplacian(locs, [0, 1])
     # w = 1 / (1 + 1) = 0.5 off diagonal
-    np.testing.assert_allclose(lap.W, [[0.0, 0.5], [0.5, 0.0]], atol=1e-15)
-    np.testing.assert_allclose(lap.L, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
+    np.testing.assert_allclose(lap, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
 
 
 def test_laplacian_quadratic_identity():
     # a'La = 0.5 * sum_ij w_ij (a_i - a_j)^2
     locs = grid_locations(8)
     lap = build_laplacian(locs, range(8))
+    w = np.diag(np.diag(lap)) - lap
     rng = np.random.default_rng(0)
     for _ in range(5):
         a = rng.standard_normal(8)
-        quad = float(a @ lap.L @ a)
-        double = 0.5 * sum(lap.W[i, j] * (a[i] - a[j]) ** 2
+        quad = float(a @ lap @ a)
+        double = 0.5 * sum(w[i, j] * (a[i] - a[j]) ** 2
                            for i in range(8) for j in range(8))
         assert abs(quad - double) <= 1e-12 * max(1.0, abs(quad))
 
@@ -52,11 +55,11 @@ def test_laplacian_quadratic_identity():
 def test_laplacian_psd_and_constant_null():
     locs = grid_locations(9)
     lap = build_laplacian(locs, range(9))
-    evals = np.linalg.eigvalsh(lap.L)
+    evals = np.linalg.eigvalsh(lap)
     assert evals[0] >= -1e-12
     # Gershgorin: every eigenvalue of L lies within 2 * max degree
-    assert evals[-1] <= 2.0 * np.diag(lap.L).max() + 1e-12
-    np.testing.assert_allclose(lap.L @ np.ones(9), 0.0, atol=1e-12)
+    assert evals[-1] <= 2.0 * np.diag(lap).max() + 1e-12
+    np.testing.assert_allclose(lap @ np.ones(9), 0.0, atol=1e-12)
 
 
 def test_laplacian_subset_and_metric():
@@ -64,7 +67,7 @@ def test_laplacian_subset_and_metric():
                        distance_metric="great_circle", radius=1.0)
     lap = build_laplacian(locs, [0, 1])
     expected = 1.0 / (1.0 + np.pi / 2)
-    assert lap.W[0, 1] == pytest.approx(expected, rel=1e-12)
+    assert -lap[0, 1] == pytest.approx(expected, rel=1e-12)
     with pytest.raises(TooFewLocations):
         build_laplacian(locs, [])
 
@@ -249,7 +252,7 @@ def _one_matrix_reference(m1, m2, lap1, lap2, tau, p_star, d_override=None):
     each fit was computed one tau at a time before the stacked sweep."""
     out = []
     for m, lap in ((m1, lap1), (m2, lap2)):
-        evals, evecs = np.linalg.eigh(0.5 * (m + m.T) - tau * lap.L)
+        evals, evecs = np.linalg.eigh(0.5 * (m + m.T) - tau * lap)
         order = np.argsort(evals)[::-1]
         out.append((evals[order], evecs[:, order]))
     (evals1, evecs1), (_, evecs2) = out
@@ -379,3 +382,12 @@ def test_fit_save_load_round_trip(tmp_path):
                  "eigenvalues", "xi_hat"):
         np.testing.assert_array_equal(getattr(back, name), getattr(fit, name),
                                       err_msg=name)
+
+
+def test_fit_document_is_compact_json(tmp_path):
+    frame, *_ = rank_k_frame(30, 8, k=2, seed=20, noise=0.5)
+    fit = fit_factors(frame, random_partition(8, 3), tau=0.25, k0=1, p_star=3)
+    path = tmp_path / "fit.json"
+    save_fit(fit, path, locations=frame.locations)
+    want = json.dumps(fit_to_document(fit, frame.locations)) + "\n"
+    assert path.read_bytes() == want.encode("utf-8")

@@ -6,12 +6,14 @@ import pytest
 from latentkrig import (
     KernelSpec,
     LocationSet,
+    SimConfig,
     SpatioTemporalFrame,
     fit_factors,
     impute_missing,
     kernel_weights,
     krige_space,
     random_partition,
+    simulate,
 )
 from latentkrig import kriging
 from latentkrig.covariance import masked_pairwise
@@ -256,6 +258,15 @@ def _long_frame():
     return SpatioTemporalFrame(locations=grid_locations(p), obs=obs)
 
 
+def _gappy_sim_frame():
+    # 30% of a simulated panel missing at random: the pairwise-complete
+    # covariances of hundreds of availability groups are non-PSD
+    frame = simulate(SimConfig(n=120, p=30, seed=1)).frame
+    obs = frame.obs.copy()
+    obs[np.random.default_rng(1).random(obs.shape) < 0.3] = np.nan
+    return SpatioTemporalFrame(locations=frame.locations, obs=obs)
+
+
 def _impute_reference(frame):
     """Per-cell predictor: one masked covariance and one eigh per cell."""
     obs = np.array(frame.obs)
@@ -331,7 +342,7 @@ def test_impute_one_covariance_per_site_one_eigh_per_group(monkeypatch):
     assert calls["masked_pairwise"] == int(frame.missing.any(axis=0).sum())
 
 
-@pytest.mark.parametrize("build", [_outage_frame, _long_frame])
+@pytest.mark.parametrize("build", [_outage_frame, _long_frame, _gappy_sim_frame])
 def test_impute_logs_one_summary(build, caplog, capsys):
     frame = build()
     with caplog.at_level(logging.INFO, logger="latentkrig.kriging"):
@@ -341,13 +352,14 @@ def test_impute_logs_one_summary(build, caplog, capsys):
     cells, groups, floored, non_psd = infos[0].args
     assert cells == int(frame.missing.sum())
     assert groups == len(_avail_groups(frame))
-    if build is _outage_frame:
-        assert 0 < floored <= groups
-    else:
+    if build is _long_frame:
         assert floored == 0
+    else:
+        assert 0 < floored <= groups
     warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
     assert non_psd <= floored
     assert (non_psd > 0) == bool(warnings)
+    assert len(warnings) <= 1
     assert capsys.readouterr() == ("", "")
 
 

@@ -19,7 +19,6 @@ from latentkrig import (
     select_tau,
     simulate,
     simulate_factors,
-    snr_estimate,
     subspace_distance,
 )
 from latentkrig._util import member_seeds
@@ -34,6 +33,7 @@ from latentkrig.simbench import (
 from latentkrig.errors import EmptyKernelWindow, TooFewLocations
 
 from conftest import grid_locations, rank_k_frame
+from oracles import snr_estimate
 
 
 # ---- generator ----
