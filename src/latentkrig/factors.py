@@ -311,7 +311,7 @@ def subspace_distance(B1: np.ndarray, B2: np.ndarray) -> float:
 def _matrix_doc(a: np.ndarray) -> dict:
     a = np.asarray(a, dtype=np.float64)
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]),
-            "data": [float(v) for v in a.reshape(-1)]}
+            "data": a.reshape(-1).tolist()}
 
 
 def _matrix_from_doc(doc: dict) -> np.ndarray:

@@ -26,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -124,12 +124,20 @@ def _haversine_matrix(a: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray
 def distance_matrix(coords_a: np.ndarray, coords_b: np.ndarray,
                     metric: str = "euclidean",
                     radius: float = EARTH_RADIUS_KM) -> np.ndarray:
-    """Distances between two coordinate arrays under the chosen metric."""
+    """(r, c) distances between an (r, 2) and a (c, 2) coordinate array
+    under the chosen metric."""
     a = np.asarray(coords_a, dtype=np.float64)
     b = np.asarray(coords_b, dtype=np.float64)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != 2 or b.shape[1] != 2:
+        raise InvalidCoordinate("coordinates must be (r, 2) arrays")
     if metric == "euclidean":
-        diff = a[:, None, :] - b[None, :, :]
-        return np.sqrt(np.sum(diff * diff, axis=2))
+        # two (r, c) arrays in place of (r, c, 2) ones; bitwise the same sum
+        d2 = a[:, None, 0] - b[None, :, 0]
+        dy = a[:, None, 1] - b[None, :, 1]
+        d2 *= d2
+        dy *= dy
+        d2 += dy
+        return np.sqrt(d2, out=d2)
     if metric == "great_circle":
         if np.any(np.abs(a[:, 1]) > 90.0) or np.any(np.abs(b[:, 1]) > 90.0):
             raise InvalidCoordinate("latitude outside [-90, 90]")
@@ -272,19 +280,36 @@ class SpatioTemporalFrame:
 
 # ---- CSV ingestion ----
 
-def _read_text(path: Path) -> tuple[bytes, str]:
-    """The file's bytes and their UTF-8 text; errors name the path."""
+# Rows the long-form reader tokenizes and checks at a time. Its memory is
+# one block's tokens plus two integer codes and the floats of each row.
+_CSV_BLOCK = 8192
+
+
+def _read_text(path: Path) -> str:
+    """The file's UTF-8 text; errors name the path."""
     try:
-        raw = path.read_bytes()
-        return raw, raw.decode("utf-8")
+        return path.read_bytes().decode("utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
 
 
+def _open_bytes(path: Path):
+    """The file opened for reading as bytes; errors name the path."""
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _text(fh) -> io.TextIOWrapper:
+    """fh from where it stands as UTF-8 text, lines as csv.reader wants."""
+    return io.TextIOWrapper(fh, encoding="utf-8", newline="")
+
+
 def _read_rows(path: Path, expected_header: list[str] | None) -> tuple[list[str], list[list[str]]]:
-    rows = list(csv.reader(io.StringIO(_read_text(path)[1], newline="")))
+    rows = list(csv.reader(io.StringIO(_read_text(path), newline="")))
     if not rows:
         raise ParseError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]
@@ -347,62 +372,156 @@ def _rank_timestamps(stamps: set, path: Path) -> dict:
     return {s: k for k, s in enumerate(sorted(stamps))}
 
 
-def _plain_columns(raw: bytes, text: str):
-    """The stripped header and the token columns of the data rows; None
-    unless every line has as many fields as the first, a data row follows
-    the header, and csv.reader would split alike: no quote, lone CR or
-    over-long line. A CR before a newline stays on the last token, where
-    float() and strip() drop it."""
+def _plain_columns(raw: bytes, w: int | None) -> list[list[str]] | None:
+    """Token columns of whole lines of UTF-8 bytes; None unless every line
+    holds w fields (the first line's count when w is None) and csv.reader
+    would split alike: no quote, lone CR or over-long line. A CR before a
+    newline stays on the last token, where float() and strip() drop it."""
     if not raw.endswith(b"\n"):
-        raw, text = raw + b"\n", text + "\n"
+        raw += b"\n"
     b = np.frombuffer(raw, np.uint8)
     sep = np.flatnonzero((b == ord(",")) | (b == ord("\n")))
     kinds, cr = b[sep], np.flatnonzero(b == ord("\r"))
-    w = int(np.argmax(kinds == ord("\n"))) + 1
+    w = w or int(np.argmax(kinds == ord("\n"))) + 1
     if (b'"' in raw or kinds.size % w
             or np.any(kinds.reshape(-1, w) != tuple(b"," * (w - 1) + b"\n"))
             or np.any(b[cr + 1] != ord("\n"))
             or np.diff(sep[w - 1::w], prepend=-1).max() > csv.field_size_limit()):
         return None
-    tokens = text.replace("\n", ",").split(",")[:-1]
-    return (([h.strip() for h in tokens[:w]], [tokens[w + j::w] for j in range(w)])
-            if len(tokens) > w else None)
+    tokens = raw.decode("utf-8").replace("\n", ",").split(",")[:-1]
+    return [tokens[j::w] for j in range(w)]
 
 
-def _columns_to_panel(path, columns, column_of, min_width, stamp_of, panel_rank=None):
-    """Ranks and n x width panel from t, id and value token columns, each
-    distinct stamp parsed and id mapped once in first-seen order; None on
-    any bad row. Given panel_rank, n x width x m covariates from m value
-    columns, None unless they cover it."""
-    t_tok, id_tok, *v_cols = columns
-    n = len(t_tok)
-    raw_ids = dict.fromkeys(id_tok)
-    vals = np.empty((n, len(v_cols)))
+def _header_ok(header: list[str], cov: bool) -> bool:
+    """Whether stripped header fields are ``t,id,value``, or with cov
+    ``t,id,z1,...,zm`` for some m >= 1."""
+    if cov:
+        return len(header) > 2 and header[:2] == ["t", "id"]
+    return header == ["t", "id", "value"]
+
+
+def _csv_blocks(fh) -> Iterator[list | None]:
+    """The rows of a CSV file open as bytes, at most _CSV_BLOCK at a time,
+    each block as its token columns; the first block starts with the
+    header. Plain lines are split on commas. From the first block that
+    csv.reader would split otherwise on, one csv.reader tokenizes the rest
+    of the file, and a block holding a row of another width than the
+    header's is None."""
+    w = None
+    while lines := list(itertools.islice(fh, _CSV_BLOCK)):
+        if (columns := _plain_columns(b"".join(lines), w)) is None:
+            break
+        w = len(columns)
+        yield columns
+    else:
+        return
+    # the refused block ends a line, so its text lines run on into fh's
+    with _text(fh) as rest:
+        rows = csv.reader(itertools.chain(
+            io.StringIO(b"".join(lines).decode("utf-8"), newline=""), rest))
+        while block := list(itertools.islice(rows, _CSV_BLOCK)):
+            w = len(block[0]) if w is None else w
+            yield list(zip(*block)) if all(len(row) == w for row in block) else None
+
+
+def _block_panel(path, blocks, column_of, min_width, stamp_of, panel_rank):
+    """Ranks and n x width x m panel from a long-form file's token blocks;
+    None when a block, or the file as a whole, breaks a rule the row loop
+    names. Each distinct stamp token is parsed once into stamp_of and
+    each distinct id token mapped once, in first-seen order; a row keeps
+    two integer codes and its m floats. Given panel_rank, the file's
+    ranks must equal it and its rows must cover every cell."""
+    cov, first = panel_rank is not None, next(blocks, None)
+    if not first or not _header_ok([h[0].strip() for h in first], cov):
+        return None
+    m = len(first) - 2
+    t_code, col_of, parts = {}, {}, []
+    for block in itertools.chain([[c[1:] for c in first]], blocks):
+        if block is None:
+            return None
+        t_tok, id_tok, *v_cols = block
+        n = len(t_tok)
+        vals = np.empty((n, m))
+        try:
+            for tok in dict.fromkeys(t_tok):  # the row loop names a bad one's line
+                if tok not in t_code:
+                    stamp = _memo_stamp(stamp_of, tok, path, 0)
+                    if cov and stamp not in panel_rank:
+                        return None
+                    t_code[tok] = len(t_code)
+            for raw in dict.fromkeys(id_tok):
+                if raw not in col_of:
+                    col_of[raw] = column_of(raw.strip())
+            for j, v_tok in enumerate(v_cols):
+                try:
+                    vals[:, j] = np.fromiter(map(float, v_tok), np.float64, n)
+                except ValueError:  # empty cells, or a non-numeric one
+                    vals[:, j] = [float(v) if v.strip() else math.nan for v in v_tok]
+        except (LatentKrigError, ValueError):
+            return None
+        bad = np.argwhere(~np.isfinite(vals))  # empty, or nan or inf spelled out
+        if bad.size and (cov or any(v_cols[j][k].strip() for k, j in bad)):
+            return None
+        if n:
+            parts.append((np.fromiter(map(t_code.__getitem__, t_tok), np.intp, n),
+                          np.fromiter(map(col_of.__getitem__, id_tok), np.intp, n), vals))
     try:
-        for tok in dict.fromkeys(t_tok):  # the replay reports a bad one's line
-            _memo_stamp(stamp_of, tok, path, 0)
-        by_id = {loc: column_of(loc) for loc in dict.fromkeys(map(str.strip, raw_ids))}
-        col_of = {raw_id: by_id[raw_id.strip()] for raw_id in raw_ids}
         rank = _rank_timestamps(set(stamp_of.values()), path)
-        for j, v_tok in enumerate(v_cols):
+    except ParseError:
+        return None
+    if not parts or (cov and rank != panel_rank):
+        return None
+    width = max(min_width, 1 + max(int(col.max()) for _, col, _ in parts))
+    t_rank = np.array([rank[stamp_of[tok]] for tok in t_code], np.intp)
+    panel = np.full((len(rank), width, m), np.nan)
+    hit = np.zeros(len(rank) * width, bool)
+    for t, col, vals in parts:
+        cell = t_rank[t] * width + col
+        hit[cell] = True
+        panel.reshape(-1, m)[cell] = vals
+    rows = sum(len(t) for t, _, _ in parts)
+    if np.count_nonzero(hit) < rows or (cov and rows < hit.size):  # a duplicate, or a gap
+        return None
+    return rank, panel
+
+
+def _raise_row_error(path, column_of, stamp_of, panel_rank):
+    """Raise the error of a long-form file the block reader refused: the
+    first bad row as csv.reader splits the file, else what only the whole
+    file shows. The file is read to its end first, so a csv error further
+    down still comes before any row's."""
+    cov, cells, error = panel_rank is not None, set(), None
+    with _text(_open_bytes(path)) as fh:
+        rows = csv.reader(fh)
+        header = next(rows, None)
+        if header is None:
+            error = ParseError(f"{path}: empty file")
+        elif not _header_ok([h.strip() for h in header], cov):
+            error = ParseError(f"{path}: expected header t,id,{'z1,...' if cov else 'value'}")
+        for k, row in enumerate(rows, start=2):
+            if error is not None:
+                continue
             try:
-                vals[:, j] = np.fromiter(map(float, v_tok), np.float64, n)
-            except ValueError:  # empty cells, or a non-numeric one
-                vals[:, j] = [float(v) if v.strip() else math.nan for v in v_tok]
-    except (LatentKrigError, ValueError):
-        return None
-    t_rank = {tok: rank[stamp] for tok, stamp in stamp_of.items()}
-    col = np.fromiter(map(col_of.__getitem__, id_tok), np.intp, n)
-    width = max(min_width, 1 + int(col.max()))
-    cell = np.fromiter(map(t_rank.__getitem__, t_tok), np.intp, n) * width + col
-    if (np.bincount(cell).max() > 1  # a duplicate, or nan or inf spelled out
-            or any(v_cols[j][k].strip() for k, j in np.argwhere(~np.isfinite(vals)))):
-        return None
-    obs = np.full((len(rank), width, len(v_cols)), np.nan)
-    obs.reshape(-1, len(v_cols))[cell] = vals
-    if panel_rank is None:
-        return rank, obs[:, :, 0]
-    return (rank, obs) if rank == panel_rank and not np.isnan(obs).any() else None
+                if len(row) != len(header):
+                    raise ParseError(f"{path}:{k}: expected {len(header)} fields")
+                t = _memo_stamp(stamp_of, row[0], path, k)
+                if cov and t not in panel_rank:
+                    raise ParseError(f"{path}:{k}: timestamp {row[0]!r} not in panel")
+                loc = row[1].strip()
+                key = (t, column_of(loc))
+                if key in cells:
+                    raise DuplicateCell(f"{path}:{k}: duplicate covariate cell" if cov else
+                                        f"{path}:{k}: duplicate cell (t={row[0]}, id={loc})")
+                cells.add(key)
+                for z in row[2:]:
+                    if cov or z.strip():
+                        _parse_float(z if cov else z.strip(), path, k)
+            except LatentKrigError as exc:
+                error = exc
+    if error is None and cells and not cov:
+        _rank_timestamps({t for t, _ in cells}, path)  # mixed kinds: all that is left
+    raise error or ParseError(f"{path}: covariates must cover every (t, id) cell" if cov
+                              else f"{path}: no observation rows")
 
 
 def _read_long_form(path: Path, column_of: Callable[[str], int], min_width: int,
@@ -411,43 +530,20 @@ def _read_long_form(path: Path, column_of: Callable[[str], int], min_width: int,
     absent) of a ``t,id,value`` file; column_of maps a site id to its
     column or raises. Given the panel's ranks instead, the n x width x m
     array of a ``t,id,z1,...,zm`` covariate file, which must cover every
-    cell. Plain files are read by column; a quoted file, or one with a
-    bad row, is replayed through csv.reader row by row."""
-    cov, stamp_of = rank is not None, {}
-    header_ok = ((lambda h: len(h) > 2 and h[:2] == ["t", "id"]) if cov
-                 else lambda h: h == ["t", "id", "value"])
-    plain = _plain_columns(*_read_text(path))
-    if plain and header_ok(plain[0]) and (panel := _columns_to_panel(
-            path, plain[1], column_of, min_width, stamp_of, rank)):
-        return panel
-    header, rows = _read_rows(path, None)
-    if not header_ok(header):
-        raise ParseError(f"{path}: expected header t,id,{'z1,...' if cov else 'value'}")
-    m = len(header) - 2
-    cells: set[tuple] = set()
-    for k, row in enumerate(rows, start=2):
-        if len(row) != m + 2:
-            raise ParseError(f"{path}:{k}: expected {m + 2} fields")
-        t = _memo_stamp(stamp_of, row[0], path, k)
-        if cov and t not in rank:
-            raise ParseError(f"{path}:{k}: timestamp {row[0]!r} not in panel")
-        loc = row[1].strip()
-        key = (t, column_of(loc))
-        if key in cells:
-            raise DuplicateCell(f"{path}:{k}: duplicate covariate cell" if cov else
-                                f"{path}:{k}: duplicate cell (t={row[0]}, id={loc})")
-        cells.add(key)
-        for z in row[2:]:
-            if cov or z.strip():
-                _parse_float(z if cov else z.strip(), path, k)
-    panel = cells and _columns_to_panel(path, list(zip(*rows)), column_of,
-                                        min_width, stamp_of, rank)
-    if cov and not panel:
-        raise ParseError(f"{path}: covariates must cover every (t, id) cell")
-    if not cells:
-        raise ParseError(f"{path}: no observation rows")
-    _rank_timestamps({t for t, _ in cells}, path)
-    return panel
+    cell. The file is read _CSV_BLOCK rows at a time; when a block is
+    refused, the file is read again row by row through csv.reader to name
+    the first bad ``path:line``."""
+    stamp_of: dict = {}
+    try:
+        with _open_bytes(path) as fh:
+            read = _block_panel(path, _csv_blocks(fh), column_of, min_width, stamp_of, rank)
+        if read is None:
+            _raise_row_error(path, column_of, stamp_of, rank)
+    except (csv.Error, UnicodeDecodeError):
+        _read_text(path)  # a file that is not UTF-8 is named as such first
+        raise
+    ranks, values = read
+    return ranks, values if rank is not None else values[:, :, 0]
 
 
 def load_frame(locations_path, observations_path, covariates_path=None,
@@ -484,7 +580,7 @@ def load_observation_table(path) -> tuple[list, tuple[str, ...], np.ndarray]:
 def locations_to_doc(locs: LocationSet) -> dict:
     return {
         "ids": list(locs.ids),
-        "coords": [[float(c) for c in row] for row in locs.coords],
+        "coords": locs.coords.tolist(),
         "distance_metric": locs.distance_metric,
         "radius": float(locs.radius),
     }

@@ -1,5 +1,6 @@
 import datetime
 import math
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,25 @@ def test_euclidean_distance_345():
     d = distance_matrix(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]]))
     assert d.shape == (1, 1)
     assert d[0, 0] == pytest.approx(5.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("r, c", [(800, 800), (300, 50), (1, 7)])
+def test_euclidean_distance_is_bitwise_the_stacked_sum(r, c):
+    rng = np.random.default_rng(r + c)
+    a = rng.uniform(-50.0, 50.0, (r, 2))
+    b = a if r == c else rng.uniform(-50.0, 50.0, (c, 2))
+    diff = a[:, None, :] - b[None, :, :]
+    assert (distance_matrix(a, b).tobytes()
+            == np.sqrt(np.sum(diff * diff, axis=2)).tobytes())
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "great_circle"])
+def test_distance_coordinates_must_be_pairs(metric):
+    pair = np.zeros((3, 2))
+    for bad in (np.zeros((3, 3)), np.zeros((3, 1)), np.zeros(2)):
+        for a, b in ((bad, pair), (pair, bad)):
+            with pytest.raises(InvalidCoordinate, match=r"\(r, 2\) arrays"):
+                distance_matrix(a, b, metric)
 
 
 def test_great_circle_known_arcs():
@@ -478,23 +498,41 @@ def _random_long_form(rng, dates, crlf, trailing, quoted):
     return eol.join([" t , id ,value"] + lines) + (eol if trailing else "")
 
 
+def _plain_blocks_only(monkeypatch):
+    """Record each block the long-form reader refuses to split as plain
+    text, which csv.reader then tokenizes, and leave it no row loop to
+    reread a file with; returns the record."""
+    from latentkrig import stdata
+    real, refused = stdata._plain_columns, []
+
+    def plain_columns(raw, w):
+        columns = real(raw, w)
+        if columns is None:
+            refused.append(raw)
+        return columns
+
+    monkeypatch.setattr(stdata, "_plain_columns", plain_columns)
+    monkeypatch.setattr(stdata, "_raise_row_error", None)
+    return refused
+
+
 def test_column_reader_matches_per_row_reader(tmp_path, monkeypatch):
     from latentkrig import stdata
     rng = np.random.default_rng(20260)
-    real_read_rows = stdata._read_rows
     for case in range(48):
         dates, crlf, trailing, quoted = (bool(case >> b & 1) for b in range(4))
         path = _write(tmp_path / f"obs{case}.csv",
                       _random_long_form(rng, dates, crlf, trailing, quoted))
-        # an unquoted file never reaches csv.reader
-        monkeypatch.setattr(stdata, "_read_rows", real_read_rows if quoted else None)
-        got = _outcomes(stdata._read_long_form, path)
-        monkeypatch.setattr(stdata, "_read_rows", real_read_rows)
+        with monkeypatch.context() as patch:
+            # an unquoted file never reaches csv.reader
+            refused = [] if quoted else _plain_blocks_only(patch)
+            got = _outcomes(stdata._read_long_form, path)
+        assert refused == [], case
         assert got == _outcomes(_per_row_reference, path), case
         assert all(len(o) == 4 for o in got[int(quoted):]), case
 
 
-@pytest.mark.parametrize("body, line", [
+_OBS_ERRORS = [
     ("1,s0,1\n2,s1\n", 3),                       # short row
     ("1,s0,1\n2,s1,2,9\n", 3),                   # four fields
     ("1,s0,1\n\n2,s1,2\n", 3),                   # blank middle line
@@ -511,9 +549,12 @@ def test_column_reader_matches_per_row_reader(tmp_path, monkeypatch):
     ("1,s0,1\n2,s9,1\n2,s1,zz\n", None),         # unknown id before a bad value
     ("1,s0,1\n2,s1,zz\n2,s9,1\n", 3),            # bad value before an unknown id
     ("1,s0,1\nx,s1,1\n1,s0,2\n", 3),             # bad stamp before a duplicate
-    ('1,s0,1\n"2,s1",2\n', 3),                   # quoted field: replayed as csv
+    ('1,s0,1\n"2,s1",2\n', 3),                   # quoted field: read by csv.reader
     ("1,s0,1\n2,s1\r,2\n", 3),                    # a lone CR ends a csv row
-])
+]
+
+
+@pytest.mark.parametrize("body, line", _OBS_ERRORS)
 def test_column_reader_errors_match_per_row_reader(tmp_path, body, line):
     from latentkrig import stdata
     path = _write(tmp_path / "obs.csv", "t,id,value\n" + body)
@@ -549,14 +590,9 @@ def test_saved_panel_is_read_by_column(tmp_path, monkeypatch):
     obs[rng.random(obs.shape) < 0.1] = np.nan
     frame = SpatioTemporalFrame(locations=grid_locations(12), obs=obs)
     paths = save_frame(frame, tmp_path / "panel")
-    real_read_rows, tokens, ids = stdata._read_rows, [], []
-
-    def read_rows(path, *args):
-        assert path != paths["observations"], "per-row replay ran"
-        return real_read_rows(path, *args)
-
+    tokens, ids = [], []
+    refused = _plain_blocks_only(monkeypatch)
     real_parse = stdata._parse_timestamp
-    monkeypatch.setattr(stdata, "_read_rows", read_rows)
     monkeypatch.setattr(stdata, "_parse_timestamp",
                         lambda tok, path, line: tokens.append(tok)
                         or real_parse(tok, path, line))
@@ -571,6 +607,7 @@ def test_saved_panel_is_read_by_column(tmp_path, monkeypatch):
     lines = paths["observations"].read_text(encoding="utf-8").splitlines()
     assert ids == list(table_ids) == list(dict.fromkeys(
         line.split(",")[1] for line in lines[1:]))
+    assert refused == []
 
 
 # ---- covariate files through the column reader ----
@@ -639,25 +676,24 @@ def _random_covariates(rng, stamps, ids, m, crlf, quoted):
 
 
 def test_covariate_reader_matches_per_row_reader(tmp_path, monkeypatch):
-    from latentkrig import stdata
     locs = LocationSet(ids=_PARITY_IDS, coords=[[k, k % 2] for k in range(6)])
     rng = np.random.default_rng(4242)
-    real_read_rows = stdata._read_rows
     for case in range(24):
         m, crlf, quoted = 1 + case % 3, bool(case >> 2 & 1), bool(case >> 3 & 1)
         stamps = [str(s) for s in sorted(rng.choice(90, 5, replace=False) - 20)]
         rank = {int(s): k for k, s in enumerate(stamps)}
         path = _write(tmp_path / f"z{case}.csv",
                       _random_covariates(rng, stamps, _PARITY_IDS, m, crlf, quoted))
-        # an unquoted file that covers the panel never reaches csv.reader
-        monkeypatch.setattr(stdata, "_read_rows", real_read_rows if quoted else None)
-        got = _covariate_outcome(_column_covariates, path, rank, locs)
-        monkeypatch.setattr(stdata, "_read_rows", real_read_rows)
+        with monkeypatch.context() as patch:
+            # an unquoted file that covers the panel never reaches csv.reader
+            refused = [] if quoted else _plain_blocks_only(patch)
+            got = _covariate_outcome(_column_covariates, path, rank, locs)
+        assert refused == [], case
         assert got == _covariate_outcome(_per_row_covariates, path, rank, locs), case
         assert got[0] == (5, 6, m), case
 
 
-@pytest.mark.parametrize("body, line", [
+_COVARIATE_ERRORS = [
     ("1,s0,1\n1,s1,2\n2,s0,3\n", None),         # a cell not covered
     ("1,s0,1\n1,s1,2\n2,s0,3\n2,s1,\n", 5),      # an empty value
     ("1,s0,1\n1,s1,2\n2,s0,3\n2,s1, \n", 5),     # a blank value
@@ -671,7 +707,10 @@ def test_covariate_reader_matches_per_row_reader(tmp_path, monkeypatch):
     ("1,s0,1\n1,s1,2\n2,s0,3\n2,s1,4\n2,s1,5\n", 6),
     ("", None),                                   # header only
     ('1,s0,1\n1,"s1",2\n2,s0,3\n2,s1,4\n', None),  # quoted and valid
-])
+]
+
+
+@pytest.mark.parametrize("body, line", _COVARIATE_ERRORS)
 def test_covariate_errors_match_per_row_reader(tmp_path, body, line):
     locs = LocationSet(ids=("s0", "s1", "s2"), coords=[[0, 0], [1, 0], [0, 1]])
     locs = locs.subset([0, 1])
@@ -691,6 +730,103 @@ def test_covariate_reader_bad_headers(tmp_path):
         got = _covariate_outcome(_column_covariates, path, {1: 0}, locs)
         assert got == _covariate_outcome(_per_row_covariates, path, {1: 0}, locs)
         assert got[0] is ParseError, name
+
+
+# ---- the same files read a few rows at a time ----
+
+@pytest.fixture(params=[1, 2, 3])
+def small_blocks(request, monkeypatch):
+    """The long-form reader's block cut to 1, 2 or 3 rows, so the files
+    above cross block boundaries, the header's among them."""
+    from latentkrig import stdata
+    monkeypatch.setattr(stdata, "_CSV_BLOCK", request.param)
+
+
+def _quote_ids(text):
+    """text with the second field of each line quoted; csv.reader reads
+    it alike, but the column reader must hand it to csv.reader."""
+    return re.sub(r'(?m)^([^,\r\n"]*),([^,\r\n"]*)', r'\1,"\2"', text)
+
+
+def test_small_blocks_match_per_row_reader(tmp_path, monkeypatch, small_blocks):
+    test_column_reader_matches_per_row_reader(tmp_path, monkeypatch)
+    test_column_reader_bad_headers_and_oversized_field(tmp_path)
+    test_covariate_reader_matches_per_row_reader(tmp_path, monkeypatch)
+    test_covariate_reader_bad_headers(tmp_path)
+    test_saved_panel_is_read_by_column(tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("quote", [False, True])
+@pytest.mark.parametrize("body, line", _OBS_ERRORS)
+def test_small_block_errors_match_per_row_reader(tmp_path, small_blocks, quote, body, line):
+    test_column_reader_errors_match_per_row_reader(
+        tmp_path, _quote_ids(body) if quote else body, line)
+
+
+@pytest.mark.parametrize("quote", [False, True])
+@pytest.mark.parametrize("body, line", _COVARIATE_ERRORS)
+def test_small_block_covariate_errors_match_per_row_reader(tmp_path, small_blocks,
+                                                           quote, body, line):
+    test_covariate_errors_match_per_row_reader(
+        tmp_path, _quote_ids(body) if quote else body, line)
+
+
+def test_small_blocks_parse_each_timestamp_token_once(tmp_path, monkeypatch, small_blocks):
+    test_long_form_parses_each_timestamp_token_once(tmp_path, monkeypatch)
+    test_covariate_timestamps_parsed_once_per_token(tmp_path, monkeypatch)
+    # a quoted file whose duplicate only the whole file shows: the row
+    # loop that names it reuses the stamps the blocks parsed
+    from latentkrig import stdata
+    tokens = []
+    real = stdata._parse_timestamp
+    monkeypatch.setattr(stdata, "_parse_timestamp",
+                        lambda tok, path, line: tokens.append(tok)
+                        or real(tok, path, line))
+    locs = _write(tmp_path / "locs.csv", "id,x1,x2\ns1,0,0\ns2,1,0\n")
+    obs = _write(tmp_path / "quoted.csv", _quote_ids(
+        "t,id,value\n1,s1,1\n 1,s2,2\n2,s1,3\n2,s2,4\n1,s2,5\n"))
+    with pytest.raises(DuplicateCell, match=r"quoted\.csv:6: duplicate cell "
+                       r"\(t=1, id=s2\)"):
+        load_frame(locs, obs)
+    assert tokens == ["1", " 1", "2"]
+
+
+def test_csv_and_decoding_errors_anywhere_come_first(tmp_path, small_blocks):
+    import csv
+    from latentkrig import stdata
+    # a bad value on line 3 refuses the first blocks; what follows decides
+    head = "t,id,value\n1,s0,1\n1,s1,x\n" + "".join(
+        f"{t},s{k},{t}.5\n" for t in range(2, 600) for k in (0, 1))
+    path = _write(tmp_path / "long.csv", head + "600,"
+                  + "x" * (csv.field_size_limit() + 1) + ",2\n")
+    got = _outcomes(stdata._read_long_form, path)
+    assert got == _outcomes(_per_row_reference, path)
+    assert got[0][0] is csv.Error
+    path = tmp_path / "bad.csv"
+    path.write_bytes(head.encode() + b"600,s\xff0,2\n")
+    with pytest.raises(UnicodeDecodeError) as whole:
+        path.read_bytes().decode("utf-8")
+    assert len(head) > 8192  # past the first chunk a text stream decodes
+    assert _outcomes(stdata._read_long_form, path) == [
+        (ParseError, f"{path}: not UTF-8 text: {whole.value}")] * 2
+
+
+@pytest.mark.parametrize("quote", [False, True])
+def test_valid_files_are_not_reread_row_by_row(tmp_path, monkeypatch, small_blocks, quote):
+    rng = np.random.default_rng(11)
+    obs = rng.standard_normal((6, 5))
+    obs[[0, 2, 4], [1, 3, 0]] = np.nan
+    frame = SpatioTemporalFrame(locations=grid_locations(5), obs=obs,
+                                covariates=rng.standard_normal((6, 5, 2)))
+    paths = save_frame(frame, tmp_path)
+    if quote:
+        for name in ("observations", "covariates"):
+            _write(paths[name], _quote_ids(paths[name].read_text(encoding="utf-8")))
+    refused = _plain_blocks_only(monkeypatch)
+    back = load_frame(paths["locations"], paths["observations"], paths["covariates"])
+    assert back.obs.tobytes() == frame.obs.tobytes()
+    assert back.covariates.tobytes() == frame.covariates.tobytes()
+    assert bool(refused) == quote
 
 
 # ---- save_frame against csv.writer ----
