@@ -46,7 +46,9 @@ def _lag(frame: SpatioTemporalFrame, j: int) -> np.ndarray:
     """C_j = Y_c[j:]' Y_c[:n-j] / n over all sites of a complete frame."""
     def build() -> np.ndarray:
         yc = _centered_columns(frame, range(frame.p))
-        return (yc[j:].T @ yc[:frame.n - j]) / frame.n
+        c = yc[j:].T @ yc[:frame.n - j]
+        c /= frame.n
+        return c
     return frame._memo.get(("lag", j), build)
 
 

@@ -46,7 +46,9 @@ def _site_weights(locations: LocationSet) -> np.ndarray:
     """w_ij = 1/(1 + dist) between all sites, zero diagonal, built once per
     LocationSet."""
     def build() -> np.ndarray:
-        w = 1.0 / (1.0 + pairwise_distances(locations))
+        w = pairwise_distances(locations)
+        w += 1.0
+        np.divide(1.0, w, out=w)
         np.fill_diagonal(w, 0.0)
         return w
     return locations._memo.get("laplacian_weights", build)
@@ -58,17 +60,19 @@ def build_laplacian(locations: LocationSet, subset) -> np.ndarray:
     idx = list(subset)
     if not idx:
         raise TooFewLocations("laplacian needs a nonempty subset")
-    w = _site_weights(locations)[np.ix_(idx, idx)]
-    lap = -w
-    np.fill_diagonal(lap, w.sum(axis=1))
+    lap = _site_weights(locations)[np.ix_(idx, idx)]
+    degree = lap.sum(axis=1)
+    np.negative(lap, out=lap)
+    np.fill_diagonal(lap, degree)
     return lap
 
 
-def _laplacian_matrix(penalty, dim: int, taus: np.ndarray) -> np.ndarray:
+def _laplacian_matrix(penalty, dim: int, taus: np.ndarray) -> np.ndarray | None:
+    """The penalty as a float array, or None for no penalty (all taus 0)."""
     if penalty is None:
         if np.any(taus != 0.0):
             raise ValueError("tau > 0 requires a Laplacian")
-        return np.zeros((dim, dim))
+        return None
     mat = np.asarray(penalty, float)
     if mat.shape != (dim, dim):
         raise ValueError("Laplacian shape disagrees with M")
@@ -87,19 +91,33 @@ def _top_vectors(evecs: np.ndarray, order: np.ndarray, d: int) -> np.ndarray:
 def _eig_desc(M: np.ndarray, penalty, taus):
     """Per chunk of at most _EIGH_STACK taus: the descending spectra of
     sym(M) - tau * L, the eigenvectors in solver order and their descending
-    column order. M is checked and symmetrized once; eigh on the stack is
+    column order. M is checked and symmetrized once, into an array of the
+    sweep's own; M and the penalty are never written. With no penalty
+    sym(M) itself is solved (x - 0 * 0 is x). eigh on the stack is
     bitwise eigh on each matrix."""
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("M must be square")
+    sym = np.subtract(M, M.T)  # the asymmetry first, then sym(M) in its place
     norm = np.linalg.norm(M)
-    if norm > 0 and np.linalg.norm(M - M.T) > 1e-8 * norm:
+    if norm > 0 and np.linalg.norm(sym) > 1e-8 * norm:
         raise NotSymmetric("M deviates from symmetry beyond 1e-8 relative")
     taus = np.asarray(taus, dtype=np.float64).reshape(-1)
     lap = _laplacian_matrix(penalty, M.shape[0], taus)
-    sym = 0.5 * (M + M.T)
+    np.add(M, M.T, out=sym)
+    sym *= 0.5
+    del M  # a Gram matrix passed straight in is freed here
     for lo in range(0, taus.size, _EIGH_STACK):
-        evals, evecs = np.linalg.eigh(sym - taus[lo:lo + _EIGH_STACK, None, None] * lap)
+        chunk = taus[lo:lo + _EIGH_STACK, None, None]
+        if lap is None:
+            stack = np.broadcast_to(sym, (len(chunk),) + sym.shape)
+        else:
+            stack = np.multiply(chunk, lap)
+            np.subtract(sym, stack, out=stack)
+        if lo + _EIGH_STACK >= taus.size:
+            del sym, lap  # the last solve holds its stack alone
+        evals, evecs = np.linalg.eigh(stack)
+        del stack
         order = np.argsort(evals, axis=-1)[:, ::-1]
         yield np.take_along_axis(evals, order, -1), evecs, order
 
@@ -186,23 +204,32 @@ def gram_matrices(frame: SpatioTemporalFrame, partition: Partition,
     caller, one partition or many, uses this formula, so a single fit
     and an ensemble member on the same frame agree bitwise.
 
-    Every fit builds them through _fit_grid, once per partition for a
-    whole tau grid.
+    Each is built alone by _side_gram, which every fit uses too, one
+    side at a time.
     """
+    return _side_gram(frame, partition, k0, 1), _side_gram(frame, partition, k0, 2)
+
+
+def _side_gram(frame: SpatioTemporalFrame, partition: Partition, k0: int,
+               side: int) -> np.ndarray:
+    """M1 (side 1) or M2 (side 2) of gram_matrices, without the other's
+    products. A lag term is summed before it is added, as in the formula."""
     if int(k0) != k0 or k0 < 0:
         raise ValueError("k0 must be an integer >= 0")
     k0 = int(k0)
     _check_lags(frame, partition, k0)
     s1, s2 = partition.set1, partition.set2
+    own, other = (s1, s2) if side == 1 else (s2, s1)
     s = _lag(frame, 0)[np.ix_(s1, s2)]
-    m1 = s @ s.T
-    m2 = s.T @ s
+    m = s @ s.T if side == 1 else s.T @ s
+    del s
     for j in range(1, k0 + 1):
-        c, cc = _lag(frame, j), _lag_gram(frame, j)
-        lead, back = c[np.ix_(s1, s2)], c[np.ix_(s2, s1)]
-        m1 += cc[np.ix_(s1, s1)] + back.T @ back
-        m2 += cc[np.ix_(s2, s2)] + lead.T @ lead
-    return m1, m2
+        cross = _lag(frame, j)[np.ix_(other, own)]
+        term = cross.T @ cross
+        del cross
+        term += _lag_gram(frame, j)[np.ix_(own, own)]
+        m += term
+    return m
 
 
 def _fit_grid(frame: SpatioTemporalFrame, partition: Partition, taus,
@@ -210,19 +237,22 @@ def _fit_grid(frame: SpatioTemporalFrame, partition: Partition, taus,
               d_override: int | None = None) -> list[FactorModelFit]:
     """fit_factors at each tau in taus on one split, without its guards.
 
-    The Gram matrices are built once, the Laplacians only when some tau
-    is > 0, and each side sweeps the grid in stacked eigensolves, so
-    every fit is bitwise the one-tau fit. The factor count is read off
+    Side 1 builds its Gram matrix, and its Laplacian only when some tau is
+    > 0, and sweeps the grid in stacked eigensolves; only then does side 2
+    build and solve its own, so a fit holds one side's matrices at a time.
+    Every fit is bitwise the one-tau fit. The factor count is read off
     the penalized side-1 spectrum unless overridden.
     """
     taus = np.asarray(taus, dtype=np.float64).reshape(-1)
-    m1, m2 = gram_matrices(frame, partition, k0)
-    lap1, lap2 = ((None, None) if not np.any(taus > 0) else
-                  (build_laplacian(frame.locations, s)
-                   for s in (partition.set1, partition.set2)))
-    p1, p2 = m1.shape[0], m2.shape[0]
+    p1, p2 = len(partition.set1), len(partition.set2)
+
+    def sweep(side: int, subset):
+        m = _side_gram(frame, partition, k0, side)
+        lap = build_laplacian(frame.locations, subset) if np.any(taus > 0) else None
+        return _eig_desc(m, lap, taus)  # which frees m once it is symmetrized
+
     side1 = []
-    for evals, evecs, order in _eig_desc(m1, lap1, taus):
+    for evals, evecs, order in sweep(1, partition.set1):
         if d_override is None:  # the side-2 basis cannot exceed p2 columns
             d = np.minimum(estimate_d(evals, p_star if p_star is not None
                                       else default_p_star(p1, p2)), p2)
@@ -232,8 +262,9 @@ def _fit_grid(frame: SpatioTemporalFrame, partition: Partition, taus,
             d = np.full(len(evals), int(d_override))
         top = _top_vectors(evecs, order, d.max())
         side1 += [(top[k, :, :d[k]].copy(), int(d[k]), evals[k]) for k in range(len(d))]
+    del evecs  # side 2 does not hold side 1's last eigenvectors
     d_max = max(d for _, d, _ in side1)
-    side2 = [a2 for _, evecs, order in _eig_desc(m2, lap2, taus)
+    side2 = [a2 for _, evecs, order in sweep(2, partition.set2)
              for a2 in _top_vectors(evecs, order, d_max)]
     fits = []
     for (a1, d, evals1), a2, tau in zip(side1, side2, taus):

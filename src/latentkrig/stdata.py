@@ -200,7 +200,8 @@ class SpatioTemporalFrame:
     that were never imputed. Panel statistics derived from the frame
     (the centered panel and its lag covariances) are kept in a private
     memo and shared by every fit of the frame; a subframe is a new frame
-    with its own.
+    with its own. obs and covariates are read-only: an array that nothing
+    can write to is kept as given, and any other is copied.
     """
 
     locations: LocationSet
@@ -211,7 +212,7 @@ class SpatioTemporalFrame:
     _memo: Memo = field(init=False, repr=False, compare=False, default_factory=Memo)
 
     def __post_init__(self) -> None:
-        obs = np.array(self.obs, dtype=np.float64)
+        obs = _kept(self.obs)
         if obs.ndim != 2:
             raise ParseError("obs must be a 2-d array")
         n, p = obs.shape
@@ -240,14 +241,12 @@ class SpatioTemporalFrame:
             raise InsufficientOverlap(
                 f"each location needs >= {col_need} observed time points")
         if self.covariates is not None:
-            z = np.array(self.covariates, dtype=np.float64)
+            z = _kept(self.covariates)
             if z.ndim != 3 or z.shape[:2] != (n, p):
                 raise ParseError("covariates must be (n, p, m)")
             if not np.all(np.isfinite(z)):
                 raise ParseError("covariates must be fully observed")
-            z.setflags(write=False)
             self.covariates = z
-        obs.setflags(write=False)
         miss.setflags(write=False)
         self.obs = obs
         self.missing = miss
@@ -273,9 +272,35 @@ class SpatioTemporalFrame:
         idx = list(indices)
         return SpatioTemporalFrame(
             locations=self.locations.subset(idx),
-            obs=self.obs[:, idx],
-            covariates=None if self.covariates is None else self.covariates[:, idx, :],
+            obs=_sealed(np.take(self.obs, idx, axis=1)),
+            covariates=None if self.covariates is None else
+            _sealed(np.take(self.covariates, idx, axis=1)),
         )
+
+
+def _kept(a) -> np.ndarray:
+    """A frame's read-only float64 copy of ``a``, or ``a`` itself when it
+    is C-contiguous float64 and nothing can write to it: it and the array
+    it views are read-only. A caller who later writes to an array they
+    passed in therefore never changes a frame."""
+    if isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous:
+        owner = a
+        while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+            owner = owner.base
+        if owner is None:
+            return a
+    a = np.array(a, dtype=np.float64)
+    a.setflags(write=False)
+    return a
+
+
+def _sealed(a: np.ndarray) -> np.ndarray:
+    """``a`` and the array it views marked read-only: for an array built
+    here and shared with nothing, which a frame then keeps uncopied."""
+    for arr in (a.base, a):
+        if arr is not None:
+            arr.setflags(write=False)
+    return a
 
 
 # ---- CSV ingestion ----
@@ -559,7 +584,8 @@ def load_frame(locations_path, observations_path, covariates_path=None,
     rank, obs = _read_long_form(Path(observations_path), locs.index_of, locs.p)
     covariates = None if covariates_path is None else _read_long_form(
         Path(covariates_path), locs.index_of, locs.p, rank)[1]
-    return SpatioTemporalFrame(locations=locs, obs=obs, covariates=covariates)
+    return SpatioTemporalFrame(locations=locs, obs=_sealed(obs), covariates=
+                               None if covariates is None else _sealed(covariates))
 
 
 def load_observation_table(path) -> tuple[list, tuple[str, ...], np.ndarray]:

@@ -320,18 +320,42 @@ def test_fit_at_tau_zero_builds_no_laplacian(monkeypatch):
     frame, *_ = rank_k_frame(50, 16, k=2, seed=23, noise=0.5)
     part = random_partition(16, 2)
     penalized = factors._fit_grid(frame, part, [0.0, 1.0])[0]
-    grams, real_gram = [], factors.gram_matrices
+    grams, real_gram = [], factors._side_gram
     monkeypatch.setattr(factors, "build_laplacian", None)
-    monkeypatch.setattr(factors, "gram_matrices",
-                        lambda *args: grams.append(1) or real_gram(*args))
+    monkeypatch.setattr(factors, "_side_gram",
+                        lambda *args: grams.append(args[-1]) or real_gram(*args))
     fit = fit_factors(frame, part, tau=0.0)
     assert fit.A1_hat.tobytes() == penalized.A1_hat.tobytes()
     assert fit.A2_hat.tobytes() == penalized.A2_hat.tobytes()
-    assert grams == [1]
+    assert grams == [1, 2]
     grams.clear()
-    # nor does a cross-validation over {0}, with one Gram build per fold
+    # nor does a cross-validation over {0}, with one Gram build per side and fold
     _cv_scores(frame, np.array([0.0]), 5, 2, 0, None, "gaussian")
-    assert grams == [1] * 5
+    assert grams == [1, 2] * 5
+
+
+def test_fits_write_to_no_input():
+    from latentkrig.factors import _eig_desc, _site_weights
+    frame, *_ = rank_k_frame(60, 16, k=2, seed=24, noise=0.5)
+    part = random_partition(16, 5)
+    fit_factors(frame, part, tau=1.0, k0=2)  # builds the shared statistics
+    memo = [*frame._memo._values.values(), *frame.locations._memo._values.values()]
+    assert any(w is _site_weights(frame.locations) for w in memo)
+    shared = [frame.obs, *memo]
+    before = [a.tobytes() for a in shared]
+    m1, _ = gram_matrices(frame, part, 2)
+    lap = build_laplacian(frame.locations, part.set1)
+    m = m1 + 1e-12 * np.triu(m1)  # within tolerance, but not symmetric
+    inputs = [m, lap]
+    given = [a.tobytes() for a in inputs]
+    grid = np.linspace(0.0, 3.0, 21)  # two stacked chunks
+    for penalty, taus in ((lap, grid), (lap, [1.0]), (None, [0.0, 0.0])):
+        assert len(list(_eig_desc(m, penalty, taus))) == -(-len(taus) // 16)
+    fit_factors(frame, part, tau=1.0, k0=2)
+    fit_factors(frame, part, tau=0.0)
+    assert [a.tobytes() for a in inputs] == given
+    assert [a.tobytes() for a in shared] == before
+    assert not any(a.flags.writeable for a in shared)
 
 
 # ---- subspace distance ----

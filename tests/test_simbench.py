@@ -335,6 +335,22 @@ def test_cv_scores_peak_memory_stays_flat():
     assert peak <= 8 * 2 ** 20
 
 
+def test_member_fit_peak_memory_stays_flat():
+    import tracemalloc
+    frame = simulate(SimConfig(n=320, p=800, seed=1)).frame
+    part = random_partition(800, 3)
+    fit_factors(frame, part, tau=1.0, k0=1)  # builds the shared statistics
+    tracemalloc.start()
+    try:
+        fit_factors(frame, part, tau=1.0, k0=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one side's 400 x 400 matrices at a time: a fit that holds both sides'
+    # Gram matrices and Laplacians through its eigensolves peaks near 10 MB
+    assert peak <= 6.5 * 2 ** 20
+
+
 @pytest.mark.parametrize("quoted", [False, True])
 def test_load_frame_peak_memory_stays_flat(tmp_path, monkeypatch, quoted):
     import tracemalloc

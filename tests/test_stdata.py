@@ -205,6 +205,59 @@ def test_subframe_keeps_order_and_values():
     np.testing.assert_array_equal(sub.obs, obs[:, [3, 1]])
 
 
+def test_frame_copies_every_array_a_caller_can_write():
+    locs = grid_locations(5)
+    rng = np.random.default_rng(9)
+    obs, z = rng.standard_normal((6, 5)), rng.standard_normal((6, 5, 2))
+    ro_obs, ro_z = obs[:], z[:]  # read-only views of writable arrays
+    for a in (ro_obs, ro_z):
+        a.setflags(write=False)
+    frames = [SpatioTemporalFrame(locations=locs, obs=o, covariates=c)
+              for o, c in ((obs, z), (ro_obs, ro_z), (obs.tolist(), z.tolist()),
+                           (np.asfortranarray(obs), z.astype(np.float32)))]
+    kept = [(f.obs.tobytes(), f.covariates.tobytes()) for f in frames]
+    for f in frames:
+        assert not np.shares_memory(f.obs, obs) and not np.shares_memory(f.covariates, z)
+        assert not (f.obs.flags.writeable or f.covariates.flags.writeable)
+    obs += 1.0
+    z += 1.0
+    assert [(f.obs.tobytes(), f.covariates.tobytes()) for f in frames] == kept
+
+
+def test_frame_keeps_arrays_nothing_can_write(tmp_path, monkeypatch):
+    import latentkrig.stdata as stdata
+    locs = grid_locations(5)
+    rng = np.random.default_rng(10)
+    obs, z = rng.standard_normal((6, 5)), rng.standard_normal((6, 5, 2))
+    for a in (obs, z):
+        a.setflags(write=False)
+    frame = SpatioTemporalFrame(locations=locs, obs=obs[:], covariates=z)
+    assert np.shares_memory(frame.obs, obs) and frame.covariates is z
+    # load_frame hands over the arrays its reader builds
+    read, real_read = [], stdata._read_long_form
+    monkeypatch.setattr(stdata, "_read_long_form",
+                        lambda *args: read.append(real_read(*args)) or read[-1])
+    paths = save_frame(frame, tmp_path)
+    back = load_frame(paths["locations"], paths["observations"], paths["covariates"])
+    assert np.shares_memory(back.obs, read[0][1]) and back.covariates is read[1][1]
+    assert back.obs.tobytes() == obs.tobytes() and back.covariates.tobytes() == z.tobytes()
+
+
+def test_subframe_copies_once():
+    import tracemalloc
+    frame = SpatioTemporalFrame(locations=grid_locations(200),
+                                obs=np.random.default_rng(11).standard_normal((2000, 200)))
+    tracemalloc.start()
+    try:
+        sub = frame.subframe(range(0, 200, 2))  # 1.6 MB
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sub.obs.tobytes() == frame.obs[:, ::2].tobytes()
+    assert not np.shares_memory(sub.obs, frame.obs) and not sub.obs.flags.writeable
+    assert peak < 1.5 * sub.obs.nbytes
+
+
 # ---- CSV round trip ----
 
 def test_save_load_round_trip_bit_exact(tmp_path):
