@@ -33,13 +33,17 @@ from .stdata import Partition, SpatioTemporalFrame
 
 
 def _centered_columns(frame: SpatioTemporalFrame, cols) -> np.ndarray:
+    """The centered panel's columns ``cols``: the read-only memo array
+    itself when they are every column in order, else a copy."""
     idx = list(cols)
-    if frame.missing[:, idx].any():
+    every = idx == list(range(frame.p))
+    if (frame.missing if every else frame.missing[:, idx]).any():
         raise MissingDataError(
             "covariance over incomplete columns; impute or subset first")
     # columns with missing cells center to NaN and are never read
-    return frame._memo.get("centered",
-                           lambda: frame.obs - frame.obs.mean(axis=0))[:, idx]
+    centered = frame._memo.get("centered",
+                               lambda: frame.obs - frame.obs.mean(axis=0))
+    return centered if every else centered[:, idx]
 
 
 def _lag(frame: SpatioTemporalFrame, j: int) -> np.ndarray:

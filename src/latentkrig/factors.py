@@ -39,7 +39,7 @@ from .stdata import (LocationSet, Partition, SpatioTemporalFrame,
 
 _SIGN_EPS = 1e-12
 _EIG_FLOOR = 1e-300
-_EIGH_STACK = 16  # matrices per stacked eigh; keeps peak memory flat
+_EIGH_STACK = 8  # matrices per stacked eigh; keeps peak memory flat
 
 
 def _site_weights(locations: LocationSet) -> np.ndarray:

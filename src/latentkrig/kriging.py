@@ -26,7 +26,7 @@ import numpy as np
 
 from .covariance import masked_pairwise
 from .errors import EmptyKernelWindow
-from .stdata import LocationSet, SpatioTemporalFrame, distance_matrix
+from .stdata import LocationSet, SpatioTemporalFrame, _sealed, distance_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -158,6 +158,6 @@ def impute_missing(frame: SpatioTemporalFrame) -> SpatioTemporalFrame:
                        non_psd_cells)
     logger.info("imputed %d cells in %d availability groups; floored %d, "
                 "non-PSD %d", len(filled), groups, floored, non_psd)
-    return SpatioTemporalFrame(locations=frame.locations, obs=obs,
+    return SpatioTemporalFrame(locations=frame.locations, obs=_sealed(obs),
                                covariates=frame.covariates,
                                filled_cells=tuple(filled))

@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import SingularDesign
 from .kriging import kernel_weights
-from .stdata import LocationSet, SpatioTemporalFrame, _fmt, _write_csv
+from .stdata import (LocationSet, SpatioTemporalFrame, _fmt, _sealed,
+                     _write_csv)
 
 
 @dataclass
@@ -54,7 +55,8 @@ def detrend(frame: SpatioTemporalFrame) -> RegressionFit:
                 f"location {frame.locations.ids[i]}: singular design")
         betas[i] = np.linalg.solve(gram, z.T @ y)
         resid[keep, i] = y - z @ betas[i]
-    residual = SpatioTemporalFrame(locations=frame.locations, obs=resid,
+    residual = SpatioTemporalFrame(locations=frame.locations,
+                                   obs=_sealed(resid),
                                    covariates=frame.covariates)
     return RegressionFit(betas=betas, residual_frame=residual)
 

@@ -223,7 +223,8 @@ def _loo_bandwidth(locs, vt, u, family) -> float:
 
 def select_tau(frame: SpatioTemporalFrame, grid=None, folds: int = 5,
                rng_seed: int = 0, k0: int = 0, p_star: int | None = None,
-               family: str = "gaussian", d_override: int | None = None) -> float:
+               family: str = "gaussian", d_override: int | None = None,
+               workers: int | None = None) -> float:
     """Roughness weight by k-fold cross-validation over locations.
 
     Locations are shuffled into folds of (near) equal size by rng_seed.
@@ -236,7 +237,9 @@ def select_tau(frame: SpatioTemporalFrame, grid=None, folds: int = 5,
     the whole grid, and that fit is grid point 0 when the grid holds 0.
     Every grid point then costs the d-dimensional readouts y A times
     A' W. Smallest tau wins ties because the grid is scanned in
-    ascending order.
+    ascending order. Folds are fitted on ``workers`` threads (None reads
+    LATENT_KRIG_THREADS) and scored in fold order, so the choice is the
+    same for every worker count.
     """
     tau_grid = np.unique(np.asarray(
         default_tau_grid() if grid is None else grid, dtype=np.float64))
@@ -249,23 +252,24 @@ def select_tau(frame: SpatioTemporalFrame, grid=None, folds: int = 5,
     if frame.p < 2 * folds:
         raise TooFewLocations(f"{folds}-fold CV needs p >= {2 * folds}")
     scores = _cv_scores(frame, tau_grid, folds, rng_seed, k0, p_star, family,
-                        d_override)
+                        d_override, workers)
     return float(tau_grid[int(np.argmin(scores.sum(axis=0)))])
 
 
 def _cv_scores(frame, tau_grid, folds, rng_seed, k0, p_star, family,
-               d_override=None) -> np.ndarray:
+               d_override=None, workers=None) -> np.ndarray:
     """(folds, grid) matrix of held-out mean squared errors for select_tau;
-    tau_grid is ascending and unique, as select_tau passes it."""
+    tau_grid is ascending and unique, as select_tau passes it. One row
+    per fold, fitted on ``workers`` threads and stacked in fold order."""
     p = frame.p
     rng = np.random.default_rng(rng_seed)
     groups = np.array_split(rng.permutation(p), folds)
-    fold_seeds = _util.member_seeds(rng_seed, folds)
-    scores = np.empty((folds, tau_grid.size))
-    for f, grp in enumerate(groups):
+
+    def one(fold) -> np.ndarray:
+        grp, fold_seed = fold
         test_idx = sorted(int(i) for i in grp)
         sub = frame.subframe(sorted(set(range(p)) - set(test_idx)))
-        part = random_partition(sub.p, fold_seeds[f])
+        part = random_partition(sub.p, fold_seed)
         set1, set2 = list(part.set1), list(part.set2)
         # tau = 0 picks the bandwidth
         fits = _fit_grid(sub, part, np.union1d(0.0, tau_grid), k0, p_star,
@@ -280,11 +284,15 @@ def _cv_scores(frame, tau_grid, folds, rng_seed, k0, p_star, family,
                            kernel)
         w1, w2 = w[set1], w[set2]
         y_test = frame.obs[:, test_idx]
+        row = np.empty(tau_grid.size)
         for gi, fit in enumerate(fits[len(fits) - tau_grid.size:]):
             a1, a2 = fit.A1_hat, fit.A2_hat
             pred = (y1 @ a1) @ (a1.T @ w1) + (y2 @ a2) @ (a2.T @ w2)
-            scores[f, gi] = np.mean((pred - y_test) ** 2)
-    return scores
+            row[gi] = np.mean((pred - y_test) ** 2)
+        return row
+
+    return np.stack(list(_util.ordered_map(
+        one, list(zip(groups, _util.member_seeds(rng_seed, folds))), workers)))
 
 
 @dataclass
@@ -469,7 +477,8 @@ def run_table(table_id: str, replicates: int, seed: int,
         (n, p), rep, sim_seed, pipe_seed = task
         draw = simulate(SimConfig(n, p, sim_seed, **extra))
         cv_seed, fit_seed = _util.member_seeds(pipe_seed, 2)
-        tau_cv = select_tau(draw.frame, grid=tau_grid, rng_seed=cv_seed)
+        tau_cv = select_tau(draw.frame, grid=tau_grid, rng_seed=cv_seed,
+                            workers=1)
         return [MetricReport(n=n, p=p, replicate=rep, **row)
                 for row in fn(draw, tau_cv, fit_seed, J, j0)]
 

@@ -8,6 +8,7 @@ import pytest
 from latentkrig import (SimConfig, forecast_ensemble, load_ensemble, load_fit,
                         load_frame, select_tau, simulate)
 from latentkrig import cli
+from latentkrig import _util
 from latentkrig._util import worker_count
 from latentkrig.cli import main
 from latentkrig.errors import ConfigError
@@ -369,12 +370,19 @@ def test_tau_grid_cross_validates_with_the_fits_d(tmp_path, capsys):
     assert "tau=0.0" in stdout.splitlines()
 
 
-def test_worker_count_reads_environment(monkeypatch):
-    for raw, expect in (("", 1), ("  ", 1), ("1", 1), ("3", 3), (" 2 ", 2)):
+@pytest.mark.parametrize("pinned", [True, False])
+def test_worker_count_reads_environment(monkeypatch, pinned):
+    # unset or empty: the usable CPUs when OpenBLAS can be pinned to one
+    # thread per task, else 1
+    monkeypatch.setattr(_util, "_openblas", lambda: [None] if pinned else [])
+    monkeypatch.setattr(_util, "_usable_cpus", lambda: 6)
+    default = 6 if pinned else 1
+    for raw, expect in (("", default), ("  ", default), ("1", 1), ("3", 3),
+                        (" 2 ", 2)):
         monkeypatch.setenv("LATENT_KRIG_THREADS", raw)
         assert worker_count() == expect
     monkeypatch.delenv("LATENT_KRIG_THREADS")
-    assert worker_count() == 1
+    assert worker_count() == default
     for raw in ("abc", "1.5", "0", "-4"):
         monkeypatch.setenv("LATENT_KRIG_THREADS", raw)
         with pytest.raises(ConfigError, match="LATENT_KRIG_THREADS"):

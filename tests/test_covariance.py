@@ -117,6 +117,30 @@ def test_covariance_requires_complete_columns():
         lagged_auto_covariance(frame, (1,), 1)
 
 
+def test_lag_over_every_site_reads_the_centered_panel_uncopied():
+    import tracemalloc
+    from latentkrig import SimConfig, simulate
+    from latentkrig.covariance import _lag
+    frame = simulate(SimConfig(n=320, p=800, seed=1)).frame
+    n, p = frame.n, frame.p
+    # the earlier build: every column indexed out of the centered panel
+    yc = (frame.obs - frame.obs.mean(axis=0))[:, list(range(p))]
+    want = {}
+    for j in (1, 0):
+        want[j] = yc[j:].T @ yc[:n - j]
+        want[j] /= n
+    assert _lag(frame, 1).tobytes() == want[1].tobytes()  # builds Y_c too
+    tracemalloc.start()
+    try:
+        c0 = _lag(frame, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c0.tobytes() == want[0].tobytes()
+    # C_0 alone is 4.88 MiB; a copy of the 320 x 800 centered panel adds 1.95
+    assert peak <= 5.5 * 2 ** 20
+
+
 def brute_pairwise(obs, rows, cols):
     """Per-pair joint-subset means and counts."""
     out = np.empty((len(rows), len(cols)))

@@ -273,7 +273,7 @@ def _one_matrix_reference(m1, m2, lap1, lap2, tau, p_star, d_override=None):
 @pytest.mark.parametrize("k0, p_star, grid", [
     (0, None, [0.0, 0.1, 0.5, 2.0, 10.0]),
     (1, None, [0.3, 1.0, 4.0]),
-    (0, 3, list(np.linspace(0.0, 10.0, 37))),   # three stacks
+    (0, 3, list(np.linspace(0.0, 10.0, 37))),   # several stacks
     (1, 5, [0.0, 7.5])])
 def test_tau_sweep_is_bitwise_the_per_tau_solve(k0, p_star, grid, d_override=None):
     from latentkrig.factors import _fit_grid
@@ -329,13 +329,14 @@ def test_fit_at_tau_zero_builds_no_laplacian(monkeypatch):
     assert fit.A2_hat.tobytes() == penalized.A2_hat.tobytes()
     assert grams == [1, 2]
     grams.clear()
-    # nor does a cross-validation over {0}, with one Gram build per side and fold
-    _cv_scores(frame, np.array([0.0]), 5, 2, 0, None, "gaussian")
+    # nor does a cross-validation over {0}, with one Gram build per side and
+    # fold; inline, so the folds' builds do not interleave
+    _cv_scores(frame, np.array([0.0]), 5, 2, 0, None, "gaussian", workers=1)
     assert grams == [1, 2] * 5
 
 
 def test_fits_write_to_no_input():
-    from latentkrig.factors import _eig_desc, _site_weights
+    from latentkrig.factors import _EIGH_STACK, _eig_desc, _site_weights
     frame, *_ = rank_k_frame(60, 16, k=2, seed=24, noise=0.5)
     part = random_partition(16, 5)
     fit_factors(frame, part, tau=1.0, k0=2)  # builds the shared statistics
@@ -348,9 +349,10 @@ def test_fits_write_to_no_input():
     m = m1 + 1e-12 * np.triu(m1)  # within tolerance, but not symmetric
     inputs = [m, lap]
     given = [a.tobytes() for a in inputs]
-    grid = np.linspace(0.0, 3.0, 21)  # two stacked chunks
+    grid = np.linspace(0.0, 3.0, 21)  # several stacked chunks
     for penalty, taus in ((lap, grid), (lap, [1.0]), (None, [0.0, 0.0])):
-        assert len(list(_eig_desc(m, penalty, taus))) == -(-len(taus) // 16)
+        chunks = -(-len(taus) // _EIGH_STACK)
+        assert len(list(_eig_desc(m, penalty, taus))) == chunks
     fit_factors(frame, part, tau=1.0, k0=2)
     fit_factors(frame, part, tau=0.0)
     assert [a.tobytes() for a in inputs] == given

@@ -376,6 +376,17 @@ def test_impute_preserves_observed_cells_bitwise():
     assert len(filled.filled_cells) == int(mask.sum())
 
 
+def test_imputed_frame_keeps_the_filled_array(monkeypatch):
+    sealed, real = [], kriging._sealed
+    monkeypatch.setattr(kriging, "_sealed",
+                        lambda a: sealed.append(a) or real(a))
+    frame = _outage_frame()
+    filled = impute_missing(frame)
+    # the panel impute_missing filled, handed over read-only and not copied
+    assert len(sealed) == 1 and filled.obs is sealed[0]
+    assert not filled.obs.flags.writeable
+
+
 def test_impute_beats_column_mean_on_factor_data():
     # single smooth factor, strong loadings: the cross-sectional predictor
     # must clearly beat the per-column mean

@@ -29,6 +29,17 @@ def test_detrend_recovers_exact_coefficients():
     assert fit.residual_frame.locations is frame.locations
 
 
+def test_residual_frame_keeps_the_residual_array(monkeypatch):
+    from latentkrig import regress
+    sealed, real = [], regress._sealed
+    monkeypatch.setattr(regress, "_sealed", lambda a: sealed.append(a) or real(a))
+    frame, _ = synthetic_panel(24, 6, 3, seed=1, missing=[(2, 3)])
+    res = detrend(frame).residual_frame
+    # the residual panel detrend built, handed over read-only and not copied
+    assert len(sealed) == 1 and res.obs is sealed[0]
+    assert not res.obs.flags.writeable
+
+
 def test_detrend_with_missing_cells():
     holes = [(0, 1), (5, 1), (7, 3)]
     frame, beta = synthetic_panel(24, 6, 2, seed=2, missing=holes)

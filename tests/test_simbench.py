@@ -321,9 +321,24 @@ def test_factored_bandwidth_matches_the_field_scorer(family, metric):
                 == select_bandwidth(field, locs, family=family))
 
 
-def test_cv_scores_peak_memory_stays_flat():
+def test_cv_scores_are_bitwise_equal_for_every_worker_count():
+    from latentkrig.simbench import _cv_scores
+    frame = simulate(SimConfig(n=120, p=60, seed=8)).frame
+    grid = default_tau_grid()
+    rows = {workers: _cv_scores(frame, grid, 5, 3, 0, None, "gaussian",
+                                workers=workers) for workers in (1, 2, 5)}
+    assert rows[1].shape == (5, 101)
+    assert rows[1].tobytes() == rows[2].tobytes() == rows[5].tobytes()
+    taus = {select_tau(frame, grid=[0.0, 0.5, 2.0], rng_seed=3, workers=w)
+            for w in (1, 2)}
+    assert len(taus) == 1
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_cv_scores_peak_memory_stays_flat(monkeypatch, threads):
     import tracemalloc
     from latentkrig.simbench import _cv_scores
+    monkeypatch.setenv("LATENT_KRIG_THREADS", threads)
     frame = simulate(SimConfig(n=320, p=200, seed=1)).frame
     tracemalloc.start()
     try:
@@ -331,7 +346,8 @@ def test_cv_scores_peak_memory_stays_flat():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the eigensolves run in stacks of at most 16 matrices per side
+    # the eigensolves run in stacks of at most 8 matrices per side, so two
+    # folds solving at once stay under the bound too
     assert peak <= 8 * 2 ** 20
 
 
