@@ -15,10 +15,14 @@ CSV formats (headers mandatory, exact):
   (t, id) row, marks the cell missing.
 * covariates, long form: ``t,id,z1,...,zm``. When supplied the file must
   cover every (t, id) cell with numeric entries.
+
+One reader serves all three: it reads a file once, a block of rows at a
+time, and raises the error of the first bad row as ``path:line``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime
 import io
@@ -305,42 +309,17 @@ def _sealed(a: np.ndarray) -> np.ndarray:
 
 # ---- CSV ingestion ----
 
-# Rows the long-form reader tokenizes and checks at a time. Its memory is
-# one block's tokens plus two integer codes and the floats of each row.
+# Rows the CSV reader tokenizes and checks at a time. Its memory is one
+# block's tokens plus two integer codes and the floats of each row.
 _CSV_BLOCK = 8192
 
 
 def _read_text(path: Path) -> str:
-    """The file's UTF-8 text; errors name the path."""
+    """The file's UTF-8 text; a file that is not UTF-8 is named as such."""
     try:
         return path.read_bytes().decode("utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
-
-
-def _open_bytes(path: Path):
-    """The file opened for reading as bytes; errors name the path."""
-    try:
-        return open(path, "rb")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-
-
-def _text(fh) -> io.TextIOWrapper:
-    """fh from where it stands as UTF-8 text, lines as csv.reader wants."""
-    return io.TextIOWrapper(fh, encoding="utf-8", newline="")
-
-
-def _read_rows(path: Path, expected_header: list[str] | None) -> tuple[list[str], list[list[str]]]:
-    rows = list(csv.reader(io.StringIO(_read_text(path), newline="")))
-    if not rows:
-        raise ParseError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
-    if expected_header is not None and header != expected_header:
-        raise ParseError(f"{path}: expected header {','.join(expected_header)}")
-    return header, rows[1:]
 
 
 def _parse_float(token: str, path: Path, line: int) -> float:
@@ -351,6 +330,13 @@ def _parse_float(token: str, path: Path, line: int) -> float:
     if not math.isfinite(value):
         raise ParseError(f"{path}:{line}: non-finite value {token!r}")
     return value
+
+
+def _float_or_nan(token: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        return math.nan
 
 
 def _parse_timestamp(token: str, path: Path, line: int):
@@ -367,31 +353,7 @@ def _parse_timestamp(token: str, path: Path, line: int):
             "nor an ISO-8601 date") from None
 
 
-def _memo_stamp(memo: dict, token: str, path: Path, line: int):
-    """Parse each distinct raw token once; panels repeat a stamp per site."""
-    if token not in memo:
-        memo[token] = _parse_timestamp(token, path, line)
-    return memo[token]
-
-
-def load_locations(path, distance_metric: str = "euclidean",
-                   radius: float = EARTH_RADIUS_KM) -> LocationSet:
-    path = Path(path)
-    _, rows = _read_rows(path, ["id", "x1", "x2"])
-    ids: list[str] = []
-    coords: list[list[float]] = []
-    for k, row in enumerate(rows, start=2):
-        if len(row) != 3:
-            raise ParseError(f"{path}:{k}: expected 3 fields")
-        ids.append(row[0].strip())
-        coords.append([_parse_float(row[1], path, k), _parse_float(row[2], path, k)])
-    if len(set(ids)) != len(ids):
-        raise DuplicateCell(f"{path}: duplicate location id")
-    return LocationSet(ids=tuple(ids), coords=np.array(coords),
-                       distance_metric=distance_metric, radius=radius)
-
-
-def _rank_timestamps(stamps: set, path: Path) -> dict:
+def _rank_timestamps(stamps, path: Path) -> dict:
     if len({type(s) for s in stamps}) > 1:
         raise ParseError(f"{path}: mixed integer and date timestamps")
     return {s: k for k, s in enumerate(sorted(stamps))}
@@ -401,7 +363,7 @@ def _plain_columns(raw: bytes, w: int | None) -> list[list[str]] | None:
     """Token columns of whole lines of UTF-8 bytes; None unless every line
     holds w fields (the first line's count when w is None) and csv.reader
     would split alike: no quote, lone CR or over-long line. A CR before a
-    newline stays on the last token, where float() and strip() drop it."""
+    newline is dropped, as csv.reader drops it."""
     if not raw.endswith(b"\n"):
         raw += b"\n"
     b = np.frombuffer(raw, np.uint8)
@@ -413,140 +375,178 @@ def _plain_columns(raw: bytes, w: int | None) -> list[list[str]] | None:
             or np.any(b[cr + 1] != ord("\n"))
             or np.diff(sep[w - 1::w], prepend=-1).max() > csv.field_size_limit()):
         return None
+    raw = raw.replace(b"\r", b"") if cr.size else raw  # every CR ends a line; csv.reader drops it
     tokens = raw.decode("utf-8").replace("\n", ",").split(",")[:-1]
     return [tokens[j::w] for j in range(w)]
 
 
-def _header_ok(header: list[str], cov: bool) -> bool:
-    """Whether stripped header fields are ``t,id,value``, or with cov
-    ``t,id,z1,...,zm`` for some m >= 1."""
-    if cov:
-        return len(header) > 2 and header[:2] == ["t", "id"]
-    return header == ["t", "id", "value"]
-
-
-def _csv_blocks(fh) -> Iterator[list | None]:
+def _csv_blocks(fh, path: Path) -> Iterator[list]:
     """The rows of a CSV file open as bytes, at most _CSV_BLOCK at a time,
     each block as its token columns; the first block starts with the
     header. Plain lines are split on commas. From the first block that
     csv.reader would split otherwise on, one csv.reader tokenizes the rest
-    of the file, and a block holding a row of another width than the
-    header's is None."""
-    w = None
+    of the file. A row of another width than the header's ends the block
+    before it; the next request reads the rest of the file, so a csv
+    error further down comes first, and then names the row's line."""
+    w, records = None, 0
     while lines := list(itertools.islice(fh, _CSV_BLOCK)):
         if (columns := _plain_columns(b"".join(lines), w)) is None:
             break
-        w = len(columns)
+        w, records = len(columns), records + len(lines)
         yield columns
     else:
         return
     # the refused block ends a line, so its text lines run on into fh's
-    with _text(fh) as rest:
+    with io.TextIOWrapper(fh, encoding="utf-8", newline="") as rest:
         rows = csv.reader(itertools.chain(
             io.StringIO(b"".join(lines).decode("utf-8"), newline=""), rest))
         while block := list(itertools.islice(rows, _CSV_BLOCK)):
             w = len(block[0]) if w is None else w
-            yield list(zip(*block)) if all(len(row) == w for row in block) else None
+            k = next((k for k, row in enumerate(block) if len(row) != w), len(block))
+            if k:
+                yield list(zip(*block[:k]))
+            if k < len(block):
+                for _ in rows:
+                    pass
+                raise ParseError(f"{path}:{records + k + 1}: expected {w} fields")
+            records += k
 
 
-def _block_panel(path, blocks, column_of, min_width, stamp_of, panel_rank):
-    """Ranks and n x width x m panel from a long-form file's token blocks;
-    None when a block, or the file as a whole, breaks a rule the row loop
-    names. Each distinct stamp token is parsed once into stamp_of and
-    each distinct id token mapped once, in first-seen order; a row keeps
-    two integer codes and its m floats. Given panel_rank, the file's
-    ranks must equal it and its rows must cover every cell."""
-    cov, first = panel_rank is not None, next(blocks, None)
-    if not first or not _header_ok([h[0].strip() for h in first], cov):
-        return None
-    m = len(first) - 2
-    t_code, col_of, parts = {}, {}, []
-    for block in itertools.chain([[c[1:] for c in first]], blocks):
-        if block is None:
-            return None
-        t_tok, id_tok, *v_cols = block
-        n = len(t_tok)
-        vals = np.empty((n, m))
-        try:
-            for tok in dict.fromkeys(t_tok):  # the row loop names a bad one's line
-                if tok not in t_code:
-                    stamp = _memo_stamp(stamp_of, tok, path, 0)
-                    if cov and stamp not in panel_rank:
-                        return None
-                    t_code[tok] = len(t_code)
-            for raw in dict.fromkeys(id_tok):
-                if raw not in col_of:
-                    col_of[raw] = column_of(raw.strip())
-            for j, v_tok in enumerate(v_cols):
-                try:
-                    vals[:, j] = np.fromiter(map(float, v_tok), np.float64, n)
-                except ValueError:  # empty cells, or a non-numeric one
-                    vals[:, j] = [float(v) if v.strip() else math.nan for v in v_tok]
-        except (LatentKrigError, ValueError):
-            return None
-        bad = np.argwhere(~np.isfinite(vals))  # empty, or nan or inf spelled out
-        if bad.size and (cov or any(v_cols[j][k].strip() for k, j in bad)):
-            return None
-        if n:
-            parts.append((np.fromiter(map(t_code.__getitem__, t_tok), np.intp, n),
-                          np.fromiter(map(col_of.__getitem__, id_tok), np.intp, n), vals))
+def _read_csv(path: Path, read):
+    """read(blocks) of the CSV file at path, given its _csv_blocks; csv
+    and decoding errors are ParseErrors naming the path. Such an error
+    anywhere in the file comes before any error read raises: the blocks
+    left are read first."""
     try:
-        rank = _rank_timestamps(set(stamp_of.values()), path)
-    except ParseError:
-        return None
-    if not parts or (cov and rank != panel_rank):
-        return None
-    width = max(min_width, 1 + max(int(col.max()) for _, col, _ in parts))
-    t_rank = np.array([rank[stamp_of[tok]] for tok in t_code], np.intp)
-    panel = np.full((len(rank), width, m), np.nan)
-    hit = np.zeros(len(rank) * width, bool)
-    for t, col, vals in parts:
-        cell = t_rank[t] * width + col
-        hit[cell] = True
-        panel.reshape(-1, m)[cell] = vals
-    rows = sum(len(t) for t, _, _ in parts)
-    if np.count_nonzero(hit) < rows or (cov and rows < hit.size):  # a duplicate, or a gap
-        return None
-    return rank, panel
-
-
-def _raise_row_error(path, column_of, stamp_of, panel_rank):
-    """Raise the error of a long-form file the block reader refused: the
-    first bad row as csv.reader splits the file, else what only the whole
-    file shows. The file is read to its end first, so a csv error further
-    down still comes before any row's."""
-    cov, cells, error = panel_rank is not None, set(), None
-    with _text(_open_bytes(path)) as fh:
-        rows = csv.reader(fh)
-        header = next(rows, None)
-        if header is None:
-            error = ParseError(f"{path}: empty file")
-        elif not _header_ok([h.strip() for h in header], cov):
-            error = ParseError(f"{path}: expected header t,id,{'z1,...' if cov else 'value'}")
-        for k, row in enumerate(rows, start=2):
-            if error is not None:
-                continue
+        with open(path, "rb") as fh:
+            blocks = _csv_blocks(fh, path)
             try:
-                if len(row) != len(header):
-                    raise ParseError(f"{path}:{k}: expected {len(header)} fields")
-                t = _memo_stamp(stamp_of, row[0], path, k)
-                if cov and t not in panel_rank:
-                    raise ParseError(f"{path}:{k}: timestamp {row[0]!r} not in panel")
-                loc = row[1].strip()
-                key = (t, column_of(loc))
-                if key in cells:
-                    raise DuplicateCell(f"{path}:{k}: duplicate covariate cell" if cov else
-                                        f"{path}:{k}: duplicate cell (t={row[0]}, id={loc})")
-                cells.add(key)
-                for z in row[2:]:
-                    if cov or z.strip():
-                        _parse_float(z if cov else z.strip(), path, k)
-            except LatentKrigError as exc:
-                error = exc
-    if error is None and cells and not cov:
-        _rank_timestamps({t for t, _ in cells}, path)  # mixed kinds: all that is left
-    raise error or ParseError(f"{path}: covariates must cover every (t, id) cell" if cov
-                              else f"{path}: no observation rows")
+                return read(blocks)
+            except LatentKrigError:
+                with contextlib.suppress(LatentKrigError):
+                    for _ in blocks:
+                        pass
+                raise
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except (csv.Error, UnicodeDecodeError) as exc:
+        _read_text(path)  # a file that is not UTF-8 is named as such first
+        raise ParseError(f"{path}: {exc}") from None
+
+
+def _data_blocks(path: Path, blocks, names: str) -> Iterator[list]:
+    """blocks without the header, whose stripped fields must be names;
+    ``t,id,z1,...`` stands for t, id and one or more further fields."""
+    first = next(blocks, None)
+    if first is None:
+        raise ParseError(f"{path}: empty file")
+    header = [h[0].strip() for h in first]
+    if header != names.split(",") and not (
+            names.endswith("...") and len(header) > 2 and header[:2] == ["t", "id"]):
+        raise ParseError(f"{path}: expected header {names}")
+    return itertools.chain([[c[1:] for c in first]], blocks)
+
+
+def load_locations(path, distance_metric: str = "euclidean",
+                   radius: float = EARTH_RADIUS_KM) -> LocationSet:
+    path = Path(path)
+
+    def read(blocks):
+        ids, coords = [], []
+        rows = (row for block in _data_blocks(path, blocks, "id,x1,x2") for row in zip(*block))
+        for k, (loc, x1, x2) in enumerate(rows, start=2):
+            ids.append(loc.strip())
+            coords.append([_parse_float(x1, path, k), _parse_float(x2, path, k)])
+        if not ids:
+            raise ParseError(f"{path}: no location rows")
+        if len(set(ids)) != len(ids):
+            raise DuplicateCell(f"{path}: duplicate location id")
+        return ids, coords
+
+    ids, coords = _read_csv(path, read)
+    return LocationSet(ids=tuple(ids), coords=np.array(coords),
+                       distance_metric=distance_metric, radius=radius)
+
+
+def _block_panel(path, blocks, column_of, min_width, panel_rank):
+    """Ranks and n x width x m panel (n x width without panel_rank) of a
+    long-form file's token blocks. New stamp and id tokens are parsed or
+    mapped once, in first-seen order; a row keeps two integer codes and
+    its m floats, and marks its (stamp, column) cell in a table. The first
+    bad row raises, rules checked in the order stamp (one of panel_rank's
+    if given), id, duplicate cell, value; then the whole file's rules."""
+    cov = panel_rank is not None
+    stamps, t_code, col_of, parts, line = {}, {}, {}, [], 2
+    seen = np.zeros((0, min_width), bool)
+    header = "t,id,z1,..." if cov else "t,id,value"
+    for t_tok, id_tok, *v_cols in _data_blocks(path, blocks, header):
+        n = len(t_tok)
+        bad = [n] * 4  # the first row that breaks each rule, in rule order
+        for tok in dict.fromkeys(t_tok):
+            if tok not in t_code:
+                try:
+                    stamp = _parse_timestamp(tok, path, line)
+                except ParseError:
+                    stamp = None
+                if stamp is None or cov and stamp not in panel_rank:
+                    bad[0] = t_tok.index(tok)
+                    break
+                t_code[tok] = stamps.setdefault(stamp, len(stamps))
+        for raw in dict.fromkeys(id_tok):
+            if raw not in col_of:
+                try:
+                    col_of[raw] = column_of(raw.strip())
+                except LatentKrigError:
+                    bad[1] = id_tok.index(raw)
+                    break
+        coded = min(bad[:2])  # the rows before it have both codes
+        t = np.fromiter(map(t_code.__getitem__, t_tok[:coded]), np.intp, coded)
+        col = np.fromiter(map(col_of.__getitem__, id_tok[:coded]), np.intp, coded)
+        if coded:
+            pad = [(0, max(need, 2 * have) - have if need > have else 0)  # grow by doubling
+                   for need, have in zip((len(stamps), int(col.max()) + 1), seen.shape)]
+            seen = np.pad(seen, pad) if any(g for _, g in pad) else seen
+            cell, flat = t * seen.shape[1] + col, seen.reshape(-1)  # a view of seen
+            again, ordered = flat[cell], np.sort(cell)
+            flat[cell] = True
+            if again.any() or np.any(ordered[1:] == ordered[:-1]):
+                later = np.ones(coded, bool)  # a cell's repeats in this block
+                later[np.unique(cell, return_index=True)[1]] = False
+                bad[2] = int(np.argmax(again | later))
+        vals = np.empty((n, len(v_cols)))
+        for j, v_tok in enumerate(v_cols):
+            try:
+                vals[:, j] = np.fromiter(map(float, v_tok), np.float64, n)
+            except ValueError:  # empty cells, or a non-numeric one
+                vals[:, j] = list(map(_float_or_nan, v_tok))
+        bad[3] = next((int(k) for k, j in np.argwhere(~np.isfinite(vals))  # empty, nan or inf
+                       if cov or v_cols[j][k].strip()), n)
+        if (row := min(bad)) < n:  # raised by the first rule it breaks
+            at, tok, loc = line + row, t_tok[row], id_tok[row].strip()
+            if bad[0] == row:
+                _parse_timestamp(tok, path, at)  # raises, or the stamp is not the panel's
+                raise ParseError(f"{path}:{at}: timestamp {tok!r} not in panel")
+            if bad[1] == row:
+                column_of(loc)
+            if bad[2] == row:
+                raise DuplicateCell(f"{path}:{at}: duplicate covariate cell" if cov else
+                                    f"{path}:{at}: duplicate cell (t={tok}, id={loc})")
+            for v in (v_tok[row] for v_tok in v_cols):
+                if cov or v.strip():
+                    _parse_float(v if cov else v.strip(), path, at)
+        parts.append((t, col, vals))
+        line += n
+    rank = _rank_timestamps(stamps, path)
+    if cov and (rank != panel_rank or line - 2 < len(rank) * min_width):
+        raise ParseError(f"{path}: covariates must cover every (t, id) cell")
+    if line == 2:
+        raise ParseError(f"{path}: no observation rows")
+    width, m = max(min_width, 1 + max(col_of.values())), vals.shape[1]
+    t_rank = np.array([rank[s] for s in stamps], np.intp)
+    panel = np.full((len(rank), width, m), np.nan)
+    for t, col, vals in parts:
+        panel.reshape(-1, m)[t_rank[t] * width + col] = vals
+    return rank, panel if cov else panel[:, :, 0]
 
 
 def _read_long_form(path: Path, column_of: Callable[[str], int], min_width: int,
@@ -555,20 +555,9 @@ def _read_long_form(path: Path, column_of: Callable[[str], int], min_width: int,
     absent) of a ``t,id,value`` file; column_of maps a site id to its
     column or raises. Given the panel's ranks instead, the n x width x m
     array of a ``t,id,z1,...,zm`` covariate file, which must cover every
-    cell. The file is read _CSV_BLOCK rows at a time; when a block is
-    refused, the file is read again row by row through csv.reader to name
-    the first bad ``path:line``."""
-    stamp_of: dict = {}
-    try:
-        with _open_bytes(path) as fh:
-            read = _block_panel(path, _csv_blocks(fh), column_of, min_width, stamp_of, rank)
-        if read is None:
-            _raise_row_error(path, column_of, stamp_of, rank)
-    except (csv.Error, UnicodeDecodeError):
-        _read_text(path)  # a file that is not UTF-8 is named as such first
-        raise
-    ranks, values = read
-    return ranks, values if rank is not None else values[:, :, 0]
+    cell. The file is read once, _CSV_BLOCK rows at a time, and its first
+    bad row raises with its ``path:line``."""
+    return _read_csv(path, lambda blocks: _block_panel(path, blocks, column_of, min_width, rank))
 
 
 def load_frame(locations_path, observations_path, covariates_path=None,

@@ -510,6 +510,54 @@ def test_error_exit_codes(tmp_path, capsys):
     assert err.startswith("error: fit:")
 
 
+def _oversized(path):
+    with open(path, "a", newline="") as fh:
+        fh.write("1,g," + "x" * (csv.field_size_limit() + 1) + "\n")
+
+
+def _not_utf8(path):
+    with open(path, "ab") as fh:
+        fh.write(b"1,s\xff,1\n")
+
+
+def _unterminated_quote(path):
+    with open(path, "a", newline="") as fh:
+        fh.write('1,"g,1\n')
+
+
+def _header_only(path):
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+
+
+def _directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+_MALFORMED = [("locations.csv", _oversized), ("observations.csv", _oversized),
+              ("locations.csv", _not_utf8), ("observations.csv", _not_utf8),
+              ("locations.csv", _header_only), ("observations.csv", _unterminated_quote),
+              ("locations.csv", _unterminated_quote), ("locations.csv", _directory)]
+
+
+@pytest.mark.parametrize("name, spoil", _MALFORMED)
+def test_malformed_panel_files_exit_2_naming_the_file(data_dir, tmp_path, capsys, name, spoil):
+    bad = data_dir / name
+    spoil(bad)
+    commands = [("impute", str(data_dir), "--out", str(tmp_path / "filled")),
+                ("fit", str(data_dir), "--tau", "0", "--seed", "1",
+                 "--out", str(tmp_path / "fit.json"))]
+    if name == "observations.csv":
+        commands.append(("deseason", str(bad), "--period", "2",
+                         "--out", str(tmp_path / "d.csv")))
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith(f"error: {argv[0]}: ") and err.count("\n") == 1, err
+        assert str(bad) in err and "Traceback" not in err, err
+        assert out == ""
+
+
 def test_numerical_exit_code(data_dir, tmp_path, capsys):
     model = tmp_path / "fit.json"
     run(capsys, "fit", str(data_dir), "--tau", "0.0", "--seed", "3",

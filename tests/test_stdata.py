@@ -307,6 +307,9 @@ def test_load_locations_errors(tmp_path):
         load_locations(non_numeric)
     with pytest.raises(ParseError):
         load_locations(tmp_path / "missing.csv")
+    header_only = _write(tmp_path / "d.csv", "id,x1,x2\n")
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(header_only))}: no location rows$"):
+        load_locations(header_only)
 
 
 def test_load_frame_errors(tmp_path):
@@ -553,8 +556,7 @@ def _random_long_form(rng, dates, crlf, trailing, quoted):
 
 def _plain_blocks_only(monkeypatch):
     """Record each block the long-form reader refuses to split as plain
-    text, which csv.reader then tokenizes, and leave it no row loop to
-    reread a file with; returns the record."""
+    text, which csv.reader then tokenizes; returns the record."""
     from latentkrig import stdata
     real, refused = stdata._plain_columns, []
 
@@ -565,7 +567,6 @@ def _plain_blocks_only(monkeypatch):
         return columns
 
     monkeypatch.setattr(stdata, "_plain_columns", plain_columns)
-    monkeypatch.setattr(stdata, "_raise_row_error", None)
     return refused
 
 
@@ -604,6 +605,13 @@ _OBS_ERRORS = [
     ("1,s0,1\nx,s1,1\n1,s0,2\n", 3),             # bad stamp before a duplicate
     ('1,s0,1\n"2,s1",2\n', 3),                   # quoted field: read by csv.reader
     ("1,s0,1\n2,s1\r,2\n", 3),                    # a lone CR ends a csv row
+    # a duplicate on line 3 comes before any other error on line 4
+    ("1,s0,1\n1,s0,2\n1,s1,x\n", 3),
+    ("1,s0,1\n1,s0,2\n1,s9,3\n", 3),
+    ("1,s0,1\n1,s0,2\n1,s1\n", 3),
+    ("1,s0,1\n1,s0,2\nx,s1,3\n", 3),
+    ("1,s0,1\n1,s0,x\n", 3),                    # a duplicate with a bad value
+    ("1,s0,1\n 1,s0,2\n", 3),                   # " 1" is the stamp 1
 ]
 
 
@@ -628,12 +636,13 @@ def test_column_reader_bad_headers_and_oversized_field(tmp_path):
         got = _outcomes(stdata._read_long_form, path)
         assert got == _outcomes(_per_row_reference, path), name
         assert got[0][0] is ParseError, name
-    # csv.reader refuses a field over its size limit, so the column reader must too
+    # csv.reader refuses a field over its size limit, so the column reader
+    # must too, with a ParseError naming the file
     path = _write(tmp_path / "long.csv", "t,id,value\n1,s0,1\n1,"
                   + "x" * (csv.field_size_limit() + 1) + ",2\n")
-    got = _outcomes(stdata._read_long_form, path)
-    assert got == _outcomes(_per_row_reference, path)
-    assert got[1][0] is csv.Error
+    want = _outcomes(_per_row_reference, path)
+    assert want[1][0] is csv.Error
+    assert _outcomes(stdata._read_long_form, path) == [(ParseError, f"{path}: {want[1][1]}")] * 2
 
 
 def test_saved_panel_is_read_by_column(tmp_path, monkeypatch):
@@ -760,6 +769,14 @@ _COVARIATE_ERRORS = [
     ("1,s0,1\n1,s1,2\n2,s0,3\n2,s1,4\n2,s1,5\n", 6),
     ("", None),                                   # header only
     ('1,s0,1\n1,"s1",2\n2,s0,3\n2,s1,4\n', None),  # quoted and valid
+    # a duplicate on line 3 comes before any other error on line 4
+    ("1,s0,1\n1,s0,2\n1,s1,x\n2,s0,3\n2,s1,4\n", 3),
+    ("1,s0,1\n1,s0,2\n1,s9,3\n2,s0,3\n2,s1,4\n", 3),
+    ("1,s0,1\n1,s0,2\n1,s1\n2,s0,3\n2,s1,4\n", 3),
+    ("1,s0,1\n1,s0,2\nx,s1,3\n2,s0,3\n2,s1,4\n", 3),
+    ("1,s0,1\n1,s0,x\n1,s1,2\n2,s0,3\n2,s1,4\n", 3),  # a duplicate with a bad value
+    ("1,s0,1\n 1,s0,2\n1,s1,2\n2,s0,3\n2,s1,4\n", 3),  # " 1" is the stamp 1
+    ("1,s0,1\r\n1,s1,x\r\n2,s0,3\r\n2,s1,4\r\n", 3),  # named without its CR
 ]
 
 
@@ -783,6 +800,58 @@ def test_covariate_reader_bad_headers(tmp_path):
         got = _covariate_outcome(_column_covariates, path, {1: 0}, locs)
         assert got == _covariate_outcome(_per_row_covariates, path, {1: 0}, locs)
         assert got[0] is ParseError, name
+
+
+# ---- location files through the same reader ----
+
+def _per_row_locations(path):
+    """The whole-file location reader, kept as load_locations' oracle."""
+    import csv
+    from latentkrig import stdata
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ParseError(f"{path}: empty file")
+    if [h.strip() for h in rows[0]] != ["id", "x1", "x2"]:
+        raise ParseError(f"{path}: expected header id,x1,x2")
+    ids, coords = [], []
+    for k, row in enumerate(rows[1:], start=2):
+        if len(row) != 3:
+            raise ParseError(f"{path}:{k}: expected 3 fields")
+        ids.append(row[0].strip())
+        coords.append([stdata._parse_float(row[1], path, k),
+                       stdata._parse_float(row[2], path, k)])
+    if len(set(ids)) != len(ids):
+        raise DuplicateCell(f"{path}: duplicate location id")
+    return LocationSet(ids=tuple(ids), coords=np.array(coords))
+
+
+def _location_outcome(read, path):
+    try:
+        locs = read(path)
+        return locs.ids, locs.coords.tobytes()
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+_LOCATION_ERRORS = [
+    ("s0,0,0\ns1,x,0\ns2,1\n", 3),              # a bad float before a short row
+    ("s0,0,0\ns1,1\ns2,x,0\n", 3),              # a short row before a bad float
+    ("s0,0,0\n\ns1,1,1\n", 3),                  # blank middle line
+    ("s0,0,0\ns1,1,nan\n", 3),
+    ("s0,0,0\ns1,1,1\n s0 ,2,2\n", None),       # a duplicate id
+    ("s0,0,0\r\ns1,1,x\r\n", 3),                # named without its CR
+]
+
+
+@pytest.mark.parametrize("body, line", _LOCATION_ERRORS)
+def test_location_errors_match_per_row_reader(tmp_path, body, line):
+    path = _write(tmp_path / "locs.csv", "id,x1,x2\n" + body)
+    got = _location_outcome(load_locations, path)
+    assert got == _location_outcome(_per_row_locations, path)
+    assert isinstance(got[0], type) and issubclass(got[0], Exception)
+    if line is not None:
+        assert got[1].startswith(f"{path}:{line}: ")
 
 
 # ---- the same files read a few rows at a time ----
@@ -817,6 +886,14 @@ def test_small_block_errors_match_per_row_reader(tmp_path, small_blocks, quote, 
 
 
 @pytest.mark.parametrize("quote", [False, True])
+@pytest.mark.parametrize("body, line", _LOCATION_ERRORS)
+def test_small_block_location_errors_match_per_row_reader(tmp_path, small_blocks, quote,
+                                                          body, line):
+    test_location_errors_match_per_row_reader(
+        tmp_path, _quote_ids(body) if quote else body, line)
+
+
+@pytest.mark.parametrize("quote", [False, True])
 @pytest.mark.parametrize("body, line", _COVARIATE_ERRORS)
 def test_small_block_covariate_errors_match_per_row_reader(tmp_path, small_blocks,
                                                            quote, body, line):
@@ -827,8 +904,8 @@ def test_small_block_covariate_errors_match_per_row_reader(tmp_path, small_block
 def test_small_blocks_parse_each_timestamp_token_once(tmp_path, monkeypatch, small_blocks):
     test_long_form_parses_each_timestamp_token_once(tmp_path, monkeypatch)
     test_covariate_timestamps_parsed_once_per_token(tmp_path, monkeypatch)
-    # a quoted file whose duplicate only the whole file shows: the row
-    # loop that names it reuses the stamps the blocks parsed
+    # a quoted file whose duplicate spans blocks: naming it parses no
+    # stamp token a second time
     from latentkrig import stdata
     tokens = []
     real = stdata._parse_timestamp
@@ -852,9 +929,9 @@ def test_csv_and_decoding_errors_anywhere_come_first(tmp_path, small_blocks):
         f"{t},s{k},{t}.5\n" for t in range(2, 600) for k in (0, 1))
     path = _write(tmp_path / "long.csv", head + "600,"
                   + "x" * (csv.field_size_limit() + 1) + ",2\n")
-    got = _outcomes(stdata._read_long_form, path)
-    assert got == _outcomes(_per_row_reference, path)
-    assert got[0][0] is csv.Error
+    want = _outcomes(_per_row_reference, path)
+    assert want[0][0] is csv.Error
+    assert _outcomes(stdata._read_long_form, path) == [(ParseError, f"{path}: {want[0][1]}")] * 2
     path = tmp_path / "bad.csv"
     path.write_bytes(head.encode() + b"600,s\xff0,2\n")
     with pytest.raises(UnicodeDecodeError) as whole:
