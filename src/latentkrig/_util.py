@@ -35,6 +35,7 @@ _OPENBLAS_SYMBOLS = (
     ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
     ("openblas_set_num_threads", "openblas_get_num_threads"),
 )
+_in_task = threading.local()  # .on: this thread runs an ordered_map task
 _pin_lock = threading.Lock()
 _pin_depth = 0
 _pin_saved: list[int] = []
@@ -121,20 +122,30 @@ def ordered_map(fn: Callable[[T], R], items: Sequence[T],
                 workers: int | None = None) -> Iterator[R]:
     """Yield ``fn`` of each item in input order, as results arrive.
 
-    ``workers=None`` reads the environment; 1 runs inline. More share the
-    items between the caller and ``workers - 1`` pool threads (see
-    ``_shared_map``), never more threads than items. Threads suit the
-    workloads here because the heavy lifting releases the GIL inside
-    BLAS calls. Until the iterator is exhausted or closed, OpenBLAS runs
-    at one thread (see ``_one_blas_thread``), also inline.
+    ``workers=None`` reads the environment; 1 runs inline, and so does a
+    map started inside another map's task. More share the items between
+    the caller and ``workers - 1`` pool threads (see ``_shared_map``),
+    never more threads than items. Threads suit the workloads here
+    because the heavy lifting releases the GIL inside BLAS calls. Until
+    the iterator is exhausted or closed, OpenBLAS runs at one thread (see
+    ``_one_blas_thread``), also inline.
     """
-    if workers is None:
+    nested = getattr(_in_task, "on", False)
+    if workers is None and not nested:
         workers = worker_count()
+
+    def task(item: T) -> R:
+        outer, _in_task.on = getattr(_in_task, "on", False), True
+        try:
+            return fn(item)
+        finally:
+            _in_task.on = outer
+
     with _one_blas_thread():
-        if workers <= 1 or len(items) <= 1:
-            yield from map(fn, items)
+        if nested or workers <= 1 or len(items) <= 1:
+            yield from map(task, items)
         else:
-            yield from _shared_map(fn, items, min(workers, len(items)))
+            yield from _shared_map(task, items, min(workers, len(items)))
 
 
 def _shared_map(fn: Callable[[T], R], items: Sequence[T],

@@ -15,10 +15,10 @@ forecast --J 1.
 Exit codes: 0 on success, 2 for anything the user can fix (bad flags,
 malformed files, contract violations), 3 for numerical failures inside
 an estimate. Randomized subcommands print "seed=N" so runs can be
-reproduced. LATENT_KRIG_THREADS sets the worker threads of the tau
-cross-validation folds and the ensemble members. Unset or empty, it is
-the usable CPUs when OpenBLAS can be pinned to one thread per task, and
-1 otherwise; results are the same for every value.
+reproduced. LATENT_KRIG_THREADS sizes every worker pool and is read on
+every call; a map started inside a pooled task runs inline. Unset or
+empty, it is the usable CPUs when OpenBLAS can be pinned to one thread
+per task, and 1 otherwise; results are the same for every value.
 """
 
 from __future__ import annotations

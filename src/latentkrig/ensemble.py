@@ -81,7 +81,6 @@ def _identity(fit: FactorModelFit) -> FactorModelFit:
 def _fit_members(frame: SpatioTemporalFrame,
                  partitions: list[Partition | tuple], tau: float, k0: int = 0,
                  p_star: int | None = None, d_override: int | None = None,
-                 workers: int | None = None,
                  read: Callable[[FactorModelFit], R] = _identity) -> Iterator[R]:
     """Fit one factor model per member, yielding in member order.
 
@@ -99,7 +98,7 @@ def _fit_members(frame: SpatioTemporalFrame,
         return read(fit_factors(sub, part, tau, k0=k0, p_star=p_star,
                                 d_override=d_override))
 
-    return _util.ordered_map(one, partitions, workers)
+    return _util.ordered_map(one, partitions)
 
 
 def _check_members(J: int, tau: float) -> None:
@@ -111,7 +110,7 @@ def _check_members(J: int, tau: float) -> None:
 
 def _seeded_members(frame: SpatioTemporalFrame, J: int, rng_seed: int,
                     tau: float, k0: int = 0, p_star: int | None = None,
-                    d_override: int | None = None, workers: int | None = None,
+                    d_override: int | None = None,
                     read: Callable[[FactorModelFit], R] = _identity) -> Iterator[R]:
     """The J members drawn from rng_seed, checked before any is fitted:
     member j fits the partition of the j-th seed derived from rng_seed,
@@ -119,7 +118,7 @@ def _seeded_members(frame: SpatioTemporalFrame, J: int, rng_seed: int,
     _check_members(J, tau)
     partitions = _member_partitions(frame.p, _util.member_seeds(rng_seed, J))
     return _fit_members(frame, partitions, tau, k0=k0, p_star=p_star,
-                        d_override=d_override, workers=workers, read=read)
+                        d_override=d_override, read=read)
 
 
 def _first_and_mean(members) -> tuple:
@@ -139,19 +138,18 @@ def aggregate_over_partitions(frame: SpatioTemporalFrame,
                               partitions: list[Partition], tau: float,
                               k0: int = 0, p_star: int | None = None,
                               d_override: int | None = None,
-                              member_seeds: tuple[int, ...] = (),
-                              workers: int | None = None) -> EnsembleFit:
+                              member_seeds: tuple[int, ...] = ()) -> EnsembleFit:
     """Mean latent field over an explicit partition list.
 
     The aggregation backbone: members are summed in list order as they
-    arrive, so the result is reproducible for any worker count. Used
-    directly by the enumeration-based exactness checks.
+    arrive, so the result is the same for every LATENT_KRIG_THREADS.
+    Used directly by the enumeration-based exactness checks.
     """
     if not partitions:
         raise ValueError("need at least one partition")
     _, xi_tilde, d_hats = _first_and_mean(_fit_members(
         frame, partitions, tau, k0=k0, p_star=p_star, d_override=d_override,
-        workers=workers, read=lambda fit: (fit.xi_hat, fit.d_hat)))
+        read=lambda fit: (fit.xi_hat, fit.d_hat)))
     j = len(partitions)
     return EnsembleFit(J=j, member_seeds=tuple(member_seeds), xi_tilde=xi_tilde,
                        per_location_counts=np.full(frame.p, j), d_hats=d_hats, tau=tau)
@@ -160,8 +158,7 @@ def aggregate_over_partitions(frame: SpatioTemporalFrame,
 def aggregate_fit(frame: SpatioTemporalFrame, J: int = DEFAULT_J,
                   tau: float = 0.0, k0: int = 0,
                   p_star: int | None = None, rng_seed: int = 0,
-                  d_override: int | None = None,
-                  workers: int | None = None) -> EnsembleFit:
+                  d_override: int | None = None) -> EnsembleFit:
     """Aggregate J random-partition fits of the full location set.
 
     Member seeds derive deterministically from rng_seed by replicate
@@ -172,9 +169,8 @@ def aggregate_fit(frame: SpatioTemporalFrame, J: int = DEFAULT_J,
     _check_members(J, tau)
     seeds = _util.member_seeds(rng_seed, J)
     return aggregate_over_partitions(frame, _member_partitions(frame.p, seeds),
-                                     tau, k0=k0, p_star=p_star,
-                                     d_override=d_override,
-                                     member_seeds=tuple(seeds), workers=workers)
+                                     tau, k0=k0, p_star=p_star, d_override=d_override,
+                                     member_seeds=tuple(seeds))
 
 
 def assign_blocks(p: int, q: int, rng_seed: int) -> list[tuple[int, ...]]:
@@ -191,8 +187,7 @@ def divide_and_conquer_fit(frame: SpatioTemporalFrame, q: int,
                            J: int = DEFAULT_J, tau: float = 0.0,
                            rng_seed: int = 0, k0: int = 0,
                            p_star: int | None = None,
-                           d_override: int | None = None,
-                           workers: int | None = None) -> EnsembleFit:
+                           d_override: int | None = None) -> EnsembleFit:
     """Blockwise aggregation so eigenanalysis stays at 2q x 2q.
 
     Locations are shuffled into ceil(p/q) blocks. For each block and
@@ -203,7 +198,7 @@ def divide_and_conquer_fit(frame: SpatioTemporalFrame, q: int,
     is therefore estimated exactly J times.
 
     Each (block, round) member draws its companions from its own seed
-    derived from rng_seed, so results are reproducible for any worker count.
+    derived from rng_seed, so results are the same for every LATENT_KRIG_THREADS.
     """
     _check_members(J, tau)
     p = frame.p
@@ -219,10 +214,9 @@ def divide_and_conquer_fit(frame: SpatioTemporalFrame, q: int,
         for seed in seeds[1 + b * J:1 + (b + 1) * J]:
             companions = np.random.default_rng(seed).choice(complement, q, replace=False)
             members.append((list(block) + sorted(companions.tolist()), part))
-    fits = _fit_members(frame, members, tau, k0=k0, p_star=p_star,
-                        d_override=d_override, workers=workers,
-                        read=lambda fit: (fit.xi_hat[:, :len(fit.partition.set1)],
-                                          fit.d_hat))
+    fits = _fit_members(
+        frame, members, tau, k0=k0, p_star=p_star, d_override=d_override,
+        read=lambda fit: (fit.xi_hat[:, :len(fit.partition.set1)], fit.d_hat))
     xi_tilde = np.empty((frame.n, p))
     counts = np.zeros(p, dtype=np.int64)
     d_hats = []

@@ -100,8 +100,8 @@ def estimate_sigma_x(frame: SpatioTemporalFrame, fit: FactorModelFit,
 
 
 def _forecast_args(n: int, j, j0, ridge: float) -> tuple[list[int], int]:
-    """Checked horizons and j0: every j >= 1, j0 >= 0, a finite ridge >= 0
-    and max(j) + j0 < n/2."""
+    """Checked horizons and j0: distinct integers j >= 1, j0 >= 0, a
+    finite ridge >= 0 and max(j) + j0 < n/2."""
     horizons = [j] if np.ndim(j) == 0 else list(j)
     if not horizons or any(int(h) != h or h < 1 for h in horizons):
         raise ValueError("j must be an integer >= 1 or a nonempty list of them")
@@ -110,6 +110,8 @@ def _forecast_args(n: int, j, j0, ridge: float) -> tuple[list[int], int]:
     if not 0 <= ridge < np.inf:
         raise ValueError("ridge must be finite and >= 0")
     horizons, j0 = [int(h) for h in horizons], int(j0)
+    if len(set(horizons)) < len(horizons):
+        raise ValueError(f"j repeats a horizon: {horizons}")
     if max(horizons) + j0 >= n / 2:
         raise LagTooLarge(f"j + j0 = {max(horizons) + j0} needs n > 2*(j + j0) "
                           f"(n={n})")
@@ -154,8 +156,7 @@ def forecast(frame: SpatioTemporalFrame, fit: FactorModelFit,
 def forecast_ensemble(frame: SpatioTemporalFrame, J: int, j: int | Sequence[int],
                       j0: int = 6, tau: float = 0.0, k0: int = 0,
                       p_star: int | None = None, d_override: int | None = None,
-                      rng_seed: int = 0, ridge: float = 0.0,
-                      workers: int | None = None) -> np.ndarray:
+                      rng_seed: int = 0, ridge: float = 0.0) -> np.ndarray:
     """Average of j-step predictions over J random-partition fits.
 
     j is one horizon or a sequence of them, as in forecast; each member
@@ -163,10 +164,10 @@ def forecast_ensemble(frame: SpatioTemporalFrame, J: int, j: int | Sequence[int]
     the arguments are checked before any member is fitted. Member seeds
     derive deterministically from rng_seed by member index and
     predictions are summed in index order as they arrive, so the result
-    is identical for any worker count.
+    is identical for every LATENT_KRIG_THREADS.
     """
     _forecast_args(frame.n, j, j0, ridge)
     preds = _seeded_members(frame, J, rng_seed, tau, k0=k0, p_star=p_star,
-                            d_override=d_override, workers=workers,
+                            d_override=d_override,
                             read=lambda fit: (forecast(frame, fit, j, j0, ridge=ridge),))
     return _first_and_mean(preds)[1]

@@ -223,8 +223,7 @@ def _loo_bandwidth(locs, vt, u, family) -> float:
 
 def select_tau(frame: SpatioTemporalFrame, grid=None, folds: int = 5,
                rng_seed: int = 0, k0: int = 0, p_star: int | None = None,
-               family: str = "gaussian", d_override: int | None = None,
-               workers: int | None = None) -> float:
+               family: str = "gaussian", d_override: int | None = None) -> float:
     """Roughness weight by k-fold cross-validation over locations.
 
     Locations are shuffled into folds of (near) equal size by rng_seed.
@@ -237,9 +236,8 @@ def select_tau(frame: SpatioTemporalFrame, grid=None, folds: int = 5,
     the whole grid, and that fit is grid point 0 when the grid holds 0.
     Every grid point then costs the d-dimensional readouts y A times
     A' W. Smallest tau wins ties because the grid is scanned in
-    ascending order. Folds are fitted on ``workers`` threads (None reads
-    LATENT_KRIG_THREADS) and scored in fold order, so the choice is the
-    same for every worker count.
+    ascending order. Folds are fitted on LATENT_KRIG_THREADS threads and
+    scored in fold order, so the choice is the same for every count.
     """
     tau_grid = np.unique(np.asarray(
         default_tau_grid() if grid is None else grid, dtype=np.float64))
@@ -251,16 +249,15 @@ def select_tau(frame: SpatioTemporalFrame, grid=None, folds: int = 5,
         raise ValueError("folds must be >= 2")
     if frame.p < 2 * folds:
         raise TooFewLocations(f"{folds}-fold CV needs p >= {2 * folds}")
-    scores = _cv_scores(frame, tau_grid, folds, rng_seed, k0, p_star, family,
-                        d_override, workers)
+    scores = _cv_scores(frame, tau_grid, folds, rng_seed, k0, p_star, family, d_override)
     return float(tau_grid[int(np.argmin(scores.sum(axis=0)))])
 
 
 def _cv_scores(frame, tau_grid, folds, rng_seed, k0, p_star, family,
-               d_override=None, workers=None) -> np.ndarray:
+               d_override=None) -> np.ndarray:
     """(folds, grid) matrix of held-out mean squared errors for select_tau;
     tau_grid is ascending and unique, as select_tau passes it. One row
-    per fold, fitted on ``workers`` threads and stacked in fold order."""
+    per fold, fitted on LATENT_KRIG_THREADS threads, in fold order."""
     p = frame.p
     rng = np.random.default_rng(rng_seed)
     groups = np.array_split(rng.permutation(p), folds)
@@ -292,7 +289,7 @@ def _cv_scores(frame, tau_grid, folds, rng_seed, k0, p_star, family,
         return row
 
     return np.stack(list(_util.ordered_map(
-        one, list(zip(groups, _util.member_seeds(rng_seed, folds))), workers)))
+        one, list(zip(groups, _util.member_seeds(rng_seed, folds))))))
 
 
 @dataclass
@@ -334,8 +331,7 @@ def _replicate_mse_table1(draw, tau_cv, seed, J, j0) -> list[dict]:
 
 def _replicate_fig2(draw, tau_cv, seed, J, j0) -> list[dict]:
     xi_hat, xi_tilde, d_hats = _first_and_mean(_seeded_members(
-        draw.frame, J, seed, tau_cv, workers=1,
-        read=lambda fit: (fit.xi_hat, fit.d_hat)))
+        draw.frame, J, seed, tau_cv, read=lambda fit: (fit.xi_hat, fit.d_hat)))
     return [dict(tau=tau_cv, mse_xi_hat=mse_xi(xi_hat, draw.xi),
                  mse_xi_tilde=mse_xi(xi_tilde, draw.xi),
                  d_hat_mean=float(np.mean(d_hats)))]
@@ -354,7 +350,7 @@ def _replicate_table2(draw, tau_cv, seed, J, j0) -> list[dict]:
     horizons = tuple(range(1, draw.config.n_future + 1))
     # a member's n latent rows with its forecast rows stacked below them
     first, mean, d_hats = _first_and_mean(_seeded_members(
-        frame, J, seed, tau_cv, workers=1, read=lambda fit: (np.vstack(
+        frame, J, seed, tau_cv, read=lambda fit: (np.vstack(
             [fit.xi_hat, forecast(frame, fit, horizons, j0)]), fit.d_hat)))
     space, time = [], []
     for rows in (first, mean):  # member 0, then the aggregate
@@ -444,13 +440,13 @@ def _reports_csv(reports: list[MetricReport], path: Path) -> None:
 
 def run_table(table_id: str, replicates: int, seed: int,
               scale_factor: float = 1.0, settings=None, out_dir=None,
-              j0: int = 6, tau_grid=None,
-              workers: int | None = None) -> tuple[list[MetricReport], dict]:
+              j0: int = 6, tau_grid=None) -> tuple[list[MetricReport], dict]:
     """Run one benchmark experiment over replicated settings.
 
     scale_factor shrinks the aggregation size J (nominally 100) without
     touching any estimator setting, so desk-scale runs remain faithful.
-    Replicates are independent seeded tasks reduced in index order;
+    Replicates are independent seeded tasks on LATENT_KRIG_THREADS
+    threads, each running its own maps inline, reduced in index order;
     artifacts (CSV of per-replicate rows, JSON summary) are written when
     out_dir is given. Returns (reports, summary).
     """
@@ -477,13 +473,11 @@ def run_table(table_id: str, replicates: int, seed: int,
         (n, p), rep, sim_seed, pipe_seed = task
         draw = simulate(SimConfig(n, p, sim_seed, **extra))
         cv_seed, fit_seed = _util.member_seeds(pipe_seed, 2)
-        tau_cv = select_tau(draw.frame, grid=tau_grid, rng_seed=cv_seed,
-                            workers=1)
+        tau_cv = select_tau(draw.frame, grid=tau_grid, rng_seed=cv_seed)
         return [MetricReport(n=n, p=p, replicate=rep, **row)
                 for row in fn(draw, tau_cv, fit_seed, J, j0)]
 
-    reports = [r for batch in _util.ordered_map(one, tasks, workers)
-               for r in batch]
+    reports = [r for batch in _util.ordered_map(one, tasks) for r in batch]
     summary = summarize_reports(table_id, reports)
     summary["replicates"] = replicates
     summary["J"] = J

@@ -464,8 +464,11 @@ def load_locations(path, distance_metric: str = "euclidean",
         return ids, coords
 
     ids, coords = _read_csv(path, read)
-    return LocationSet(ids=tuple(ids), coords=np.array(coords),
-                       distance_metric=distance_metric, radius=radius)
+    try:
+        return LocationSet(ids=tuple(ids), coords=np.array(coords),
+                           distance_metric=distance_metric, radius=radius)
+    except LatentKrigError as exc:  # the set's own checks, named like the reader's
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _block_panel(path, blocks, column_of, min_width, panel_rank):

@@ -208,11 +208,12 @@ def test_criterion_2_subspace_recovery():
 
 # ---- criterion 3: joint space/time prediction benchmark ----
 
-def test_criterion_3_prediction_benchmark():
+def test_criterion_3_prediction_benchmark(monkeypatch):
+    monkeypatch.setenv("LATENT_KRIG_THREADS", "1")
     t0 = time.perf_counter()
     reports, summary = run_table("kriging_table2", replicates=10,
                                  seed=MASTER_SEED, scale_factor=0.2,
-                                 settings=[(320, 200)], workers=1)
+                                 settings=[(320, 200)])
     metrics = summary["settings"][0]["metrics"]
     d_mean = metrics["d_hat_mean"]["mean"]
     space_hat = metrics["mspe_space_hat"]["mean"]
@@ -234,11 +235,11 @@ def test_criterion_3_prediction_benchmark():
 
 # ---- criterion 4: latent-field error benchmark ----
 
-def test_criterion_4a_cv_tau_beats_flat_tau():
+def test_criterion_4a_cv_tau_beats_flat_tau(monkeypatch):
+    monkeypatch.setenv("LATENT_KRIG_THREADS", "1")
     t0 = time.perf_counter()
     reports, summary = run_table("mse_table1", replicates=20,
-                                 seed=MASTER_SEED, settings=[(80, 50)],
-                                 workers=1)
+                                 seed=MASTER_SEED, settings=[(80, 50)])
     by_variant = {b["variant"]: b["metrics"] for b in summary["settings"]}
     cv = by_variant["tau_cv"]["mse_xi_hat"]["mean"]
     flat = by_variant["tau_zero"]["mse_xi_hat"]["mean"]
@@ -249,11 +250,11 @@ def test_criterion_4a_cv_tau_beats_flat_tau():
              f"<= {flat:.4f} with tau=0; {elapsed:.0f}s")
 
 
-def test_criterion_4b_absolute_latent_mse_target():
+def test_criterion_4b_absolute_latent_mse_target(monkeypatch):
+    monkeypatch.setenv("LATENT_KRIG_THREADS", "1")
     t0 = time.perf_counter()
     reports, summary = run_table("mse_table1", replicates=20,
-                                 seed=MASTER_SEED, settings=[(320, 200)],
-                                 workers=1)
+                                 seed=MASTER_SEED, settings=[(320, 200)])
     by_variant = {b["variant"]: b["metrics"] for b in summary["settings"]}
     cv = by_variant["tau_cv"]["mse_xi_hat"]["mean"]
     elapsed = time.perf_counter() - t0
@@ -289,11 +290,11 @@ def test_criterion_5_generator_fidelity():
 
 # ---- criterion 6: aggregation dominance ----
 
-def test_criterion_6_aggregation_dominance():
+def test_criterion_6_aggregation_dominance(monkeypatch):
+    monkeypatch.setenv("LATENT_KRIG_THREADS", "1")
     t0 = time.perf_counter()
     reports, _ = run_table("fig2_mse", replicates=30, seed=MASTER_SEED,
-                           scale_factor=0.5, settings=[(160, 100)],
-                           workers=1)
+                           scale_factor=0.5, settings=[(160, 100)])
     wins = sum(1 for r in reports if r.mse_xi_tilde <= r.mse_xi_hat)
     rate = wins / len(reports)
     elapsed = time.perf_counter() - t0

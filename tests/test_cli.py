@@ -297,6 +297,7 @@ def _no_cv(*args, **kwargs):
     (["forecast", "--j", "1", "--j0", "-1"], "j0 must be"),
     (["forecast", "--j", "100"], "j + j0 = 106"),
     (["forecast", "--j", "1", "--ridge", "nan"], "ridge must be"),
+    (["forecast", "--j", "2,1,2", "--d", "2"], "j repeats a horizon: [2, 1, 2]"),
     # p = 16 under 5-fold --tau-grid: a fold fits 12 sites, so 6 per side
     (["forecast", "--j", "1", "--d", "9"], "--d must be in 1..6"),
     (["forecast", "--j", "1", "--p-star", "1"], "--p-star must be in 2..6"),
@@ -307,8 +308,8 @@ def _no_cv(*args, **kwargs):
     (["forecast", "--j", "1", "--p-star", "7"], "--p-star must be in 2..6"),
     (["fit", "--folds", "1"], "--folds must be in 2..8"),
     (["fit", "--folds", "9"], "--folds must be in 2..8"),
-], ids=["forecast-j0", "forecast-j", "forecast-ridge", "forecast-d",
-        "forecast-p-star", "fit-p-star", "fit-d", "fit-ensemble-d",
+], ids=["forecast-j0", "forecast-j", "forecast-ridge", "forecast-repeated-j",
+        "forecast-d", "forecast-p-star", "fit-p-star", "fit-d", "fit-ensemble-d",
         "fit-d-over-fold", "forecast-p-star-over-fold", "fit-folds-1",
         "fit-folds-9"])
 def test_bad_estimator_flag_exits_2_before_cv(data_dir, tmp_path, capsys,
@@ -321,6 +322,18 @@ def test_bad_estimator_flag_exits_2_before_cv(data_dir, tmp_path, capsys,
     assert code == 2
     assert err.startswith(f"error: {argv[0]}: ") and err.count("\n") == 1
     assert named in err
+    assert not out.exists()
+
+
+def test_forecast_rejects_a_repeated_horizon_before_fitting(data_dir, tmp_path,
+                                                             capsys, monkeypatch):
+    # one (horizon, id) cell per row: --j 1,1 would write every site twice
+    monkeypatch.setattr(cli, "forecast_ensemble", _no_cv)
+    out = tmp_path / "f.csv"
+    code, _, err = run(capsys, "forecast", str(data_dir), "--j", "1,1", "--d", "2",
+                       "--seed", "1", "--out", str(out))
+    assert code == 2
+    assert err == "error: forecast: j repeats a horizon: [1, 1]\n"
     assert not out.exists()
 
 
@@ -534,18 +547,31 @@ def _directory(path):
     path.mkdir()
 
 
+def _one_location(path):
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:2]))
+
+
+def _latitude_95(path):
+    lines = path.read_text().splitlines(keepends=True)
+    loc, x1, _ = lines[1].split(",")
+    path.write_text("".join([lines[0], f"{loc},{x1},95\n", *lines[2:]]))
+    return ["--metric", "great_circle"]  # latitude is checked on the sphere
+
+
+# a spoil returns the flags the commands need to meet it, if any
 _MALFORMED = [("locations.csv", _oversized), ("observations.csv", _oversized),
               ("locations.csv", _not_utf8), ("observations.csv", _not_utf8),
               ("locations.csv", _header_only), ("observations.csv", _unterminated_quote),
-              ("locations.csv", _unterminated_quote), ("locations.csv", _directory)]
+              ("locations.csv", _unterminated_quote), ("locations.csv", _directory),
+              ("locations.csv", _one_location), ("locations.csv", _latitude_95)]
 
 
 @pytest.mark.parametrize("name, spoil", _MALFORMED)
 def test_malformed_panel_files_exit_2_naming_the_file(data_dir, tmp_path, capsys, name, spoil):
     bad = data_dir / name
-    spoil(bad)
-    commands = [("impute", str(data_dir), "--out", str(tmp_path / "filled")),
-                ("fit", str(data_dir), "--tau", "0", "--seed", "1",
+    flags = spoil(bad) or []
+    commands = [("impute", str(data_dir), *flags, "--out", str(tmp_path / "filled")),
+                ("fit", str(data_dir), *flags, "--tau", "0", "--seed", "1",
                  "--out", str(tmp_path / "fit.json"))]
     if name == "observations.csv":
         commands.append(("deseason", str(bad), "--period", "2",

@@ -78,13 +78,13 @@ def test_aggregation_never_worse_per_cell():
         assert np.all(agg_sq <= mean_sq + 1e-12)
 
 
-def test_fit_members_read_keeps_only_what_it_returns():
+def test_fit_members_read_keeps_only_what_it_returns(monkeypatch):
     frame, *_ = rank_k_frame(40, 8, k=1, seed=12, noise=0.3)
     parts = enumerate_partitions(8)[:5]
     fits = list(_fit_members(frame, parts, tau=0.0, p_star=3))
-    for workers in (1, 3):
+    for workers in ("1", "3"):
+        monkeypatch.setenv("LATENT_KRIG_THREADS", workers)
         read = list(_fit_members(frame, parts, tau=0.0, p_star=3,
-                                 workers=workers,
                                  read=lambda fit: (fit.d_hat, fit.xi_hat[-1])))
         assert [d for d, _ in read] == [f.d_hat for f in fits]
         for (_, last), fit in zip(read, fits):
@@ -100,28 +100,30 @@ def test_members_are_fitted_as_they_are_read(monkeypatch):
     real = ensemble.fit_factors
     monkeypatch.setattr(ensemble, "fit_factors",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
-    members = _fit_members(frame, parts, tau=0.0, p_star=3, workers=1)
+    monkeypatch.setenv("LATENT_KRIG_THREADS", "1")
+    members = _fit_members(frame, parts, tau=0.0, p_star=3)
     assert calls == []
     assert next(members).xi_hat.tobytes() == fits[0].xi_hat.tobytes()
     assert len(calls) == 1
     total = np.zeros_like(fits[0].xi_hat)
     for fit in fits:
         total += fit.xi_hat
-    for workers in (1, 3):
-        ens = aggregate_over_partitions(frame, parts, tau=0.0, p_star=3,
-                                        workers=workers)
+    for workers in ("1", "3"):
+        monkeypatch.setenv("LATENT_KRIG_THREADS", workers)
+        ens = aggregate_over_partitions(frame, parts, tau=0.0, p_star=3)
         assert ens.xi_tilde.tobytes() == (total / 4).tobytes()
         assert ens.d_hats == tuple(f.d_hat for f in fits)
 
 
-def test_fit_members_site_pairs_fit_the_subframe():
+def test_fit_members_site_pairs_fit_the_subframe(monkeypatch):
     frame = simulate(SimConfig(n=50, p=20, seed=8)).frame
     sites = [13, 2, 7, 19, 0, 5, 11, 16, 3, 9]
     members = [(sites, random_partition(10, s)) for s in (1, 2, 3)]
     want = [fit_factors(frame.subframe(sites), part, 0.4, k0=1)
             for _, part in members]
-    for workers in (1, 3):
-        got = list(_fit_members(frame, members, 0.4, k0=1, workers=workers))
+    for workers in ("1", "3"):
+        monkeypatch.setenv("LATENT_KRIG_THREADS", workers)
+        got = list(_fit_members(frame, members, 0.4, k0=1))
         for g, w in zip(got, want):
             assert g.partition == w.partition and g.d_hat == w.d_hat
             for name in ("A1_hat", "A2_hat", "x_hat", "x_star_hat",
@@ -154,12 +156,12 @@ def test_aggregate_fit_j1_is_single_fit():
     assert np.all(ens.per_location_counts == 1)
 
 
-def test_aggregate_fit_worker_invariance():
+def test_aggregate_fit_worker_invariance(monkeypatch):
     frame, *_ = rank_k_frame(40, 12, k=2, seed=22, noise=0.4)
-    one = aggregate_fit(frame, J=6, tau=0.0, p_star=4, rng_seed=9,
-                        workers=1)
-    four = aggregate_fit(frame, J=6, tau=0.0, p_star=4, rng_seed=9,
-                         workers=4)
+    monkeypatch.setenv("LATENT_KRIG_THREADS", "1")
+    one = aggregate_fit(frame, J=6, tau=0.0, p_star=4, rng_seed=9)
+    monkeypatch.setenv("LATENT_KRIG_THREADS", "4")
+    four = aggregate_fit(frame, J=6, tau=0.0, p_star=4, rng_seed=9)
     np.testing.assert_array_equal(one.xi_tilde, four.xi_tilde)
     assert one.d_hats == four.d_hats
     assert one.member_seeds == four.member_seeds
@@ -222,12 +224,14 @@ def test_assign_blocks():
         assign_blocks(10, 1, rng_seed=1)
 
 
-def test_divide_and_conquer_counts_and_determinism():
+def test_divide_and_conquer_counts_and_determinism(monkeypatch):
     frame, *_ = rank_k_frame(50, 12, k=2, seed=26, noise=0.4)
+    monkeypatch.setenv("LATENT_KRIG_THREADS", "1")
     dc1 = divide_and_conquer_fit(frame, q=4, J=3, tau=0.0,
-                                 rng_seed=11, p_star=3, workers=1)
+                                 rng_seed=11, p_star=3)
+    monkeypatch.setenv("LATENT_KRIG_THREADS", "3")
     dc3 = divide_and_conquer_fit(frame, q=4, J=3, tau=0.0,
-                                 rng_seed=11, p_star=3, workers=3)
+                                 rng_seed=11, p_star=3)
     assert np.all(dc1.per_location_counts == 3)
     assert len(dc1.d_hats) == 9  # 3 blocks x 3 rounds
     np.testing.assert_array_equal(dc1.xi_tilde, dc3.xi_tilde)
@@ -288,10 +292,10 @@ def _old_forecast_average(frame, J, j, j0, tau, k0, rng_seed):
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("q, J, tau, k0", [(6, 4, 0.0, 0), (5, 3, 0.7, 1)],
                          ids=["blocks-of-5-below-q", "k0-1-tau-0.7"])
-def test_member_engine_matches_the_old_loops(workers, q, J, tau, k0):
+def test_member_engine_matches_the_old_loops(monkeypatch, workers, q, J, tau, k0):
+    monkeypatch.setenv("LATENT_KRIG_THREADS", str(workers))
     frame = simulate(SimConfig(n=60, p=20, seed=4)).frame
-    dc = divide_and_conquer_fit(frame, q=q, J=J, tau=tau, rng_seed=5,
-                                k0=k0, workers=workers)
+    dc = divide_and_conquer_fit(frame, q=q, J=J, tau=tau, rng_seed=5, k0=k0)
     xi, counts, d_hats, seeds = _old_divide_and_conquer(frame, q, J, tau, 5, k0)
     assert {len(b) for b in assign_blocks(20, q, 5)} == {5}
     assert dc.xi_tilde.tobytes() == xi.tobytes()
@@ -299,7 +303,7 @@ def test_member_engine_matches_the_old_loops(workers, q, J, tau, k0):
     assert (dc.d_hats, dc.member_seeds) == (d_hats, seeds)
     for members, j in ((J, [1, 2, 3]), (J, 2), (1, [1, 2])):
         got = forecast_ensemble(frame, members, j, 4, tau=tau, k0=k0,
-                                rng_seed=7, workers=workers)
+                                rng_seed=7)
         want = _old_forecast_average(frame, members, j, 4, tau, k0, 7)
         assert got.tobytes() == want.tobytes()
 

@@ -331,7 +331,8 @@ def test_fit_at_tau_zero_builds_no_laplacian(monkeypatch):
     grams.clear()
     # nor does a cross-validation over {0}, with one Gram build per side and
     # fold; inline, so the folds' builds do not interleave
-    _cv_scores(frame, np.array([0.0]), 5, 2, 0, None, "gaussian", workers=1)
+    monkeypatch.setenv("LATENT_KRIG_THREADS", "1")
+    _cv_scores(frame, np.array([0.0]), 5, 2, 0, None, "gaussian")
     assert grams == [1, 2] * 5
 
 

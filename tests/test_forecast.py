@@ -259,12 +259,12 @@ def test_forecast_ensemble_j1_equals_member():
     np.testing.assert_array_equal(ens, single)
 
 
-def test_forecast_ensemble_worker_invariance():
+def test_forecast_ensemble_worker_invariance(monkeypatch):
     frame, *_ = rank_k_frame(80, 10, k=2, seed=52, noise=0.5)
-    one = forecast_ensemble(frame, J=5, j=2, j0=3, p_star=4, rng_seed=7,
-                            workers=1)
-    three = forecast_ensemble(frame, J=5, j=2, j0=3, p_star=4, rng_seed=7,
-                              workers=3)
+    monkeypatch.setenv("LATENT_KRIG_THREADS", "1")
+    one = forecast_ensemble(frame, J=5, j=2, j0=3, p_star=4, rng_seed=7)
+    monkeypatch.setenv("LATENT_KRIG_THREADS", "3")
+    three = forecast_ensemble(frame, J=5, j=2, j0=3, p_star=4, rng_seed=7)
     np.testing.assert_array_equal(one, three)
     with pytest.raises(ValueError):
         forecast_ensemble(frame, J=0, j=1)
@@ -279,9 +279,9 @@ def test_forecast_horizon_list_equals_single_calls():
     assert stacked.shape == (3, 10)
     np.testing.assert_array_equal(
         stacked, np.stack([forecast(frame, fit, h, j0=3) for h in (1, 2, 3)]))
-    # any order and repeats; a one-element list keeps its row axis
-    np.testing.assert_array_equal(forecast(frame, fit, (3, 1, 3), j0=3),
-                                  stacked[[2, 0, 2]])
+    # any order; a one-element list keeps its row axis
+    np.testing.assert_array_equal(forecast(frame, fit, (3, 1, 2), j0=3),
+                                  stacked[[2, 0, 1]])
     np.testing.assert_array_equal(forecast(frame, fit, [2], j0=3), single[None])
 
 
@@ -297,16 +297,20 @@ def test_forecast_horizon_list_guards():
         forecast(frame, fit, [1, 0])
     with pytest.raises(ValueError):
         forecast(frame, fit, [1, 1.5])
+    with pytest.raises(ValueError, match="repeats a horizon"):
+        forecast(frame, fit, (3, 1, 3))  # one row per horizon, never two
 
 
-def test_forecast_ensemble_horizon_list_equals_per_horizon_calls():
+def test_forecast_ensemble_horizon_list_equals_per_horizon_calls(monkeypatch):
     frame, *_ = rank_k_frame(80, 10, k=2, seed=55, noise=0.5)
     kwargs = dict(J=4, j0=3, p_star=4, rng_seed=11)
-    one = forecast_ensemble(frame, j=[1, 2, 3], workers=1, **kwargs)
-    three = forecast_ensemble(frame, j=[1, 2, 3], workers=3, **kwargs)
+    monkeypatch.setenv("LATENT_KRIG_THREADS", "3")
+    three = forecast_ensemble(frame, j=[1, 2, 3], **kwargs)
+    monkeypatch.setenv("LATENT_KRIG_THREADS", "1")
+    one = forecast_ensemble(frame, j=[1, 2, 3], **kwargs)
     assert one.shape == (3, 10)
     assert one.tobytes() == three.tobytes()
-    per_horizon = np.stack([forecast_ensemble(frame, j=h, workers=1, **kwargs)
+    per_horizon = np.stack([forecast_ensemble(frame, j=h, **kwargs)
                             for h in (1, 2, 3)])
     np.testing.assert_array_equal(one, per_horizon)
 
@@ -351,6 +355,7 @@ def test_forecast_members_share_one_set_of_panel_statistics(monkeypatch,
     (dict(j=[1, 30]), LagTooLarge),     # 30 + 0 >= 40 / 2
     (dict(j=[1, 0]), ValueError),
     (dict(j=[]), ValueError),
+    (dict(j=[1, 1]), ValueError),
     (dict(j=1, j0=-1), ValueError),
     (dict(j=1, ridge=-1.0), ValueError),
     (dict(j=1, ridge=np.nan), ValueError),  # was ignored
@@ -366,7 +371,7 @@ def test_forecast_ensemble_checks_arguments_before_fitting(monkeypatch,
         if getattr(mod, "fit_factors", None) is fit_factors:
             monkeypatch.setattr(mod, "fit_factors", lambda *a, **k:
                                 calls.append(1) or fit_factors(*a, **k))
+    monkeypatch.setenv("LATENT_KRIG_THREADS", "1")
     with pytest.raises(exc):
-        forecast_ensemble(frame, J=5, p_star=3, workers=1,
-                          **{"j0": 0, **kwargs})
+        forecast_ensemble(frame, J=5, p_star=3, **{"j0": 0, **kwargs})
     assert calls == []

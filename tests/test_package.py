@@ -1,3 +1,4 @@
+import inspect
 import types
 
 import latentkrig
@@ -31,3 +32,16 @@ def test_public_surface_is_pinned():
                    if not name.startswith("_")
                    and not isinstance(value, types.ModuleType))
     assert tuple(names) == PUBLIC_NAMES
+
+
+def test_no_pipeline_function_takes_a_workers_argument():
+    # LATENT_KRIG_THREADS alone sizes every pool
+    from latentkrig.ensemble import (_fit_members, _seeded_members,
+                                     aggregate_fit, aggregate_over_partitions,
+                                     divide_and_conquer_fit)
+    from latentkrig.forecast import forecast_ensemble
+    from latentkrig.simbench import _cv_scores, run_table, select_tau
+    for fn in (_fit_members, _seeded_members, aggregate_over_partitions,
+               aggregate_fit, divide_and_conquer_fit, forecast_ensemble,
+               select_tau, _cv_scores, run_table):
+        assert "workers" not in inspect.signature(fn).parameters, fn.__name__

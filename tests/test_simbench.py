@@ -321,16 +321,18 @@ def test_factored_bandwidth_matches_the_field_scorer(family, metric):
                 == select_bandwidth(field, locs, family=family))
 
 
-def test_cv_scores_are_bitwise_equal_for_every_worker_count():
+def test_cv_scores_are_bitwise_equal_for_every_worker_count(monkeypatch):
     from latentkrig.simbench import _cv_scores
     frame = simulate(SimConfig(n=120, p=60, seed=8)).frame
     grid = default_tau_grid()
-    rows = {workers: _cv_scores(frame, grid, 5, 3, 0, None, "gaussian",
-                                workers=workers) for workers in (1, 2, 5)}
+    rows, taus = {}, set()
+    for workers in (1, 2, 5):
+        monkeypatch.setenv("LATENT_KRIG_THREADS", str(workers))
+        rows[workers] = _cv_scores(frame, grid, 5, 3, 0, None, "gaussian")
+        if workers < 5:
+            taus.add(select_tau(frame, grid=[0.0, 0.5, 2.0], rng_seed=3))
     assert rows[1].shape == (5, 101)
     assert rows[1].tobytes() == rows[2].tobytes() == rows[5].tobytes()
-    taus = {select_tau(frame, grid=[0.0, 0.5, 2.0], rng_seed=3, workers=w)
-            for w in (1, 2)}
     assert len(taus) == 1
 
 
@@ -404,10 +406,11 @@ def test_run_table_guards():
         run_table("fig1_distance", 3, seed=0, scale_factor=0.0)
 
 
-def test_run_table_artifacts_and_determinism(tmp_path):
+def test_run_table_artifacts_and_determinism(tmp_path, monkeypatch):
+    monkeypatch.setenv("LATENT_KRIG_THREADS", "1")
     reports, summary = run_table(
         "fig1_distance", replicates=3, seed=11, settings=[(40, 16)],
-        tau_grid=[0.0, 0.5], out_dir=tmp_path, workers=1)
+        tau_grid=[0.0, 0.5], out_dir=tmp_path)
     assert len(reports) == 3
     assert summary["table"] == "fig1_distance"
     assert summary["replicates"] == 3
@@ -423,17 +426,19 @@ def test_run_table_artifacts_and_determinism(tmp_path):
     assert json.loads(json_path.read_text())["seed"] == 11
     assert len(csv_path.read_text().strip().splitlines()) == 4  # header + reps
     # same seed, parallel workers: identical metric values
+    monkeypatch.setenv("LATENT_KRIG_THREADS", "4")
     again, _ = run_table("fig1_distance", replicates=3, seed=11,
-                         settings=[(40, 16)], tau_grid=[0.0, 0.5], workers=4)
+                         settings=[(40, 16)], tau_grid=[0.0, 0.5])
     for a, b in zip(reports, again):
         assert a.subspace_distances == b.subspace_distances
         assert a.tau == b.tau
 
 
-def test_run_table_mse_variants(tmp_path):
+def test_run_table_mse_variants(tmp_path, monkeypatch):
+    monkeypatch.setenv("LATENT_KRIG_THREADS", "1")
     reports, summary = run_table(
         "mse_table1", replicates=3, seed=12, settings=[(40, 16)],
-        tau_grid=[0.0, 0.5], workers=1)
+        tau_grid=[0.0, 0.5])
     variants = {r.variant for r in reports}
     assert variants == {"tau_cv", "tau_zero"}
     assert len(reports) == 6  # two rows per replicate
@@ -484,12 +489,13 @@ def _table_oracle(table, draw, tau, fit_seed, J):
 
 @pytest.mark.parametrize("table", ["mse_table1", "fig1_distance", "fig2_mse",
                                    "kriging_table2"])
-def test_run_table_is_the_library_pipeline(table):
+def test_run_table_is_the_library_pipeline(monkeypatch, table):
     # each replicate simulates from sim_seed, cross-validates tau from
     # cv_seed and fits from fit_seed, all derived from the table seed
     (n, p), seed, replicates = (80, 50), 13, 3
+    monkeypatch.setenv("LATENT_KRIG_THREADS", "1")
     reports, _ = run_table(table, replicates, seed, scale_factor=0.05,
-                           settings=[(n, p)], workers=1)
+                           settings=[(n, p)])
     extra = (dict(n_future=2, holdout_sites=50) if table == "kriging_table2"
              else {})
     rep_seeds = member_seeds(member_seeds(seed, 1)[0], replicates)

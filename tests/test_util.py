@@ -142,6 +142,51 @@ def test_caller_and_pool_threads_never_outnumber_items(monkeypatch):
     assert sizes == [2]  # the calling thread is the third
 
 
+def _recorded_pools(monkeypatch) -> list:
+    """The max_workers of every pool ordered_map opens from now on."""
+    import concurrent.futures
+    sizes = []
+    real = concurrent.futures.ThreadPoolExecutor
+
+    def recorded(max_workers):
+        sizes.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(_util, "ThreadPoolExecutor", recorded)
+    return sizes
+
+
+def test_a_map_started_inside_a_task_runs_inline_on_its_thread(monkeypatch):
+    sizes = _recorded_pools(monkeypatch)
+    monkeypatch.setenv("LATENT_KRIG_THREADS", "4")
+
+    def outer(x):
+        inner = list(ordered_map(lambda y: threading.get_ident(), range(3)))
+        return inner == [threading.get_ident()] * 3
+
+    assert list(ordered_map(outer, range(2))) == [True, True]
+    assert sizes == [1]  # the outer map's pool; the caller is its second thread
+
+
+def test_code_between_yields_and_later_maps_still_pool(monkeypatch):
+    sizes = _recorded_pools(monkeypatch)
+    monkeypatch.setenv("LATENT_KRIG_THREADS", "4")
+
+    def fail(x):
+        raise ValueError("inner")
+
+    def outer(x):
+        with pytest.raises(ValueError, match="inner"):
+            list(ordered_map(fail, range(3)))  # inline, and the flag survives
+        return list(ordered_map(abs, range(3)))
+
+    for got in ordered_map(outer, range(2)):
+        assert got == [0, 1, 2]
+        assert list(ordered_map(abs, range(2))) == [0, 1]  # not a task: pools
+    assert list(ordered_map(abs, range(3))) == [0, 1, 2]
+    assert sizes == [1, 1, 1, 2]
+
+
 def test_the_caller_runs_items_while_it_waits():
     # item 0 waits until item 1 has started, so the two run at once: on
     # the one pool thread and on the caller, in either order
