@@ -32,8 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .ensemble import (_seeded_members, aggregate_fit, ensemble_from_document,
-                       save_ensemble)
+from .ensemble import (EnsembleFit, _seeded_members, aggregate_fit,
+                       ensemble_from_document, save_ensemble)
 from .errors import (EXIT_NUMERICAL, EXIT_VALIDATION, LatentKrigError,
                      ParseError, PeriodTooLarge)
 from .factors import _read_document, fit_from_document, save_fit
@@ -186,18 +186,11 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _latent_from_document(doc: dict):
-    if doc.get("format") == "latentkrig-fit":
-        fit, locs = fit_from_document(doc)
-        return fit.xi_hat, locs
-    if doc.get("format") == "latentkrig-ensemble":
-        ens, locs = ensemble_from_document(doc)
-        return ens.xi_tilde, locs
-    raise ValueError("not a model document")
-
-
 def cmd_krige_space(args) -> int:
-    latent, locs = _read_document(args.model, _latent_from_document)
+    model, locs = _read_document(args.model, {
+        "latentkrig-fit": fit_from_document,
+        "latentkrig-ensemble": ensemble_from_document})
+    latent = model.xi_tilde if isinstance(model, EnsembleFit) else model.xi_hat
     if locs is None:
         raise ParseError(f"{args.model}: model has no embedded locations")
     if latent.shape[0] == 0:
@@ -260,7 +253,11 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_impute(args) -> int:
-    frame = _load_dir(args)
+    d = Path(args.data)  # unlike fit and forecast, carries covariates.csv through
+    covariates = d / "covariates.csv"
+    frame = load_frame(d / "locations.csv", d / "observations.csv",
+                       covariates if covariates.exists() else None,
+                       distance_metric=args.metric)
     filled = impute_missing(frame)
     paths = save_frame(filled, Path(args.out))
     print(f"filled={len(filled.filled_cells or ())}")

@@ -44,29 +44,27 @@ R = TypeVar("R")
 class EnsembleFit:
     """Aggregated latent field over partition replicates.
 
-    xi_tilde[t, i] is the arithmetic mean of per_location_counts[i]
-    member estimates at location i; counts equal J in full-partition
-    mode and in block mode (each block is refitted J times).
+    xi_tilde[t, i] is the arithmetic mean of J member estimates at every
+    location i, in full-partition mode and in block mode (each block is
+    refitted J times), so per_location_counts is derived: J at every site.
     """
 
     J: int
     member_seeds: tuple[int, ...]
     xi_tilde: np.ndarray
-    per_location_counts: np.ndarray
     d_hats: tuple[int, ...]
     tau: float
 
     def __post_init__(self) -> None:
         self.xi_tilde = np.asarray(self.xi_tilde, dtype=np.float64)
-        self.per_location_counts = np.asarray(self.per_location_counts,
-                                              dtype=np.int64)
         self.tau = float(self.tau)
         if self.J < 1:
             raise ValueError("J must be >= 1")
-        if self.per_location_counts.shape != (self.xi_tilde.shape[1],):
-            raise ValueError("per_location_counts must have one entry per location")
-        if np.any(self.per_location_counts < 1):
-            raise ValueError("every location needs at least one contributing member")
+
+    @property
+    def per_location_counts(self) -> np.ndarray:
+        """Members averaged at each site: J at every one."""
+        return np.full(self.xi_tilde.shape[1], self.J, dtype=np.int64)
 
 
 def _member_partitions(p: int, seeds: list[int]) -> list[Partition]:
@@ -150,9 +148,8 @@ def aggregate_over_partitions(frame: SpatioTemporalFrame,
     _, xi_tilde, d_hats = _first_and_mean(_fit_members(
         frame, partitions, tau, k0=k0, p_star=p_star, d_override=d_override,
         read=lambda fit: (fit.xi_hat, fit.d_hat)))
-    j = len(partitions)
-    return EnsembleFit(J=j, member_seeds=tuple(member_seeds), xi_tilde=xi_tilde,
-                       per_location_counts=np.full(frame.p, j), d_hats=d_hats, tau=tau)
+    return EnsembleFit(J=len(partitions), member_seeds=tuple(member_seeds),
+                       xi_tilde=xi_tilde, d_hats=d_hats, tau=tau)
 
 
 def aggregate_fit(frame: SpatioTemporalFrame, J: int = DEFAULT_J,
@@ -228,7 +225,7 @@ def divide_and_conquer_fit(frame: SpatioTemporalFrame, q: int,
     if np.any(counts != J):
         raise AssertionError("block scheme must estimate every location J times")
     return EnsembleFit(J=J, member_seeds=tuple(seeds), xi_tilde=xi_tilde,
-                       per_location_counts=counts, d_hats=tuple(d_hats), tau=tau)
+                       d_hats=tuple(d_hats), tau=tau)
 
 
 def ensemble_to_document(ens: EnsembleFit,
@@ -249,15 +246,13 @@ def ensemble_to_document(ens: EnsembleFit,
 
 
 def ensemble_from_document(doc: dict) -> tuple[EnsembleFit, LocationSet | None]:
-    if doc.get("format") != "latentkrig-ensemble":
-        raise ValueError("not an ensemble document")
     ens = EnsembleFit(J=int(doc["J"]),
                       member_seeds=tuple(int(s) for s in doc["member_seeds"]),
                       xi_tilde=_matrix_from_doc(doc["xi_tilde"]),
-                      per_location_counts=np.asarray(
-                          doc["per_location_counts"], dtype=np.int64),
                       d_hats=tuple(int(d) for d in doc["d_hats"]),
                       tau=float(doc["tau"]))
+    if doc["per_location_counts"] != ens.per_location_counts.tolist():
+        raise ValueError(f"per_location_counts must be J={ens.J} at every site")
     locs = locations_from_doc(doc["locations"]) if "locations" in doc else None
     return ens, locs
 
@@ -268,4 +263,4 @@ def save_ensemble(ens: EnsembleFit, path: str | Path,
 
 
 def load_ensemble(path: str | Path) -> tuple[EnsembleFit, LocationSet | None]:
-    return _read_document(path, ensemble_from_document)
+    return _read_document(path, {"latentkrig-ensemble": ensemble_from_document})

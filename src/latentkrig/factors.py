@@ -245,6 +245,9 @@ def _fit_grid(frame: SpatioTemporalFrame, partition: Partition, taus,
     """
     taus = np.asarray(taus, dtype=np.float64).reshape(-1)
     p1, p2 = len(partition.set1), len(partition.set2)
+    if d_override is not None and (int(d_override) != d_override
+                                   or not 1 <= d_override <= min(p1, p2)):
+        raise ValueError("d_override out of range")
 
     def sweep(side: int, subset):
         m = _side_gram(frame, partition, k0, side)
@@ -256,8 +259,6 @@ def _fit_grid(frame: SpatioTemporalFrame, partition: Partition, taus,
         if d_override is None:  # the side-2 basis cannot exceed p2 columns
             d = np.minimum(estimate_d(evals, p_star if p_star is not None
                                       else default_p_star(p1, p2)), p2)
-        elif int(d_override) != d_override or not 1 <= d_override <= min(p1, p2):
-            raise ValueError("d_override out of range")
         else:
             d = np.full(len(evals), int(d_override))
         top = _top_vectors(evecs, order, d.max())
@@ -401,13 +402,16 @@ def _write_document(path, doc: dict) -> None:
     Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
 
 
-def _read_document(path, build):
-    """build(doc) on the JSON object in ``path``, else ParseError naming it."""
+def _read_document(path, builds: dict):
+    """builds[kind](doc) on the JSON object in ``path``, whose "format" is
+    that kind, else ParseError naming the file: the one place a model
+    document's kind is checked."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(doc, dict):
-            raise ValueError("not a model document")
-        return build(doc)
+        kind = doc.get("format") if isinstance(doc, dict) else None
+        if not isinstance(kind, str) or kind not in builds:
+            raise ValueError(f"expected a {' or '.join(builds)} document")
+        return builds[kind](doc)
     except KeyError as exc:
         raise ParseError(f"{path}: model document lacks key {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -415,4 +419,4 @@ def _read_document(path, build):
 
 
 def load_fit(path) -> tuple[FactorModelFit, LocationSet | None]:
-    return _read_document(path, fit_from_document)
+    return _read_document(path, {"latentkrig-fit": fit_from_document})

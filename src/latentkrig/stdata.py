@@ -196,8 +196,9 @@ def random_partition(p: int, rng_seed: int) -> Partition:
 class SpatioTemporalFrame:
     """Panel of n time points over a LocationSet.
 
-    obs is (n, p) float64 with NaN at masked cells; missing is the matching
-    boolean mask. covariates, if present, is (n, p, m) and fully observed.
+    obs is (n, p) float64 with NaN at masked cells; missing is its
+    read-only boolean mask, np.isnan(obs), derived here and never passed in.
+    covariates, if present, is (n, p, m) and fully observed.
     Instances are treated as immutable after construction; operations that
     change data return new frames. filled_cells records imputation
     provenance as (time_index, location_id) pairs and is None for frames
@@ -211,7 +212,7 @@ class SpatioTemporalFrame:
     locations: LocationSet
     obs: np.ndarray
     covariates: np.ndarray | None = None
-    missing: np.ndarray | None = None
+    missing: np.ndarray = field(init=False)
     filled_cells: tuple[tuple[int, str], ...] | None = None
     _memo: Memo = field(init=False, repr=False, compare=False, default_factory=Memo)
 
@@ -224,15 +225,7 @@ class SpatioTemporalFrame:
             raise ParseError("obs width disagrees with location count")
         if n < 2:
             raise ParseError("need at least 2 time points")
-        nan_mask = np.isnan(obs)
-        if self.missing is None:
-            miss = nan_mask
-        else:
-            miss = np.array(self.missing, dtype=bool)
-            if miss.shape != obs.shape:
-                raise ParseError("mask shape disagrees with obs")
-            if not np.array_equal(miss, nan_mask):
-                raise ParseError("mask and NaN pattern disagree")
+        miss = np.isnan(obs)
         if np.any(np.isinf(obs)):
             raise ParseError("observations must be finite or missing")
         observed = ~miss

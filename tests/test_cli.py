@@ -426,6 +426,32 @@ def test_impute_fills_and_reports(tmp_path, capsys):
     np.testing.assert_array_equal(back.obs[~mask], frame.obs[~mask])
 
 
+def test_impute_carries_covariates_through(tmp_path, capsys):
+    from latentkrig import SpatioTemporalFrame, save_frame
+    frame = simulate(SimConfig(n=40, p=12, seed=7)).frame
+    obs = np.array(frame.obs)
+    obs[np.random.default_rng(2).random(obs.shape) < 0.04] = np.nan
+    z = np.random.default_rng(3).normal(size=(40, 12, 1))
+    with_z, without_z = tmp_path / "with", tmp_path / "without"
+    save_frame(SpatioTemporalFrame(locations=frame.locations, obs=obs,
+                                   covariates=z), with_z)
+    save_frame(SpatioTemporalFrame(locations=frame.locations, obs=obs),
+               without_z)
+    for data, wrote in ((with_z, 3), (without_z, 2)):
+        out = tmp_path / f"{data.name}-filled"
+        code, stdout, _ = run(capsys, "impute", str(data), "--out", str(out))
+        assert code == 0
+        assert stdout.count("wrote ") == wrote
+        assert sorted(f.name for f in out.iterdir()) == sorted(
+            f.name for f in data.iterdir())
+    assert ((tmp_path / "with-filled" / "covariates.csv").read_bytes()
+            == (with_z / "covariates.csv").read_bytes())
+    back = load_frame(tmp_path / "with-filled" / "locations.csv",
+                      tmp_path / "with-filled" / "observations.csv",
+                      tmp_path / "with-filled" / "covariates.csv")
+    assert back.is_complete and back.covariates.tobytes() == z.tobytes()
+
+
 def test_fit_tau_grid_prints_and_stores_the_cv_tau(data_dir, tmp_path, capsys):
     model = tmp_path / "fit.json"
     code, stdout, _ = run(capsys, "fit", str(data_dir), "--tau-grid", "0,1",
@@ -629,6 +655,22 @@ def test_krige_space_rejects_fit_without_latent_field(data_dir, tmp_path,
                             "--at", "0,0", "--h", "0.5")
     assert code == 2 and stdout == ""
     assert err == f"error: krige-space: {model}: model has no latent field\n"
+
+
+@pytest.mark.parametrize("kind", ["latentkrig-frame", None, 1])
+def test_krige_space_rejects_another_kind_of_document(data_dir, tmp_path,
+                                                      capsys, kind):
+    model = tmp_path / "fit.json"
+    run(capsys, "fit", str(data_dir), "--tau", "0.0", "--seed", "3",
+        "--out", str(model))
+    doc = json.loads(model.read_text())
+    doc["format"] = kind
+    model.write_text(json.dumps(doc))
+    code, stdout, err = run(capsys, "krige-space", str(model),
+                            "--at", "0,0", "--h", "0.5")
+    assert (code, stdout) == (2, "")
+    assert err == (f"error: krige-space: {model}: expected a latentkrig-fit "
+                   f"or latentkrig-ensemble document\n")
 
 
 @pytest.mark.parametrize("case", ["array", "string", "number",

@@ -18,6 +18,7 @@ from latentkrig import (
     load_fit,
     random_partition,
     save_ensemble,
+    save_fit,
     simulate,
 )
 from latentkrig import ensemble
@@ -322,21 +323,25 @@ def test_divide_and_conquer_fails_on_a_missed_site(monkeypatch):
 # ---- EnsembleFit contract ----
 
 def test_ensemble_fit_validation():
+    # an ensemble averages J members at every site, so the counts are
+    # derived from J and cannot be passed in
     xi = np.zeros((4, 3))
-    counts = np.array([2, 2, 2])
-    EnsembleFit(J=2, member_seeds=(1, 2), xi_tilde=xi,
-                per_location_counts=counts, d_hats=(1, 1), tau=0.0)
-    with pytest.raises(ValueError):
-        EnsembleFit(J=0, member_seeds=(), xi_tilde=xi,
-                    per_location_counts=counts, d_hats=(), tau=0.0)
-    with pytest.raises(ValueError):
+    ens = EnsembleFit(J=2, member_seeds=(1, 2), xi_tilde=xi, d_hats=(1, 1),
+                      tau=0.0)
+    assert ens.per_location_counts.tolist() == [2, 2, 2]
+    with pytest.raises(AttributeError):
+        ens.per_location_counts = np.array([2, 0, 2])
+    with pytest.raises(TypeError, match="per_location_counts"):
         EnsembleFit(J=2, member_seeds=(1, 2), xi_tilde=xi,
-                    per_location_counts=np.array([2, 2]), d_hats=(1, 1),
+                    per_location_counts=np.array([2, 2, 2]), d_hats=(1, 1),
                     tau=0.0)
-    with pytest.raises(ValueError):
-        EnsembleFit(J=2, member_seeds=(1, 2), xi_tilde=xi,
-                    per_location_counts=np.array([2, 0, 2]), d_hats=(1, 1),
-                    tau=0.0)
+    with pytest.raises(ValueError, match="J must be >= 1"):
+        EnsembleFit(J=0, member_seeds=(), xi_tilde=xi, d_hats=(), tau=0.0)
+    frame, *_ = rank_k_frame(30, 8, k=1, seed=23, noise=0.2)
+    for got in (aggregate_fit(frame, J=3, p_star=3),
+                divide_and_conquer_fit(frame, q=4, J=3, p_star=2)):
+        assert got.per_location_counts.dtype == np.int64
+        assert got.per_location_counts.tolist() == [3] * 8
 
 
 def test_ensemble_save_load_round_trip(tmp_path):
@@ -352,6 +357,48 @@ def test_ensemble_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(back.xi_tilde, ens.xi_tilde)
     np.testing.assert_array_equal(back.per_location_counts,
                                   ens.per_location_counts)
+
+
+def test_ensemble_document_counts_must_be_j_everywhere(tmp_path):
+    frame, *_ = rank_k_frame(30, 8, k=1, seed=27, noise=0.3)
+    doc = ensemble_to_document(aggregate_fit(frame, J=2, tau=0.0))
+    path = tmp_path / "ens.json"
+    for counts in ([2] * 7 + [1], [2] * 7, [3] * 8, "2"):
+        path.write_text(json.dumps({**doc, "per_location_counts": counts}))
+        with pytest.raises(ParseError) as info:
+            load_ensemble(path)
+        assert str(info.value) == (f"{path}: per_location_counts must be "
+                                   f"J=2 at every site")
+
+
+def test_model_loaders_check_the_document_kind(tmp_path):
+    frame, *_ = rank_k_frame(30, 8, k=1, seed=27, noise=0.3)
+    fit_path, ens_path = tmp_path / "fit.json", tmp_path / "ens.json"
+    save_fit(fit_factors(frame, random_partition(8, 3), 0.0), fit_path)
+    save_ensemble(aggregate_fit(frame, J=2, tau=0.0), ens_path)
+    for loader, path, want in ((load_fit, ens_path, "latentkrig-fit"),
+                               (load_ensemble, fit_path, "latentkrig-ensemble")):
+        with pytest.raises(ParseError) as info:
+            loader(path)
+        assert str(info.value) == f"{path}: expected a {want} document"
+
+
+@pytest.mark.parametrize("with_locations", [False, True])
+def test_model_document_key_order(tmp_path, with_locations):
+    frame, *_ = rank_k_frame(30, 8, k=1, seed=27, noise=0.3)
+    locs = frame.locations if with_locations else None
+    tail = ["locations"] if with_locations else []
+    fit_path, ens_path = tmp_path / "fit.json", tmp_path / "ens.json"
+    save_fit(fit_factors(frame, random_partition(8, 3), 0.0), fit_path, locs)
+    save_ensemble(aggregate_fit(frame, J=2, tau=0.0), ens_path, locs)
+    assert list(json.loads(fit_path.read_text())) == [
+        "format", "version", "partition", "d_hat", "tau", "k0", "eigenvalues",
+        "A1_hat", "A2_hat", "x_hat", "x_star_hat", "xi_hat", *tail]
+    assert list(json.loads(ens_path.read_text())) == [
+        "format", "version", "J", "tau", "member_seeds", "d_hats",
+        "per_location_counts", "xi_tilde", *tail]
+    assert '"per_location_counts": [2, 2, 2, 2, 2, 2, 2, 2], ' in \
+        ens_path.read_text()
 
 
 @pytest.mark.parametrize("loader", [load_fit, load_ensemble])

@@ -224,6 +224,22 @@ def test_fit_guards():
         fit_factors(frame, part, tau=0.0, d_override=5)  # > min(p1, p2)
 
 
+@pytest.mark.parametrize("d", [999, 0, 2.5])
+def test_d_override_is_checked_before_any_eigensolve(monkeypatch, d):
+    from latentkrig import SimConfig, simulate
+    frame = simulate(SimConfig(n=60, p=20, seed=4)).frame
+    real_eigh, solved = np.linalg.eigh, []
+
+    def counting(a, *args, **kwargs):
+        solved.append(1)
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    with pytest.raises(ValueError, match="d_override out of range"):
+        fit_factors(frame, random_partition(20, 1), tau=0.5, d_override=d)
+    assert solved == []
+
+
 def test_d_hat_capped_by_small_side():
     # side 2 has 3 columns: even if side 1 sees 4 factors, the readout
     # basis cannot exceed rank 3

@@ -168,12 +168,18 @@ def test_frame_mask_from_nan():
 
 
 def test_frame_mask_must_match_nan_pattern():
+    # the mask is derived from the NaNs and cannot be passed in
     locs = grid_locations(3)
     obs = np.ones((4, 3))
-    bad = np.zeros((4, 3), dtype=bool)
-    bad[0, 0] = True  # mask says missing, value says observed
-    with pytest.raises(ParseError):
-        SpatioTemporalFrame(locations=locs, obs=obs, missing=bad)
+    obs[1, 2] = np.nan
+    with pytest.raises(TypeError, match="missing"):
+        SpatioTemporalFrame(locations=locs, obs=obs,
+                            missing=np.isnan(obs))
+    frame = SpatioTemporalFrame(locations=locs, obs=obs)
+    np.testing.assert_array_equal(frame.missing, np.isnan(obs))
+    assert frame.missing.dtype == bool
+    with pytest.raises(ValueError, match="read-only"):
+        frame.missing[0, 0] = True
 
 
 def test_frame_rejects_inf():
