@@ -14,9 +14,11 @@ sites, or a (sites, Partition) pair fitted on those sites' subframe),
 and one in-order reducer, ``_first_and_mean``, averages the members.
 Members of one frame share its panel statistics: the centered panel,
 its lag covariances and their partition-free Gram products are built
-once per frame, and the Laplacian weights once per location set, by
-whichever member asks first, and every other member slices them. A
-subframe member builds its own, so it is bitwise a fit of the subframe.
+once per frame, by whichever member asks first, and every other member
+slices them. Each side builds its Laplacian from its own sites'
+coordinates, which costs about as much as slicing shared weights would.
+A subframe member builds its own statistics, so it is bitwise a fit of
+the subframe.
 """
 
 from __future__ import annotations

@@ -34,33 +34,26 @@ from .covariance import _check_lags, _lag, _lag_gram
 from .errors import (NotSymmetric, ParseError, RankDeficient, TooFewEigenvalues,
                      TooFewLocations)
 from .stdata import (LocationSet, Partition, SpatioTemporalFrame,
-                     locations_from_doc, locations_to_doc,
-                     pairwise_distances)
+                     distance_matrix, locations_from_doc, locations_to_doc)
 
 _SIGN_EPS = 1e-12
 _EIG_FLOOR = 1e-300
 _EIGH_STACK = 8  # matrices per stacked eigh; keeps peak memory flat
 
 
-def _site_weights(locations: LocationSet) -> np.ndarray:
-    """w_ij = 1/(1 + dist) between all sites, zero diagonal, built once per
-    LocationSet."""
-    def build() -> np.ndarray:
-        w = pairwise_distances(locations)
-        w += 1.0
-        np.divide(1.0, w, out=w)
-        np.fill_diagonal(w, 0.0)
-        return w
-    return locations._memo.get("laplacian_weights", build)
-
-
 def build_laplacian(locations: LocationSet, subset) -> np.ndarray:
     """Graph Laplacian L = diag(rowsum W) - W of the sites ``subset``, with
-    W their weights sliced from those shared by every subset of the set."""
+    W_ij = 1/(1 + dist) and zero diagonal, built from those sites'
+    coordinates alone. Distances are elementwise, so W is bitwise the
+    slice of the all-site weights, which are never formed or kept."""
     idx = list(subset)
     if not idx:
         raise TooFewLocations("laplacian needs a nonempty subset")
-    lap = _site_weights(locations)[np.ix_(idx, idx)]
+    coords = locations.coords[idx]
+    lap = distance_matrix(coords, coords, locations.distance_metric, locations.radius)
+    lap += 1.0
+    np.divide(1.0, lap, out=lap)
+    np.fill_diagonal(lap, 0.0)
     degree = lap.sum(axis=1)
     np.negative(lap, out=lap)
     np.fill_diagonal(lap, degree)

@@ -55,19 +55,38 @@ class KernelSpec:
 
 def _raw_kernel(locations: LocationSet, sites, family: str, dist=None):
     """h -> raw weights K((s_j - sites[k]) / h), one row per site; the geometry
-    (distances, or dist if given; displacements for epanechnikov_2d) is made once."""
+    (distances, or dist if given; displacements for epanechnikov_2d) is made
+    once. Each h's weights are computed in one array, plus one more for the
+    second factor of the product kernel."""
     sites = np.asarray(sites, dtype=np.float64).reshape(-1, 2)
     if family == "gaussian":
         if dist is None:
             dist = distance_matrix(sites, locations.coords,
                                    locations.distance_metric, locations.radius)
-        return lambda h: np.exp(-0.5 * (dist / h) ** 2)
+
+        def gaussian(h):  # exp(-0.5 * (dist / h) ** 2), in place
+            k = np.divide(dist, h)
+            np.square(k, out=k)
+            np.multiply(-0.5, k, out=k)
+            return np.exp(k, out=k)
+        return gaussian
     if family != "epanechnikov_2d":
         raise ValueError(f"unknown kernel family {family!r}")
     if locations.distance_metric != "euclidean":
         raise ValueError("epanechnikov_2d requires planar coordinates")
-    disp = locations.coords[None, :, :] - sites[:, None, :]
-    return lambda h: np.prod(np.clip(1.0 - (disp / h) ** 2, 0.0, None), axis=2)
+    disp = locations.coords.T[:, None, :] - sites.T[:, :, None]  # (2, m, p)
+
+    def factor(axis: int, h):  # max(1 - (disp / h) ** 2, 0) on one axis, in place
+        f = np.divide(disp[axis], h)
+        np.square(f, out=f)
+        np.subtract(1.0, f, out=f)
+        return np.clip(f, 0.0, None, out=f)
+
+    def product(h):
+        k = factor(0, h)
+        k *= factor(1, h)
+        return k
+    return product
 
 
 def kernel_weights(locations: LocationSet, s0, kernel: KernelSpec) -> np.ndarray:

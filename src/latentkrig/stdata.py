@@ -56,9 +56,8 @@ class LocationSet:
 
     coords is a (p, 2) float array. distance_metric selects planar
     euclidean distance or great-circle distance on a sphere of the given
-    radius (kilometres by default). Values derived from the sites, such
-    as the Laplacian weights, are built once per set in a private memo;
-    a subset is a new set with its own.
+    radius (kilometres by default). The set keeps no matrix derived from
+    its sites: a Laplacian is built from its own sites' coordinates.
     """
 
     ids: tuple[str, ...]
@@ -66,7 +65,6 @@ class LocationSet:
     distance_metric: str = "euclidean"
     radius: float = EARTH_RADIUS_KM
     _column: dict[str, int] = field(init=False, repr=False, compare=False)
-    _memo: Memo = field(init=False, repr=False, compare=False, default_factory=Memo)
 
     def __post_init__(self) -> None:
         self.ids = tuple(str(i) for i in self.ids)
@@ -303,7 +301,8 @@ def _sealed(a: np.ndarray) -> np.ndarray:
 # ---- CSV ingestion ----
 
 # Rows the CSV reader tokenizes and checks at a time. Its memory is one
-# block's tokens plus two integer codes and the floats of each row.
+# block's tokens plus the panel's cells, whose values are written as each
+# block passes its checks.
 _CSV_BLOCK = 8192
 
 
@@ -467,16 +466,20 @@ def load_locations(path, distance_metric: str = "euclidean",
 def _block_panel(path, blocks, column_of, min_width, panel_rank):
     """Ranks and n x width x m panel (n x width without panel_rank) of a
     long-form file's token blocks. New stamp and id tokens are parsed or
-    mapped once, in first-seen order; a row keeps two integer codes and
-    its m floats, and marks its (stamp, column) cell in a table. The first
-    bad row raises, rules checked in the order stamp (one of panel_rank's
-    if given), id, duplicate cell, value; then the whole file's rules."""
+    mapped once, in first-seen order; a row marks its (stamp, column) cell
+    in a table, and once its block passes its checks its m floats go to
+    that cell of a value table that grows with it. The first bad row
+    raises, rules checked in the order stamp (one of panel_rank's if
+    given), id, duplicate cell, value; then the whole file's rules. The
+    value table's rows are gathered into rank order at the end."""
     cov = panel_rank is not None
-    stamps, t_code, col_of, parts, line = {}, {}, {}, [], 2
-    seen = np.zeros((0, min_width), bool)
+    stamps, t_code, col_of, line = {}, {}, {}, 2
+    seen, table = np.zeros((0, min_width), bool), None
     header = "t,id,z1,..." if cov else "t,id,value"
     for t_tok, id_tok, *v_cols in _data_blocks(path, blocks, header):
         n = len(t_tok)
+        if table is None:
+            table = np.empty((0, min_width, len(v_cols)))
         bad = [n] * 4  # the first row that breaks each rule, in rule order
         for tok in dict.fromkeys(t_tok):
             if tok not in t_code:
@@ -501,7 +504,9 @@ def _block_panel(path, blocks, column_of, min_width, panel_rank):
         if coded:
             pad = [(0, max(need, 2 * have) - have if need > have else 0)  # grow by doubling
                    for need, have in zip((len(stamps), int(col.max()) + 1), seen.shape)]
-            seen = np.pad(seen, pad) if any(g for _, g in pad) else seen
+            if any(g for _, g in pad):
+                seen = np.pad(seen, pad)
+                table = np.pad(table, pad + [(0, 0)], constant_values=np.nan)
             cell, flat = t * seen.shape[1] + col, seen.reshape(-1)  # a view of seen
             again, ordered = flat[cell], np.sort(cell)
             flat[cell] = True
@@ -530,18 +535,17 @@ def _block_panel(path, blocks, column_of, min_width, panel_rank):
             for v in (v_tok[row] for v_tok in v_cols):
                 if cov or v.strip():
                     _parse_float(v if cov else v.strip(), path, at)
-        parts.append((t, col, vals))
+        if coded:
+            table.reshape(-1, table.shape[2])[cell] = vals  # a view of table
         line += n
     rank = _rank_timestamps(stamps, path)
     if cov and (rank != panel_rank or line - 2 < len(rank) * min_width):
         raise ParseError(f"{path}: covariates must cover every (t, id) cell")
     if line == 2:
         raise ParseError(f"{path}: no observation rows")
-    width, m = max(min_width, 1 + max(col_of.values())), vals.shape[1]
-    t_rank = np.array([rank[s] for s in stamps], np.intp)
-    panel = np.full((len(rank), width, m), np.nan)
-    for t, col, vals in parts:
-        panel.reshape(-1, m)[t_rank[t] * width + col] = vals
+    width = max(min_width, 1 + max(col_of.values()))
+    order = np.fromiter(map(stamps.__getitem__, rank), np.intp, len(rank))
+    panel = np.take(table[:, :width], order, axis=0)
     return rank, panel if cov else panel[:, :, 0]
 
 

@@ -9,22 +9,24 @@ forecast unit tests. The dense best-linear-predictor route for spatial
 kriging, the general best linear predictor, the p x p lagged
 autocovariances, a partition's cross-set and lagged covariance blocks,
 the one-tau penalized eigensolve, the Gram matrices built block by block
-from each partition's own half-panel covariances, the generator's
-signal-to-noise integral and the enumeration of every split of a small
-panel are references of the same kind.
+from each partition's own half-panel covariances, a subset's Laplacian
+sliced from the weights of every site, the generator's signal-to-noise
+integral and the enumeration of every split of a small panel are
+references of the same kind.
 """
 
 from itertools import combinations
 
 import numpy as np
 
-from latentkrig import Partition, SpatioTemporalFrame, krige_space
+from latentkrig import LocationSet, Partition, SpatioTemporalFrame, krige_space
 from latentkrig.covariance import _autocovariances, _check_lags, _lag
 from latentkrig.errors import (NotPositiveDefinite, NotSymmetric,
                                NumericalError)
 from latentkrig.factors import _eig_desc, _top_vectors
 from latentkrig.forecast import _REL_SINGULAR
 from latentkrig.simbench import FACTOR_STATIONARY_VARS, loading_values
+from latentkrig.stdata import pairwise_distances
 
 _DUAL_ROUTE_MAX_P = 200
 
@@ -164,6 +166,15 @@ def blockwise_gram_matrices(frame: SpatioTemporalFrame, partition: Partition,
         m1 += s1 @ s1.T + s12p @ s12p.T + s12m @ s12m.T
         m2 += s2 @ s2.T + s12p.T @ s12p + s12m.T @ s12m
     return m1, m2
+
+
+def dense_laplacian(locations: LocationSet, subset) -> np.ndarray:
+    """L = diag(rowsum W) - W of the sites ``subset``, with W the slice of
+    the weights 1/(1 + dist) between all sites, zero on the diagonal."""
+    w = 1.0 / (pairwise_distances(locations) + 1.0)
+    np.fill_diagonal(w, 0.0)
+    w = w[np.ix_(list(subset), list(subset))]
+    return np.diag(w.sum(axis=1)) - w
 
 
 def penalized_eigvecs(M: np.ndarray, penalty, tau: float,

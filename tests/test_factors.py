@@ -26,7 +26,7 @@ from latentkrig.errors import (
 from latentkrig.factors import fit_to_document
 
 from conftest import grid_locations, noise_frame, rank_k_frame
-from oracles import blockwise_gram_matrices, penalized_eigvecs
+from oracles import blockwise_gram_matrices, dense_laplacian, penalized_eigvecs
 
 
 # ---- graph Laplacian ----
@@ -70,6 +70,21 @@ def test_laplacian_subset_and_metric():
     assert -lap[0, 1] == pytest.approx(expected, rel=1e-12)
     with pytest.raises(TooFewLocations):
         build_laplacian(locs, [])
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "great_circle"])
+def test_laplacian_is_bitwise_the_slice_of_the_all_site_weights(metric):
+    # each side builds its weights from its own coordinates; distances are
+    # elementwise, so that equals slicing the weights of every site
+    rng = np.random.default_rng(7)
+    for p in (3, 37, 300):
+        coords = np.column_stack([rng.uniform(-180, 180, p), rng.uniform(-90, 90, p)])
+        locs = LocationSet(ids=tuple(map(str, range(p))), coords=coords,
+                           distance_metric=metric)
+        for k in (1, 2, p // 2, p):
+            subset = rng.choice(p, k, replace=False)  # unsorted
+            lap = build_laplacian(locs, subset)
+            assert lap.tobytes() == dense_laplacian(locs, subset).tobytes()
 
 
 # ---- penalized eigenvectors ----
@@ -353,13 +368,11 @@ def test_fit_at_tau_zero_builds_no_laplacian(monkeypatch):
 
 
 def test_fits_write_to_no_input():
-    from latentkrig.factors import _EIGH_STACK, _eig_desc, _site_weights
+    from latentkrig.factors import _EIGH_STACK, _eig_desc
     frame, *_ = rank_k_frame(60, 16, k=2, seed=24, noise=0.5)
     part = random_partition(16, 5)
     fit_factors(frame, part, tau=1.0, k0=2)  # builds the shared statistics
-    memo = [*frame._memo._values.values(), *frame.locations._memo._values.values()]
-    assert any(w is _site_weights(frame.locations) for w in memo)
-    shared = [frame.obs, *memo]
+    shared = [frame.obs, frame.locations.coords, *frame._memo._values.values()]
     before = [a.tobytes() for a in shared]
     m1, _ = gram_matrices(frame, part, 2)
     lap = build_laplacian(frame.locations, part.set1)

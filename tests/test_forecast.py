@@ -333,6 +333,7 @@ def test_forecast_members_share_one_set_of_panel_statistics(monkeypatch,
 
     # count every call, whichever module's binding runs it
     for name, fn in (("distance_matrix", stdata.distance_matrix),
+                     ("build_laplacian", factors.build_laplacian),
                      ("assemble_latent", factors.assemble_latent)):
         for mod in [m for key, m in sys.modules.items()
                     if key.startswith("latentkrig")]:
@@ -342,13 +343,15 @@ def test_forecast_members_share_one_set_of_panel_statistics(monkeypatch,
     monkeypatch.setattr(Memo, "get", lambda self, key, build: real_get(
         self, key, lambda: built.append(key) or build()))
     monkeypatch.setenv("LATENT_KRIG_THREADS", threads)
-    got = forecast_ensemble(simulate(SimConfig(n=60, p=20, seed=4)).frame,
-                            *args, **kwargs)
+    frame = simulate(SimConfig(n=60, p=20, seed=4)).frame
+    got = forecast_ensemble(frame, *args, **kwargs)
     assert got.tobytes() == want.tobytes()
-    assert sorted(map(str, built)) == sorted(map(str, [
-        "centered", ("lag", 0), ("lag", 1), ("lag_gram", 1),
-        "laplacian_weights"]))
-    assert calls == ["distance_matrix"]
+    lags = sorted(map(str, ["centered", ("lag", 0), ("lag", 1), ("lag_gram", 1)]))
+    assert sorted(map(str, built)) == sorted(map(str, frame._memo._values)) == lags
+    # each side of each member builds its Laplacian from its own sites, and
+    # the location set keeps nothing; no member assembles a latent field
+    assert sorted(calls) == sorted(["build_laplacian", "distance_matrix"] * 2 * args[0])
+    assert not hasattr(frame.locations, "_memo")
 
 
 @pytest.mark.parametrize("kwargs, exc", [

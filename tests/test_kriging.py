@@ -93,6 +93,32 @@ def test_epanechnikov_compact_support():
         kernel_weights(sphere, (0, 0), spec)
 
 
+@pytest.mark.parametrize("family, metric", [("gaussian", "euclidean"),
+                                            ("gaussian", "great_circle"),
+                                            ("epanechnikov_2d", "euclidean")])
+def test_kernels_are_bitwise_their_formulas(family, metric):
+    # each h's weights are made in place; the values are the formulas'
+    from latentkrig.stdata import distance_matrix
+    rng = np.random.default_rng(12)
+    scale = np.array([1.0, 1.0] if metric == "euclidean" else [120.0, 60.0])
+    locs = LocationSet(ids=tuple(map(str, range(60))), distance_metric=metric,
+                       coords=rng.uniform(-1, 1, (60, 2)) * scale)
+    sites = rng.uniform(-1.2, 1.2, (9, 2)) * scale
+    dist = distance_matrix(sites, locs.coords, metric)
+    disp = locs.coords[None, :, :] - sites[:, None, :]
+    for h in np.geomspace(0.05, 50.0, 12) * scale[0]:
+        want = (np.exp(-0.5 * (dist / h) ** 2) if family == "gaussian" else
+                np.prod(np.clip(1.0 - (disp / h) ** 2, 0.0, None), axis=2))
+        assert kriging._raw_kernel(locs, sites, family)(h).tobytes() == want.tobytes()
+        if np.all(want.sum(axis=1) > 0.0):
+            w = kernel_weights(locs, sites, KernelSpec(family, h))
+            assert w.tobytes() == (want / want.sum(axis=1)[:, None]).T.tobytes()
+    if family == "epanechnikov_2d":  # a site outside every window
+        far = np.vstack([sites, [[5.0, -5.0]]])
+        with pytest.raises(EmptyKernelWindow, match=r"\(5, -5\)"):
+            kernel_weights(locs, far, KernelSpec(family, 1.0))
+
+
 def test_krige_space_constant_field():
     locs = grid_locations(6)
     latent = np.full((4, 6), 2.5)

@@ -389,10 +389,28 @@ def test_load_frame_peak_memory_stays_flat(tmp_path, monkeypatch, quoted):
     finally:
         tracemalloc.stop()
     assert back.obs.tobytes() == frame.obs.tobytes()
-    # 64,000 rows are read 512 at a time; each keeps two integer codes and
-    # a float. A reader that holds every row's tokens peaks near 20 MB
-    # plain and 27 MB quoted.
+    # 64,000 rows are read 512 at a time, and each block's values go
+    # straight into the panel. A reader that holds every row's tokens
+    # peaks near 20 MB plain and 27 MB quoted.
     assert peak <= 8 * 2 ** 20
+
+
+def test_load_frame_of_a_wide_panel_stages_no_rows(tmp_path):
+    import tracemalloc
+    from latentkrig import load_frame, save_frame
+    frame = simulate(SimConfig(n=320, p=800, seed=1)).frame
+    paths = save_frame(frame, tmp_path)
+    tracemalloc.start()
+    try:
+        back = load_frame(paths["locations"], paths["observations"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.obs.tobytes() == frame.obs.tobytes()
+    # 256,000 rows at the default block size peak at 8.7 MiB. A reader
+    # that keeps two integer codes and a float per row until the file ends
+    # holds 6.1 MB more of them and peaks at 12.0 MiB.
+    assert peak <= 10 * 2 ** 20
 
 
 # ---- experiment harness ----
