@@ -9,8 +9,8 @@ from an observation table. fit and forecast tune the roughness weight
 by cross-validation under --tau-grid.
 
 A single split is member 0 of the ensemble drawn from --seed, so fit
-and fit --ensemble 1 fit the same partition, and forecast is
-forecast --J 1.
+and fit --ensemble 1 fit the same partition, forecast is forecast
+--J 1, and krige-space reads a fit as an ensemble of one.
 
 Exit codes: 0 on success, 2 for anything the user can fix (bad flags,
 malformed files, contract violations), 3 for numerical failures inside
@@ -32,11 +32,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .ensemble import (EnsembleFit, _seeded_members, aggregate_fit,
-                       ensemble_from_document, save_ensemble)
+from .ensemble import _load_model, aggregate_fit, save_ensemble
 from .errors import (EXIT_NUMERICAL, EXIT_VALIDATION, LatentKrigError,
                      ParseError, PeriodTooLarge)
-from .factors import _read_document, fit_from_document, save_fit
+from .factors import save_fit
 from .forecast import _forecast_args, forecast_ensemble
 from .kriging import _FAMILIES, KernelSpec, impute_missing, krige_space
 from .simbench import (TABLE_IDS, SimConfig, run_table, select_bandwidth,
@@ -168,29 +167,25 @@ def cmd_fit(args) -> int:
     frame = _load_for_fit(args)
     print(f"seed={args.seed}")
     tau = _resolve_cli_tau(frame, args)
+    ens = aggregate_fit(frame, J=args.ensemble or 1, tau=tau, k0=args.k0,
+                        p_star=args.p_star, rng_seed=args.seed,
+                        d_override=args.d)
     if args.ensemble is not None:
-        ens = aggregate_fit(frame, J=args.ensemble, tau=tau,
-                            k0=args.k0, p_star=args.p_star,
-                            rng_seed=args.seed, d_override=args.d)
         save_ensemble(ens, args.out, frame.locations)
         print(f"tau={_fmt(tau)}")
         print(f"J={ens.J}")
         print(f"d_hat_mean={_fmt(float(np.mean(ens.d_hats)))}")
     else:
-        fit = next(_seeded_members(frame, 1, args.seed, tau, k0=args.k0,
-                                   p_star=args.p_star, d_override=args.d))
-        save_fit(fit, args.out, frame.locations)
+        save_fit(ens.members[0], args.out, frame.locations)
         print(f"tau={_fmt(tau)}")
-        print(f"d_hat={fit.d_hat}")
+        print(f"d_hat={ens.d_hats[0]}")
     print(f"wrote {args.out}")
     return 0
 
 
 def cmd_krige_space(args) -> int:
-    model, locs = _read_document(args.model, {
-        "latentkrig-fit": fit_from_document,
-        "latentkrig-ensemble": ensemble_from_document})
-    latent = model.xi_tilde if isinstance(model, EnsembleFit) else model.xi_hat
+    model, locs = _load_model(args.model)
+    latent = model.xi_tilde
     if locs is None:
         raise ParseError(f"{args.model}: model has no embedded locations")
     if latent.shape[0] == 0:

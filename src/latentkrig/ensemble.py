@@ -9,59 +9,73 @@ conquer fits each block of q sites J times against q companions sampled
 from its complement and keeps only the block's own estimates, so no
 eigenanalysis ever exceeds 2q x 2q.
 
-One engine, ``_fit_members``, fits every member (a Partition of all the
-sites, or a (sites, Partition) pair fitted on those sites' subframe),
-and one in-order reducer, ``_first_and_mean``, averages the members.
-Members of one frame share its panel statistics: the centered panel,
-its lag covariances and their partition-free Gram products are built
-once per frame, by whichever member asks first, and every other member
-slices them. Each side builds its Laplacian from its own sites'
-coordinates, which costs about as much as slicing shared weights would.
-A subframe member builds its own statistics, so it is bitwise a fit of
-the subframe.
+There is one model type: an EnsembleFit keeps its members, each a
+FactorModelFit, and a single fit is an ensemble of one. One engine,
+``_fit_members``, fits every member (a Partition of all the sites, or a
+(sites, Partition) pair fitted on those sites' subframe), and one
+in-order reducer, ``_mean_in_order``, averages member fields and
+forecasts. Members of one frame share its panel statistics: the
+centered panel, its lag covariances and their partition-free Gram
+products are built once per frame, by whichever member asks first, and
+every other member slices them. Each side builds its Laplacian from its
+own sites' coordinates. A subframe member builds its own statistics, so
+it is bitwise a fit of the subframe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterator, TypeVar
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import _util
 from .errors import BlockTooLarge
 from .factors import (FactorModelFit, _matrix_doc, _matrix_from_doc,
-                      _read_document, _write_document, fit_factors)
+                      _read_document, _write_document, assemble_latent,
+                      fit_factors, fit_from_document)
 from .stdata import (LocationSet, Partition, SpatioTemporalFrame,
                      locations_from_doc, locations_to_doc, random_partition)
 
 DEFAULT_J = 100
 
-R = TypeVar("R")
-
 
 @dataclass
 class EnsembleFit:
-    """Aggregated latent field over partition replicates.
+    """Partition replicates of one panel and their mean latent field.
 
-    xi_tilde[t, i] is the arithmetic mean of J member estimates at every
-    location i, in full-partition mode and in block mode (each block is
-    refitted J times), so per_location_counts is derived: J at every site.
+    members holds the J member fits (partition, loadings and d_hat), in
+    member order, with no readout formed. xi_tilde, the mean of the
+    member fields, is derived the first time it is read: each field is
+    assembled from the member's frame inside ``_util.ordered_map`` and
+    summed in member order, and no member keeps it. An ensemble loaded
+    from a document, or built by divide_and_conquer_fit, has no members
+    and carries a stored xi_tilde, as a loaded fit carries its readouts.
+    per_location_counts is derived: J at every site.
     """
 
     J: int
     member_seeds: tuple[int, ...]
-    xi_tilde: np.ndarray
     d_hats: tuple[int, ...]
     tau: float
+    members: tuple[FactorModelFit, ...] = field(default=(), repr=False)
 
     def __post_init__(self) -> None:
-        self.xi_tilde = np.asarray(self.xi_tilde, dtype=np.float64)
         self.tau = float(self.tau)
         if self.J < 1:
             raise ValueError("J must be >= 1")
+        if self.members and len(self.members) != self.J:
+            raise ValueError("an ensemble keeps all J members or none")
+
+    @cached_property
+    def xi_tilde(self) -> np.ndarray:
+        if not self.members:
+            raise ValueError("an ensemble without members needs a stored xi_tilde")
+        return _mean_in_order(_util.ordered_map(lambda m: assemble_latent(
+            m._frame, m.partition, m.A1_hat, m.A2_hat), self.members))
 
     @property
     def per_location_counts(self) -> np.ndarray:
@@ -69,36 +83,37 @@ class EnsembleFit:
         return np.full(self.xi_tilde.shape[1], self.J, dtype=np.int64)
 
 
-def _member_partitions(p: int, seeds: list[int]) -> list[Partition]:
-    """One random split of the p sites per member seed, in seed order."""
-    return [random_partition(p, s) for s in seeds]
-
-
-def _identity(fit: FactorModelFit) -> FactorModelFit:
-    return fit
+def _mean_in_order(arrays: Iterable[np.ndarray]) -> np.ndarray:
+    """The mean of arrays summed in order as they arrive: bitwise np.mean
+    of their stack, without holding it. No input is written."""
+    total, count = None, 0
+    for a in arrays:
+        if total is None:
+            total = a.copy()
+        else:
+            total += a
+        count += 1
+    return total / count
 
 
 def _fit_members(frame: SpatioTemporalFrame,
-                 partitions: list[Partition | tuple], tau: float, k0: int = 0,
-                 p_star: int | None = None, d_override: int | None = None,
-                 read: Callable[[FactorModelFit], R] = _identity) -> Iterator[R]:
-    """Fit one factor model per member, yielding in member order.
-
-    A member is a Partition of all the frame's sites, or a (sites,
-    Partition) pair fitted on ``frame.subframe(sites)``, built on the
-    worker. Each fit is passed through ``read`` on its worker and only
-    what ``read`` returns is kept (by default the fit), so a caller need
-    not hold J full fits; a fit's readouts are formed only if ``read``
-    uses them. Members are fitted as the result is iterated.
+                 members: list[Partition | tuple], tau: float, k0: int = 0,
+                 p_star: int | None = None,
+                 d_override: int | None = None) -> Iterator[FactorModelFit]:
+    """Fit one factor model per member, yielding in member order as the
+    result is iterated. A member is a Partition of all the frame's
+    sites, or a (sites, Partition) pair fitted on
+    ``frame.subframe(sites)``, built on the worker. No fit forms its
+    readouts until they are read.
     """
 
-    def one(member) -> R:
+    def one(member) -> FactorModelFit:
         sub, part = ((frame, member) if isinstance(member, Partition)
                      else (frame.subframe(member[0]), member[1]))
-        return read(fit_factors(sub, part, tau, k0=k0, p_star=p_star,
-                                d_override=d_override))
+        return fit_factors(sub, part, tau, k0=k0, p_star=p_star,
+                           d_override=d_override)
 
-    return _util.ordered_map(one, partitions)
+    return _util.ordered_map(one, members)
 
 
 def _check_members(J: int, tau: float) -> None:
@@ -108,68 +123,39 @@ def _check_members(J: int, tau: float) -> None:
         raise ValueError("tau must be finite and >= 0")
 
 
-def _seeded_members(frame: SpatioTemporalFrame, J: int, rng_seed: int,
-                    tau: float, k0: int = 0, p_star: int | None = None,
-                    d_override: int | None = None,
-                    read: Callable[[FactorModelFit], R] = _identity) -> Iterator[R]:
-    """The J members drawn from rng_seed, checked before any is fitted:
-    member j fits the partition of the j-th seed derived from rng_seed,
-    so member 0 is the single fit of that seed."""
-    _check_members(J, tau)
-    partitions = _member_partitions(frame.p, _util.member_seeds(rng_seed, J))
-    return _fit_members(frame, partitions, tau, k0=k0, p_star=p_star,
-                        d_override=d_override, read=read)
-
-
-def _first_and_mean(members) -> tuple:
-    """Member 0's field, the mean field (a running sum in member order,
-    bitwise np.mean of the stack), then each further reading per member."""
-    total, rest = None, []
-    for xi, *other in members:
-        if total is None:
-            first, total = xi, xi.copy()
-        else:
-            total += xi
-        rest.append(other)
-    return (first, total / len(rest), *zip(*rest))
-
-
 def aggregate_over_partitions(frame: SpatioTemporalFrame,
                               partitions: list[Partition], tau: float,
                               k0: int = 0, p_star: int | None = None,
                               d_override: int | None = None,
                               member_seeds: tuple[int, ...] = ()) -> EnsembleFit:
-    """Mean latent field over an explicit partition list.
-
-    The aggregation backbone: members are summed in list order as they
-    arrive, so the result is the same for every LATENT_KRIG_THREADS.
-    Used directly by the enumeration-based exactness checks.
-    """
+    """The ensemble of one fit per partition, kept in list order, so
+    xi_tilde is the same for every LATENT_KRIG_THREADS. Used directly by
+    the enumeration-based exactness checks."""
     if not partitions:
         raise ValueError("need at least one partition")
-    _, xi_tilde, d_hats = _first_and_mean(_fit_members(
-        frame, partitions, tau, k0=k0, p_star=p_star, d_override=d_override,
-        read=lambda fit: (fit.xi_hat, fit.d_hat)))
-    return EnsembleFit(J=len(partitions), member_seeds=tuple(member_seeds),
-                       xi_tilde=xi_tilde, d_hats=d_hats, tau=tau)
+    members = tuple(_fit_members(frame, partitions, tau, k0=k0, p_star=p_star,
+                                 d_override=d_override))
+    return EnsembleFit(J=len(members), member_seeds=tuple(member_seeds),
+                       d_hats=tuple(m.d_hat for m in members), tau=tau,
+                       members=members)
 
 
 def aggregate_fit(frame: SpatioTemporalFrame, J: int = DEFAULT_J,
                   tau: float = 0.0, k0: int = 0,
                   p_star: int | None = None, rng_seed: int = 0,
                   d_override: int | None = None) -> EnsembleFit:
-    """Aggregate J random-partition fits of the full location set.
+    """The J random-partition fits of the full location set drawn from
+    rng_seed, checked before any member is fitted.
 
-    Member seeds derive deterministically from rng_seed by replicate
-    index; each member draws its own partition and contributes its full
-    latent-field estimate (each location sits on one side or the other
-    of every partition, so counts equal J everywhere).
+    Member j fits the partition of the j-th seed derived from rng_seed,
+    so member 0 is the single fit of that seed, and aggregate_fit(J=1)
+    is that fit as an ensemble of one.
     """
     _check_members(J, tau)
     seeds = _util.member_seeds(rng_seed, J)
-    return aggregate_over_partitions(frame, _member_partitions(frame.p, seeds),
-                                     tau, k0=k0, p_star=p_star, d_override=d_override,
-                                     member_seeds=tuple(seeds))
+    return aggregate_over_partitions(
+        frame, [random_partition(frame.p, s) for s in seeds], tau, k0=k0,
+        p_star=p_star, d_override=d_override, member_seeds=tuple(seeds))
 
 
 def assign_blocks(p: int, q: int, rng_seed: int) -> list[tuple[int, ...]]:
@@ -202,6 +188,8 @@ def divide_and_conquer_fit(frame: SpatioTemporalFrame, q: int,
     _check_members(J, tau)
     p = frame.p
     blocks = assign_blocks(p, q, rng_seed)
+    if sorted(i for block in blocks for i in block) != list(range(p)):
+        raise AssertionError("block scheme must estimate every location J times")
     # seeds[0] is reserved; the (block, round) members use seeds[1:]
     seeds = _util.member_seeds(rng_seed, 1 + len(blocks) * J)
 
@@ -213,21 +201,21 @@ def divide_and_conquer_fit(frame: SpatioTemporalFrame, q: int,
         for seed in seeds[1 + b * J:1 + (b + 1) * J]:
             companions = np.random.default_rng(seed).choice(complement, q, replace=False)
             members.append((list(block) + sorted(companions.tolist()), part))
-    fits = _fit_members(
-        frame, members, tau, k0=k0, p_star=p_star, d_override=d_override,
-        read=lambda fit: (fit.xi_hat[:, :len(fit.partition.set1)], fit.d_hat))
+    fits = _fit_members(frame, members, tau, k0=k0, p_star=p_star,
+                        d_override=d_override)
     xi_tilde = np.empty((frame.n, p))
-    counts = np.zeros(p, dtype=np.int64)
     d_hats = []
-    for block in blocks:  # the block's J members, reduced as they arrive
-        _, mean, block_d_hats = _first_and_mean(islice(fits, J))
-        xi_tilde[:, list(block)] = mean
-        counts[list(block)] += len(block_d_hats)
-        d_hats += block_d_hats
-    if np.any(counts != J):
-        raise AssertionError("block scheme must estimate every location J times")
-    return EnsembleFit(J=J, member_seeds=tuple(seeds), xi_tilde=xi_tilde,
-                       d_hats=tuple(d_hats), tau=tau)
+
+    def block_fields(k: int) -> Iterator[np.ndarray]:  # the next J, as they arrive
+        for fit in islice(fits, J):
+            d_hats.append(fit.d_hat)
+            yield fit.xi_hat[:, :k]
+
+    for block in blocks:
+        xi_tilde[:, list(block)] = _mean_in_order(block_fields(len(block)))
+    ens = EnsembleFit(J=J, member_seeds=tuple(seeds), d_hats=tuple(d_hats), tau=tau)
+    ens.xi_tilde = xi_tilde
+    return ens
 
 
 def ensemble_to_document(ens: EnsembleFit,
@@ -250,9 +238,9 @@ def ensemble_to_document(ens: EnsembleFit,
 def ensemble_from_document(doc: dict) -> tuple[EnsembleFit, LocationSet | None]:
     ens = EnsembleFit(J=int(doc["J"]),
                       member_seeds=tuple(int(s) for s in doc["member_seeds"]),
-                      xi_tilde=_matrix_from_doc(doc["xi_tilde"]),
                       d_hats=tuple(int(d) for d in doc["d_hats"]),
                       tau=float(doc["tau"]))
+    ens.xi_tilde = _matrix_from_doc(doc["xi_tilde"])
     if doc["per_location_counts"] != ens.per_location_counts.tolist():
         raise ValueError(f"per_location_counts must be J={ens.J} at every site")
     locs = locations_from_doc(doc["locations"]) if "locations" in doc else None
@@ -266,3 +254,16 @@ def save_ensemble(ens: EnsembleFit, path: str | Path,
 
 def load_ensemble(path: str | Path) -> tuple[EnsembleFit, LocationSet | None]:
     return _read_document(path, {"latentkrig-ensemble": ensemble_from_document})
+
+
+def _load_model(path) -> tuple[EnsembleFit, LocationSet | None]:
+    """A fit or ensemble document as an ensemble; a fit is one of one."""
+    def one(doc: dict) -> tuple[EnsembleFit, LocationSet | None]:
+        fit, locs = fit_from_document(doc)
+        ens = EnsembleFit(J=1, member_seeds=(), d_hats=(fit.d_hat,),
+                          tau=fit.tau, members=(fit,))
+        ens.xi_tilde = fit.xi_hat
+        return ens, locs
+
+    return _read_document(path, {"latentkrig-fit": one,
+                                 "latentkrig-ensemble": ensemble_from_document})

@@ -31,8 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from .covariance import _check_lags, _lag, _lag_gram
-from .errors import (NotSymmetric, ParseError, RankDeficient, TooFewEigenvalues,
-                     TooFewLocations)
+from .errors import (LatentKrigError, NotSymmetric, ParseError, RankDeficient,
+                     TooFewEigenvalues, TooFewLocations)
 from .stdata import (LocationSet, Partition, SpatioTemporalFrame,
                      distance_matrix, locations_from_doc, locations_to_doc)
 
@@ -398,13 +398,15 @@ def _write_document(path, doc: dict) -> None:
 def _read_document(path, builds: dict):
     """builds[kind](doc) on the JSON object in ``path``, whose "format" is
     that kind, else ParseError naming the file: the one place a model
-    document's kind is checked."""
+    document's kind is checked. A package error keeps its class."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         kind = doc.get("format") if isinstance(doc, dict) else None
         if not isinstance(kind, str) or kind not in builds:
             raise ValueError(f"expected a {' or '.join(builds)} document")
         return builds[kind](doc)
+    except LatentKrigError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     except KeyError as exc:
         raise ParseError(f"{path}: model document lacks key {exc}") from None
     except (TypeError, ValueError) as exc:

@@ -25,6 +25,7 @@ the frame's fits share) so C_y(k) is never formed.
 W_{j0}^{-1} needs only S(0..j0), so one inverse per side serves every
 horizon. Panel-level predictions are y_hat = A x_hat(j) per side of the
 partition, using raw (uncentered) factor readouts.
+An ensemble predicts the mean of its members' predictions.
 """
 
 from __future__ import annotations
@@ -33,9 +34,10 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _util
 from .covariance import _autocovariances
 from .errors import LagTooLarge, NotPositiveDefinite, SingularInnovation
-from .ensemble import _first_and_mean, _seeded_members
+from .ensemble import EnsembleFit, _mean_in_order, aggregate_fit
 from .factors import FactorModelFit
 from .stdata import SpatioTemporalFrame
 
@@ -118,16 +120,18 @@ def _forecast_args(n: int, j, j0, ridge: float) -> tuple[list[int], int]:
     return horizons, j0
 
 
-def forecast(frame: SpatioTemporalFrame, fit: FactorModelFit,
+def forecast(frame: SpatioTemporalFrame, model: FactorModelFit | EnsembleFit,
              j: int | Sequence[int], j0: int = 6, ridge: float = 0.0) -> np.ndarray:
     """j-step-ahead prediction of the panel at every location.
 
     j is one horizon, giving a (p,) array, or a sequence of horizons,
-    giving a (len(j), p) array. Each side of the partition is predicted
-    from its own factor readouts: x_hat(j) = R W_{j0}^{-1} X with X
-    stacking the raw readouts at times n, n-1, ..., n-j0, then
-    y_hat = A x_hat(j). Requires every j >= 1 and max(j) + j0 < n/2 so
-    all needed lags are identifiable.
+    giving a (len(j), p) array. Each side of a fit's partition is
+    predicted from its own factor readouts: x_hat(j) = R W_{j0}^{-1} X
+    with X stacking the raw readouts at times n, n-1, ..., n-j0, then
+    y_hat = A x_hat(j). An ensemble's members are predicted on
+    LATENT_KRIG_THREADS threads and summed in member order. Requires
+    every j >= 1 and max(j) + j0 < n/2 so all needed lags are
+    identifiable.
 
     Sample lag covariances are not jointly PSD, so W can be numerically
     singular; by default that surfaces as SingularInnovation. A positive
@@ -135,11 +139,16 @@ def forecast(frame: SpatioTemporalFrame, fit: FactorModelFit,
     never silent).
     """
     horizons, j0 = _forecast_args(frame.n, j, j0, ridge)
+    if isinstance(model, EnsembleFit):
+        if not model.members:
+            raise ValueError("a stored ensemble has no members to forecast from")
+        return _mean_in_order(_util.ordered_map(
+            lambda fit: forecast(frame, fit, j, j0, ridge), model.members))
     top = max(horizons)
     out = np.empty((len(horizons), frame.p))
-    for set_index, cols, a in ((1, fit.partition.set1, fit.A1_hat),
-                               (2, fit.partition.set2, fit.A2_hat)):
-        sig = estimate_sigma_x(frame, fit, top + j0, set_index)
+    for set_index, cols, a in ((1, model.partition.set1, model.A1_hat),
+                               (2, model.partition.set2, model.A2_hat)):
+        sig = estimate_sigma_x(frame, model, top + j0, set_index)
         if ridge > 0.0:
             sig[0] = sig[0] + ridge * np.eye(sig[0].shape[0])
         w_inv = recursive_toeplitz_inverse(sig[:j0 + 1], j0)
@@ -157,17 +166,9 @@ def forecast_ensemble(frame: SpatioTemporalFrame, J: int, j: int | Sequence[int]
                       j0: int = 6, tau: float = 0.0, k0: int = 0,
                       p_star: int | None = None, d_override: int | None = None,
                       rng_seed: int = 0, ridge: float = 0.0) -> np.ndarray:
-    """Average of j-step predictions over J random-partition fits.
-
-    j is one horizon or a sequence of them, as in forecast; each member
-    is fitted once for all horizons and reads only its loadings, and
-    the arguments are checked before any member is fitted. Member seeds
-    derive deterministically from rng_seed by member index and
-    predictions are summed in index order as they arrive, so the result
-    is identical for every LATENT_KRIG_THREADS.
-    """
+    """forecast of aggregate_fit's J-member ensemble drawn from rng_seed,
+    with the forecast arguments checked before any member is fitted."""
     _forecast_args(frame.n, j, j0, ridge)
-    preds = _seeded_members(frame, J, rng_seed, tau, k0=k0, p_star=p_star,
-                            d_override=d_override,
-                            read=lambda fit: (forecast(frame, fit, j, j0, ridge=ridge),))
-    return _first_and_mean(preds)[1]
+    return forecast(frame, aggregate_fit(frame, J, tau, k0=k0, p_star=p_star,
+                                         rng_seed=rng_seed, d_override=d_override),
+                    j, j0, ridge)

@@ -31,7 +31,7 @@ import numpy as np
 from . import _util
 from .errors import EmptyKernelWindow, TooFewLocations
 from .factors import _fit_grid, fit_factors, subspace_distance
-from .ensemble import _first_and_mean, _seeded_members
+from .ensemble import aggregate_fit
 from .forecast import forecast
 from .kriging import KernelSpec, _raw_kernel, kernel_weights, krige_space
 from .stdata import (LocationSet, SpatioTemporalFrame, _write_csv,
@@ -201,8 +201,9 @@ def _loo_bandwidth(locs, vt, u, family) -> float:
     raw = _raw_kernel(locs, locs.coords, family, dist)
     mean_sq = ((lambda g: np.mean(g ** 2)) if u is None
                else lambda g: np.sum((u.T @ u) * (g @ g.T)) / (u.shape[0] * p))
-    off = dist + np.diag(np.full(p, np.inf))
-    med_nn = float(np.median(off.min(axis=1)))
+    np.fill_diagonal(dist, np.inf)  # nearest other site, without a second p x p
+    med_nn = float(np.median(dist.min(axis=1)))
+    np.fill_diagonal(dist, 0.0)
     diam = float(dist.max())
     if med_nn <= 0.0 or diam <= 0.0:
         raise ValueError("degenerate geometry: coincident locations")
@@ -213,6 +214,7 @@ def _loo_bandwidth(locs, vt, u, family) -> float:
         np.fill_diagonal(k, 0.0)
         tot = k.sum(axis=0)
         errs[gi] = np.inf if np.any(tot <= 0.0) else mean_sq(vt @ k / tot - vt)
+        del k  # the next h's weights do not sit beside this one's
     best = float(np.min(errs))
     if not np.isfinite(best):
         raise EmptyKernelWindow("every grid bandwidth left some location "
@@ -330,11 +332,10 @@ def _replicate_mse_table1(draw, tau_cv, seed, J, j0) -> list[dict]:
 
 
 def _replicate_fig2(draw, tau_cv, seed, J, j0) -> list[dict]:
-    xi_hat, xi_tilde, d_hats = _first_and_mean(_seeded_members(
-        draw.frame, J, seed, tau_cv, read=lambda fit: (fit.xi_hat, fit.d_hat)))
-    return [dict(tau=tau_cv, mse_xi_hat=mse_xi(xi_hat, draw.xi),
-                 mse_xi_tilde=mse_xi(xi_tilde, draw.xi),
-                 d_hat_mean=float(np.mean(d_hats)))]
+    ens = aggregate_fit(draw.frame, J, tau_cv, rng_seed=seed)
+    return [dict(tau=tau_cv, mse_xi_hat=mse_xi(ens.members[0].xi_hat, draw.xi),
+                 mse_xi_tilde=mse_xi(ens.xi_tilde, draw.xi),
+                 d_hat_mean=float(np.mean(ens.d_hats)))]
 
 
 def _replicate_fig1(draw, tau_cv, seed, J, j0) -> list[dict]:
@@ -346,24 +347,23 @@ def _replicate_fig1(draw, tau_cv, seed, J, j0) -> list[dict]:
 
 
 def _replicate_table2(draw, tau_cv, seed, J, j0) -> list[dict]:
-    frame, n = draw.frame, draw.frame.n
+    frame = draw.frame
     horizons = tuple(range(1, draw.config.n_future + 1))
-    # a member's n latent rows with its forecast rows stacked below them
-    first, mean, d_hats = _first_and_mean(_seeded_members(
-        frame, J, seed, tau_cv, read=lambda fit: (np.vstack(
-            [fit.xi_hat, forecast(frame, fit, horizons, j0)]), fit.d_hat)))
+    ens = aggregate_fit(frame, J, tau_cv, rng_seed=seed)
     space, time = [], []
-    for rows in (first, mean):  # member 0, then the aggregate
+    for model, latent in ((ens.members[0], ens.members[0].xi_hat),
+                          (ens, ens.xi_tilde)):  # member 0, then the aggregate
         kernel = KernelSpec(family="gaussian",
-                            h=select_bandwidth(rows[:n], frame.locations))
-        pred = krige_space(rows[:n], frame.locations,
+                            h=select_bandwidth(latent, frame.locations))
+        pred = krige_space(latent, frame.locations,
                            draw.holdout_locations.coords, kernel)
         space.append(mspe_space(pred, draw.holdout_y))
-        time.append(tuple(_mean_sq(rows[n + k], draw.future_y[ell - 1], "mspe_time")
+        rows = forecast(frame, model, horizons, j0)
+        time.append(tuple(_mean_sq(rows[k], draw.future_y[ell - 1], "mspe_time")
                           for k, ell in enumerate(horizons)))
     return [dict(tau=tau_cv, mspe_space_hat=space[0], mspe_space_tilde=space[1],
                  mspe_time=time[0], mspe_time_tilde=time[1],
-                 d_hat_mean=float(d_hats[0]))]
+                 d_hat_mean=float(ens.d_hats[0]))]
 
 
 # table id -> (replicate function, the SimConfig extras of its draws)

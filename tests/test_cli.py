@@ -673,6 +673,38 @@ def test_krige_space_rejects_another_kind_of_document(data_dir, tmp_path,
                    f"or latentkrig-ensemble document\n")
 
 
+def _repeat_an_id(locs):
+    locs["ids"][1] = locs["ids"][0]
+
+
+def _negative_radius(locs):
+    locs["distance_metric"], locs["radius"] = "great_circle", -1.0
+
+
+def _keep_one_site(locs):
+    locs["ids"], locs["coords"] = locs["ids"][:1], locs["coords"][:1]
+
+
+@pytest.mark.parametrize("ensemble, edit, message", [
+    (False, _repeat_an_id, "location ids must be unique"),
+    (True, _negative_radius, "radius must be positive"),
+    (False, _keep_one_site, "need at least 2 locations"),
+], ids=["fit-repeated-id", "ensemble-radius", "fit-one-site"])
+def test_krige_space_names_the_model_in_location_errors(data_dir, tmp_path,
+                                                        capsys, ensemble,
+                                                        edit, message):
+    model = tmp_path / "model.json"
+    run(capsys, "fit", str(data_dir), "--tau", "0.0", "--seed", "3",
+        *(["--ensemble", "2"] if ensemble else []), "--out", str(model))
+    doc = json.loads(model.read_text())
+    edit(doc["locations"])
+    model.write_text(json.dumps(doc))
+    code, stdout, err = run(capsys, "krige-space", str(model),
+                            "--at", "0,0", "--h", "0.5")
+    assert (code, stdout) == (2, "")
+    assert err == f"error: krige-space: {model}: {message}\n"
+
+
 @pytest.mark.parametrize("case", ["array", "string", "number",
                                   "fit without d_hat",
                                   "ensemble without xi_tilde"])

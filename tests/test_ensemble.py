@@ -23,7 +23,7 @@ from latentkrig import (
 )
 from latentkrig import ensemble
 from latentkrig._util import member_seeds
-from latentkrig.ensemble import (_first_and_mean, _fit_members,
+from latentkrig.ensemble import (_fit_members, _mean_in_order,
                                  ensemble_to_document)
 from latentkrig.factors import fit_to_document
 from latentkrig.errors import BlockTooLarge, ParseError
@@ -79,17 +79,17 @@ def test_aggregation_never_worse_per_cell():
         assert np.all(agg_sq <= mean_sq + 1e-12)
 
 
-def test_fit_members_read_keeps_only_what_it_returns(monkeypatch):
+def test_fit_members_form_no_readouts(monkeypatch):
     frame, *_ = rank_k_frame(40, 8, k=1, seed=12, noise=0.3)
     parts = enumerate_partitions(8)[:5]
-    fits = list(_fit_members(frame, parts, tau=0.0, p_star=3))
+    want = [fit_factors(frame, part, 0.0, p_star=3) for part in parts]
     for workers in ("1", "3"):
         monkeypatch.setenv("LATENT_KRIG_THREADS", workers)
-        read = list(_fit_members(frame, parts, tau=0.0, p_star=3,
-                                 read=lambda fit: (fit.d_hat, fit.xi_hat[-1])))
-        assert [d for d, _ in read] == [f.d_hat for f in fits]
-        for (_, last), fit in zip(read, fits):
-            assert last.tobytes() == fit.xi_hat[-1].tobytes()
+        fits = list(_fit_members(frame, parts, tau=0.0, p_star=3))
+        for fit, w in zip(fits, want):
+            assert not {"x_hat", "x_star_hat", "xi_hat"} & set(vars(fit))
+            assert fit.d_hat == w.d_hat
+            assert fit.xi_hat.tobytes() == w.xi_hat.tobytes()
 
 
 def test_members_are_fitted_as_they_are_read(monkeypatch):
@@ -132,16 +132,15 @@ def test_fit_members_site_pairs_fit_the_subframe(monkeypatch):
                 assert getattr(g, name).tobytes() == getattr(w, name).tobytes()
 
 
-def test_first_and_mean_is_the_stacked_mean():
+def test_mean_in_order_is_the_stacked_mean():
     rng = np.random.default_rng(3)
     for J in (1, 2, 7, 50):
         fields = [rng.standard_normal((6, 5)) for _ in range(J)]
-        kept = fields[0].copy()
-        first, mean, tags = _first_and_mean(
-            (f, j) for j, f in enumerate(fields))
-        assert first is fields[0] and np.array_equal(first, kept)
+        kept = [f.copy() for f in fields]
+        mean = _mean_in_order(iter(fields))
         assert mean.tobytes() == np.mean(np.stack(fields), axis=0).tobytes()
-        assert tags == tuple(range(J))
+        # the inputs are read, never written
+        assert all(np.array_equal(f, k) for f, k in zip(fields, kept))
 
 
 # ---- aggregate_fit ----
@@ -155,6 +154,25 @@ def test_aggregate_fit_j1_is_single_fit():
     np.testing.assert_array_equal(ens.xi_tilde, fit.xi_hat)
     assert ens.d_hats == (fit.d_hat,)
     assert np.all(ens.per_location_counts == 1)
+
+
+def test_ensemble_members_keep_no_field():
+    import tracemalloc
+    frame = simulate(SimConfig(n=320, p=200, seed=1)).frame
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ens = aggregate_fit(frame, J=50, tau=0.0, rng_seed=1)
+        xi_tilde = ens.xi_tilde
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    memo = sum(v.nbytes for v in frame._memo._values.values())
+    # 50 members keep partitions, loadings and spectra, about 0.4 MiB; a
+    # member that cached its n x p field would hold 0.5 MiB more each
+    assert len(ens.members) == 50
+    assert held - xi_tilde.nbytes - memo <= 4 * 2 ** 20
+    assert all("xi_hat" not in vars(m) for m in ens.members)
 
 
 def test_aggregate_fit_worker_invariance(monkeypatch):
@@ -324,20 +342,31 @@ def test_divide_and_conquer_fails_on_a_missed_site(monkeypatch):
 
 def test_ensemble_fit_validation():
     # an ensemble averages J members at every site, so the counts are
-    # derived from J and cannot be passed in
-    xi = np.zeros((4, 3))
-    ens = EnsembleFit(J=2, member_seeds=(1, 2), xi_tilde=xi, d_hats=(1, 1),
-                      tau=0.0)
-    assert ens.per_location_counts.tolist() == [2, 2, 2]
+    # derived from J and cannot be passed in; it keeps all J members, or
+    # none and a stored field
+    frame, *_ = rank_k_frame(30, 8, k=1, seed=23, noise=0.2)
+    fits = tuple(fit_factors(frame, random_partition(8, s), 0.0, p_star=3)
+                 for s in (1, 2))
+    ens = EnsembleFit(J=2, member_seeds=(1, 2), d_hats=(1, 1), tau=0.0,
+                      members=fits)
+    assert ens.per_location_counts.tolist() == [2] * 8
     with pytest.raises(AttributeError):
         ens.per_location_counts = np.array([2, 0, 2])
     with pytest.raises(TypeError, match="per_location_counts"):
-        EnsembleFit(J=2, member_seeds=(1, 2), xi_tilde=xi,
-                    per_location_counts=np.array([2, 2, 2]), d_hats=(1, 1),
-                    tau=0.0)
+        EnsembleFit(J=2, member_seeds=(1, 2), d_hats=(1, 1), tau=0.0,
+                    per_location_counts=np.array([2, 2, 2]))
+    with pytest.raises(TypeError, match="xi_tilde"):
+        EnsembleFit(J=2, member_seeds=(1, 2), d_hats=(1, 1), tau=0.0,
+                    xi_tilde=np.zeros((4, 3)))
     with pytest.raises(ValueError, match="J must be >= 1"):
-        EnsembleFit(J=0, member_seeds=(), xi_tilde=xi, d_hats=(), tau=0.0)
-    frame, *_ = rank_k_frame(30, 8, k=1, seed=23, noise=0.2)
+        EnsembleFit(J=0, member_seeds=(), d_hats=(), tau=0.0)
+    with pytest.raises(ValueError, match="all J members or none"):
+        EnsembleFit(J=3, member_seeds=(), d_hats=(1, 1), tau=0.0, members=fits)
+    stored = EnsembleFit(J=2, member_seeds=(1, 2), d_hats=(1, 1), tau=0.0)
+    with pytest.raises(ValueError, match="stored xi_tilde"):
+        stored.xi_tilde
+    stored.xi_tilde = np.zeros((4, 3))
+    assert stored.per_location_counts.tolist() == [2, 2, 2]
     for got in (aggregate_fit(frame, J=3, p_star=3),
                 divide_and_conquer_fit(frame, q=4, J=3, p_star=2)):
         assert got.per_location_counts.dtype == np.int64

@@ -36,12 +36,12 @@ def test_public_surface_is_pinned():
 
 def test_no_pipeline_function_takes_a_workers_argument():
     # LATENT_KRIG_THREADS alone sizes every pool
-    from latentkrig.ensemble import (_fit_members, _seeded_members,
-                                     aggregate_fit, aggregate_over_partitions,
+    from latentkrig.ensemble import (_fit_members, aggregate_fit,
+                                     aggregate_over_partitions,
                                      divide_and_conquer_fit)
-    from latentkrig.forecast import forecast_ensemble
+    from latentkrig.forecast import forecast, forecast_ensemble
     from latentkrig.simbench import _cv_scores, run_table, select_tau
-    for fn in (_fit_members, _seeded_members, aggregate_over_partitions,
-               aggregate_fit, divide_and_conquer_fit, forecast_ensemble,
+    for fn in (_fit_members, aggregate_over_partitions, aggregate_fit,
+               divide_and_conquer_fit, forecast, forecast_ensemble,
                select_tau, _cv_scores, run_table):
         assert "workers" not in inspect.signature(fn).parameters, fn.__name__

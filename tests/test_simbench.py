@@ -186,14 +186,34 @@ def _select_bandwidth_inline(latent, locs, family):
 def test_select_bandwidth_matches_inline_formulas(family, metric):
     rng = np.random.default_rng(17)
     scale = 40.0 if metric == "great_circle" else 1.0
-    for _ in range(5):
+    for k in range(10):
         coords = rng.uniform(-scale, scale, (35, 2))
+        if k == 0:
+            coords[3] = coords[1]  # a coincident pair: two zero spacings
         locs = LocationSet(ids=tuple(f"s{i}" for i in range(35)),
                            coords=coords, distance_metric=metric)
         latent = (np.outer(rng.standard_normal(8), np.sin(coords[:, 0] / scale * 3))
                   + 0.3 * rng.standard_normal((8, 35)))
         assert (select_bandwidth(latent, locs, family=family)
                 == _select_bandwidth_inline(latent, locs, family))
+
+
+def test_select_bandwidth_peak_memory_holds_one_spacing_matrix():
+    import tracemalloc
+    small = simulate(SimConfig(n=10, p=20, seed=1))
+    select_bandwidth(small.xi, small.frame.locations)  # first-call allocations
+    draw = simulate(SimConfig(n=60, p=800, seed=1))
+    tracemalloc.start()
+    try:
+        select_bandwidth(draw.xi, draw.frame.locations)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the distances and one bandwidth's kernel weights, 4.9 MiB each, and
+    # their temporaries peak at 10.6 MiB. Keeping the last h's weights
+    # while the next are made peaks at 14.7 MiB; a second p x p copy of
+    # the distances for the nearest-neighbour spacing adds 4.9 MiB more.
+    assert peak <= 12 * 2 ** 20
 
 
 # ---- tau selection ----
