@@ -3,9 +3,13 @@
 A seeded (60, 20) panel runs through the command line: simulate, fit,
 fit --ensemble 3 under --tau-grid, krige-space on both model documents,
 forecast --J 1 and --J 3, and impute on a copy with 4% of its cells
-masked. Every value the commands write goes into outputs.npz, one array
-per (file, field) or (file, CSV column); what each command prints goes
-into stdout.txt after a "$ latentkrig <args>" line. Commands run in a
+masked. A seeded wide (30, 120) panel, p = 4n, runs through
+fit --ensemble 2, krige-space on that document, forecast --d 3 --J 2
+and forecast --J 2; the last fails, and is pinned failing. Every value
+the commands write goes into outputs.npz, one array per (file, field) or
+(file, CSV column); what each command prints goes into stdout.txt after
+a "$ latentkrig <args>" line, followed for a command in EXPECTED_EXIT by
+an "exit=<code>" line and what it wrote to stderr. Commands run in a
 scratch directory with relative paths, so nothing machine-specific is
 printed.
 
@@ -48,7 +52,26 @@ COMMANDS = (
     ["forecast", "panel", "--j", "1,2", "--j0", "3", "--tau", "0.5",
      "--J", "3", "--seed", "5", "--out", "forecast_J3.csv"],
     ["impute", "masked", "--out", "filled"],
+    ["simulate", "--n", "30", "--p", "120", "--seed", "8", "--out", "wide"],
+    ["fit", "wide", "--ensemble", "2", "--seed", "6",
+     "--out", "wide_ensemble.json"],
+    ["krige-space", "wide_ensemble.json", "--at", "0.1,0.2",
+     "--at", "-0.5,0.3", "--out", "wide_krige.csv"],
+    ["forecast", "wide", "--j", "1,2", "--j0", "3", "--d", "3", "--J", "2",
+     "--seed", "6", "--out", "wide_forecast_d3.csv"],
+    ["forecast", "wide", "--j", "1,2", "--j0", "3", "--J", "2",
+     "--seed", "6", "--out", "wide_forecast.csv"],
 )
+
+# Commands pinned with a non-zero exit: their exit code and stderr line
+# are part of the reference, so a change that mends one shows in both
+# stdout.txt and outputs.npz.
+EXPECTED_EXIT = {
+    # the fit's d_hat is 29 = n - 1, the rank edge of a centered panel
+    # of 30 readouts, and the innovation block of 29 factors is singular
+    ("forecast", "wide", "--j", "1,2", "--j0", "3", "--J", "2",
+     "--seed", "6", "--out", "wide_forecast.csv"): 3,
+}
 
 
 def _mask_copy(src: Path, out: Path) -> None:
@@ -98,12 +121,16 @@ def run_pipeline(workdir: Path) -> tuple[dict[str, np.ndarray], str]:
         for argv in COMMANDS:
             if argv[0] == "impute":
                 _mask_copy(Path("panel"), Path("masked"))
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
+            buf, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
                 code = main(list(argv))
-            if code != 0:
-                raise RuntimeError(f"latentkrig {' '.join(argv)} exited {code}")
+            want = EXPECTED_EXIT.get(tuple(argv), 0)
+            if code != want:
+                raise RuntimeError(f"latentkrig {' '.join(argv)} exited {code}, "
+                                   f"expected {want}: {err.getvalue()}")
             log.write(f"$ latentkrig {' '.join(argv)}\n{buf.getvalue()}")
+            if want:
+                log.write(f"exit={code}\n{err.getvalue()}")
         arrays: dict[str, np.ndarray] = {}
         for path in sorted(Path(".").rglob("*")):
             if path.suffix == ".json":
