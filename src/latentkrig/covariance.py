@@ -64,12 +64,17 @@ def _lag_gram(frame: SpatioTemporalFrame, j: int) -> np.ndarray:
     return frame._memo.get(("lag_gram", j), build)
 
 
+def _check_width(frame: SpatioTemporalFrame, partition: Partition) -> None:
+    """The partition splits the frame's sites: every one, and no more."""
+    if partition.p != frame.p:
+        raise ValueError("partition does not match frame width")
+
+
 def _check_lags(frame: SpatioTemporalFrame, partition: Partition, k0: int) -> None:
     """Lags 0..k0 are identifiable and the partition splits the frame's sites."""
     if k0 >= frame.n / 2:
         raise LagTooLarge(f"k0={k0} needs n > 2*k0 (n={frame.n})")
-    if partition.p != frame.p:
-        raise ValueError("partition does not match frame width")
+    _check_width(frame, partition)
 
 
 def masked_pairwise(obs: np.ndarray, missing: np.ndarray, rows, cols) -> np.ndarray:

@@ -240,7 +240,7 @@ def ensemble_from_document(doc: dict) -> tuple[EnsembleFit, LocationSet | None]:
                       member_seeds=tuple(int(s) for s in doc["member_seeds"]),
                       d_hats=tuple(int(d) for d in doc["d_hats"]),
                       tau=float(doc["tau"]))
-    ens.xi_tilde = _matrix_from_doc(doc["xi_tilde"])
+    ens.xi_tilde = _matrix_from_doc(doc, "xi_tilde")
     if doc["per_location_counts"] != ens.per_location_counts.tolist():
         raise ValueError(f"per_location_counts must be J={ens.J} at every site")
     locs = locations_from_doc(doc["locations"]) if "locations" in doc else None

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .covariance import _check_lags, _lag, _lag_gram
+from .covariance import _check_lags, _check_width, _lag, _lag_gram
 from .errors import (LatentKrigError, NotSymmetric, ParseError, RankDeficient,
                      TooFewEigenvalues, TooFewLocations)
 from .stdata import (LocationSet, Partition, SpatioTemporalFrame,
@@ -300,7 +300,9 @@ def assemble_latent(frame: SpatioTemporalFrame, partition: Partition,
 
     The factor readouts use the raw (uncentered) panel; the nugget was
     removed through the cross-set covariance already, not by centering.
+    The partition must split every one of the frame's sites.
     """
+    _check_width(frame, partition)
     xi = np.empty((frame.n, frame.p))
     xi[:, list(partition.set1)] = (frame.obs[:, list(partition.set1)] @ a1) @ a1.T
     xi[:, list(partition.set2)] = (frame.obs[:, list(partition.set2)] @ a2) @ a2.T
@@ -339,8 +341,13 @@ def _matrix_doc(a: np.ndarray) -> dict:
             "data": a.reshape(-1).tolist()}
 
 
-def _matrix_from_doc(doc: dict) -> np.ndarray:
-    return np.array(doc["data"], dtype=np.float64).reshape(doc["rows"], doc["cols"])
+def _matrix_from_doc(doc: dict, key: str) -> np.ndarray:
+    """The matrix block doc[key], whose every entry must be finite."""
+    block = doc[key]
+    a = np.array(block["data"], dtype=np.float64).reshape(block["rows"], block["cols"])
+    if not np.isfinite(a).all():
+        raise ParseError(f"{key} holds a non-finite number")
+    return a
 
 
 def fit_to_document(fit: FactorModelFit,
@@ -369,19 +376,19 @@ def fit_to_document(fit: FactorModelFit,
 def fit_from_document(doc: dict) -> tuple[FactorModelFit, LocationSet | None]:
     part = Partition(set1=tuple(doc["partition"]["set1"]),
                      set2=tuple(doc["partition"]["set2"]))
-    xi = doc.get("xi_hat")
     fit = FactorModelFit(
         partition=part,
-        A1_hat=_matrix_from_doc(doc["A1_hat"]),
-        A2_hat=_matrix_from_doc(doc["A2_hat"]),
+        A1_hat=_matrix_from_doc(doc, "A1_hat"),
+        A2_hat=_matrix_from_doc(doc, "A2_hat"),
         d_hat=int(doc["d_hat"]),
         eigenvalues=np.array(doc["eigenvalues"], dtype=np.float64),
         tau=float(doc["tau"]),
         k0=int(doc["k0"]),
     )
-    fit.x_hat = _matrix_from_doc(doc["x_hat"])
-    fit.x_star_hat = _matrix_from_doc(doc["x_star_hat"])
-    fit.xi_hat = _matrix_from_doc(xi) if xi is not None else np.zeros((0, part.p))
+    fit.x_hat = _matrix_from_doc(doc, "x_hat")
+    fit.x_star_hat = _matrix_from_doc(doc, "x_star_hat")
+    fit.xi_hat = (_matrix_from_doc(doc, "xi_hat") if doc.get("xi_hat") is not None
+                  else np.zeros((0, part.p)))
     locs = locations_from_doc(doc["locations"]) if "locations" in doc else None
     return fit, locs
 

@@ -25,7 +25,9 @@ the frame's fits share) so C_y(k) is never formed.
 W_{j0}^{-1} needs only S(0..j0), so one inverse per side serves every
 horizon. Panel-level predictions are y_hat = A x_hat(j) per side of the
 partition, using raw (uncentered) factor readouts.
-An ensemble predicts the mean of its members' predictions.
+An ensemble predicts the mean of its members' predictions, and a fit is
+forecast as a one-member ensemble: one routine predicts each member
+inside the member map, and the one in-order mean reduces them.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _util
-from .covariance import _autocovariances
+from .covariance import _autocovariances, _check_width
 from .errors import LagTooLarge, NotPositiveDefinite, SingularInnovation
 from .ensemble import EnsembleFit, _mean_in_order, aggregate_fit
 from .factors import FactorModelFit
@@ -128,10 +130,12 @@ def forecast(frame: SpatioTemporalFrame, model: FactorModelFit | EnsembleFit,
     giving a (len(j), p) array. Each side of a fit's partition is
     predicted from its own factor readouts: x_hat(j) = R W_{j0}^{-1} X
     with X stacking the raw readouts at times n, n-1, ..., n-j0, then
-    y_hat = A x_hat(j). An ensemble's members are predicted on
-    LATENT_KRIG_THREADS threads and summed in member order. Requires
-    every j >= 1 and max(j) + j0 < n/2 so all needed lags are
-    identifiable.
+    y_hat = A x_hat(j). A fit is forecast as a one-member ensemble: the
+    arguments are checked once, each member is predicted inside one
+    ``_util.ordered_map`` on LATENT_KRIG_THREADS threads, and the
+    predictions are averaged in member order. Requires every j >= 1 and
+    max(j) + j0 < n/2 so all needed lags are identifiable, and every
+    member's partition to split the frame's sites.
 
     Sample lag covariances are not jointly PSD, so W can be numerically
     singular; by default that surfaces as SingularInnovation. A positive
@@ -139,26 +143,29 @@ def forecast(frame: SpatioTemporalFrame, model: FactorModelFit | EnsembleFit,
     never silent).
     """
     horizons, j0 = _forecast_args(frame.n, j, j0, ridge)
-    if isinstance(model, EnsembleFit):
-        if not model.members:
-            raise ValueError("a stored ensemble has no members to forecast from")
-        return _mean_in_order(_util.ordered_map(
-            lambda fit: forecast(frame, fit, j, j0, ridge), model.members))
-    top = max(horizons)
-    out = np.empty((len(horizons), frame.p))
-    for set_index, cols, a in ((1, model.partition.set1, model.A1_hat),
-                               (2, model.partition.set2, model.A2_hat)):
-        sig = estimate_sigma_x(frame, model, top + j0, set_index)
-        if ridge > 0.0:
-            sig[0] = sig[0] + ridge * np.eye(sig[0].shape[0])
-        w_inv = recursive_toeplitz_inverse(sig[:j0 + 1], j0)
-        y_block = frame.obs[:, list(cols)]
-        x_stack = np.concatenate([y_block[frame.n - 1 - back] @ a
-                                  for back in range(j0 + 1)])
-        w_x = w_inv @ x_stack
-        for row, h in enumerate(horizons):
-            r = np.hstack([sig[k] for k in range(h, h + j0 + 1)])
-            out[row, list(cols)] = a @ (r @ w_x)
+    members = model.members if isinstance(model, EnsembleFit) else (model,)
+    if not members:
+        raise ValueError("a stored ensemble has no members to forecast from")
+
+    def predict(fit: FactorModelFit) -> np.ndarray:
+        _check_width(frame, fit.partition)
+        out = np.empty((len(horizons), frame.p))
+        for set_index, cols, a in ((1, fit.partition.set1, fit.A1_hat),
+                                   (2, fit.partition.set2, fit.A2_hat)):
+            sig = estimate_sigma_x(frame, fit, max(horizons) + j0, set_index)
+            if ridge > 0.0:
+                sig[0] = sig[0] + ridge * np.eye(sig[0].shape[0])
+            w_inv = recursive_toeplitz_inverse(sig[:j0 + 1], j0)
+            y_block = frame.obs[:, list(cols)]
+            x_stack = np.concatenate([y_block[frame.n - 1 - back] @ a
+                                      for back in range(j0 + 1)])
+            w_x = w_inv @ x_stack
+            for row, h in enumerate(horizons):
+                r = np.hstack([sig[k] for k in range(h, h + j0 + 1)])
+                out[row, list(cols)] = a @ (r @ w_x)
+        return out
+
+    out = _mean_in_order(_util.ordered_map(predict, members))
     return out[0] if np.ndim(j) == 0 else out
 
 

@@ -36,6 +36,9 @@ HERE = Path(__file__).resolve().parent
 ARRAYS = HERE / "outputs.npz"
 STDOUT = HERE / "stdout.txt"
 
+WIDE_FORECAST = ["forecast", "wide", "--j", "1,2", "--j0", "3", "--J", "2",
+                 "--seed", "6", "--out", "wide_forecast.csv"]
+
 COMMANDS = (
     ["simulate", "--n", "60", "--p", "20", "--seed", "7", "--out", "panel"],
     ["fit", "panel", "--tau", "0.5", "--k0", "1", "--seed", "3",
@@ -59,19 +62,15 @@ COMMANDS = (
      "--at", "-0.5,0.3", "--out", "wide_krige.csv"],
     ["forecast", "wide", "--j", "1,2", "--j0", "3", "--d", "3", "--J", "2",
      "--seed", "6", "--out", "wide_forecast_d3.csv"],
-    ["forecast", "wide", "--j", "1,2", "--j0", "3", "--J", "2",
-     "--seed", "6", "--out", "wide_forecast.csv"],
+    WIDE_FORECAST,
 )
 
 # Commands pinned with a non-zero exit: their exit code and stderr line
 # are part of the reference, so a change that mends one shows in both
-# stdout.txt and outputs.npz.
-EXPECTED_EXIT = {
-    # the fit's d_hat is 29 = n - 1, the rank edge of a centered panel
-    # of 30 readouts, and the innovation block of 29 factors is singular
-    ("forecast", "wide", "--j", "1,2", "--j0", "3", "--J", "2",
-     "--seed", "6", "--out", "wide_forecast.csv"): 3,
-}
+# stdout.txt and outputs.npz. WIDE_FORECAST's members have d_hat = 29
+# = n - 1, the rank edge of a centered panel of 30 readouts, and their
+# innovation block is singular.
+EXPECTED_EXIT = {tuple(WIDE_FORECAST): 3}
 
 
 def _mask_copy(src: Path, out: Path) -> None:

@@ -705,6 +705,29 @@ def test_krige_space_names_the_model_in_location_errors(data_dir, tmp_path,
     assert err == f"error: krige-space: {model}: {message}\n"
 
 
+@pytest.mark.parametrize("ensemble, key, value, h", [
+    # each was read as a number: the first exited 3 ("zero kernel mass"),
+    # the others 0, with the loadings of the last never read
+    (True, "xi_tilde", "NaN", "auto"),
+    (False, "xi_hat", "Infinity", "0.5"),
+    (False, "A1_hat", "NaN", "0.5"),
+], ids=["ensemble-xi_tilde-nan", "fit-xi_hat-infinity", "fit-A1_hat-nan"])
+def test_krige_space_rejects_a_non_finite_model_entry(data_dir, tmp_path,
+                                                      capsys, ensemble, key,
+                                                      value, h):
+    model = tmp_path / "model.json"
+    run(capsys, "fit", str(data_dir), "--tau", "0.0", "--seed", "3",
+        *(["--ensemble", "2"] if ensemble else []), "--out", str(model))
+    doc = json.loads(model.read_text())
+    doc[key]["data"][1] = float(value)
+    model.write_text(json.dumps(doc))
+    assert f", {value}, " in model.read_text()
+    code, stdout, err = run(capsys, "krige-space", str(model),
+                            "--at", "0,0", "--h", h)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: krige-space: {model}: {key} holds a non-finite number\n"
+
+
 @pytest.mark.parametrize("case", ["array", "string", "number",
                                   "fit without d_hat",
                                   "ensemble without xi_tilde"])

@@ -6,12 +6,16 @@ import pytest
 from latentkrig import (
     Partition,
     SpatioTemporalFrame,
+    aggregate_fit,
+    assemble_latent,
     estimate_sigma_x,
     fit_factors,
     forecast,
     forecast_ensemble,
+    load_ensemble,
     random_partition,
     recursive_toeplitz_inverse,
+    save_ensemble,
 )
 from latentkrig._util import member_seeds
 from latentkrig.errors import (
@@ -378,3 +382,68 @@ def test_forecast_ensemble_checks_arguments_before_fitting(monkeypatch,
     with pytest.raises(exc):
         forecast_ensemble(frame, J=5, p_star=3, **{"j0": 0, **kwargs})
     assert calls == []
+
+
+def _forecast_module():
+    # the package exports the function ``forecast``, which hides the module
+    return sys.modules["latentkrig.forecast"]
+
+
+@pytest.mark.parametrize("J", [None, 5], ids=["fit", "ensemble"])
+def test_forecast_checks_once_and_maps_every_member(monkeypatch, J):
+    # a fit is forecast as a one-member ensemble: one argument check, one
+    # member map and one in-order mean, and forecast never calls itself
+    mod = _forecast_module()
+    frame, *_ = rank_k_frame(80, 10, k=2, seed=56, noise=0.5)
+    ens = aggregate_fit(frame, J=J or 1, p_star=4, rng_seed=8)
+    model = ens if J else ens.members[0]
+    want = forecast(frame, model, [1, 2], j0=3)
+    calls = []
+    for name in ("_forecast_args", "_mean_in_order", "forecast"):
+        real = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, real=real, name=name, **k:
+                            calls.append(name) or real(*a, **k))
+    real_map = mod._util.ordered_map
+    monkeypatch.setattr(mod._util, "ordered_map", lambda fn, items, *a:
+                        calls.append(len(items)) or real_map(fn, items, *a))
+    got = mod.forecast(frame, model, [1, 2], j0=3)
+    assert got.tobytes() == want.tobytes()
+    assert calls == ["forecast", "_forecast_args", J or 1, "_mean_in_order"]
+
+
+def test_forecast_ensemble_checks_its_arguments_twice(monkeypatch):
+    mod = _forecast_module()
+    frame, *_ = rank_k_frame(80, 10, k=2, seed=56, noise=0.5)
+    calls = []
+    real = mod._forecast_args
+    monkeypatch.setattr(mod, "_forecast_args", lambda *a:
+                        calls.append(1) or real(*a))
+    forecast_ensemble(frame, J=5, j=[1, 2], j0=3, p_star=4, rng_seed=8)
+    assert len(calls) == 2  # once before any member is fitted, once to forecast
+
+
+def test_forecast_of_a_loaded_ensemble_needs_members(tmp_path):
+    frame, *_ = rank_k_frame(80, 10, k=2, seed=56, noise=0.5)
+    save_ensemble(aggregate_fit(frame, J=2, p_star=4, rng_seed=8),
+                  tmp_path / "ens.json")
+    loaded, _ = load_ensemble(tmp_path / "ens.json")
+    assert loaded.members == ()
+    with pytest.raises(ValueError, match="no members to forecast from"):
+        forecast(frame, loaded, 1, j0=3)
+
+
+@pytest.mark.parametrize("read", [
+    lambda frame, ens: assemble_latent(
+        frame, ens.members[0].partition, ens.members[0].A1_hat,
+        ens.members[0].A2_hat),
+    lambda frame, ens: forecast(frame, ens.members[0], 1, j0=3),
+    lambda frame, ens: forecast(frame, ens, 1, j0=3),
+], ids=["assemble_latent", "forecast-fit", "forecast-ensemble"])
+def test_a_fit_is_read_only_against_a_frame_it_spans(read):
+    # a 20-site fit read against a 24-site frame used to leave np.empty
+    # leftovers in columns 20..23
+    wide, *_ = rank_k_frame(80, 24, k=2, seed=57, noise=0.5)
+    ens = aggregate_fit(wide.subframe(range(20)), J=2, p_star=4, rng_seed=9)
+    read(wide.subframe(range(20)), ens)  # the frame the fit spans is fine
+    with pytest.raises(ValueError, match="partition does not match frame width"):
+        read(wide, ens)
