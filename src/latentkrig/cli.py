@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ensemble import _load_model, aggregate_fit, save_ensemble
+from .ensemble import aggregate_fit, load_ensemble, save_ensemble
 from .errors import (EXIT_NUMERICAL, EXIT_VALIDATION, LatentKrigError,
                      ParseError, PeriodTooLarge)
 from .factors import save_fit
@@ -184,12 +184,10 @@ def cmd_fit(args) -> int:
 
 
 def cmd_krige_space(args) -> int:
-    model, locs = _load_model(args.model)
+    model, locs = load_ensemble(args.model)
     latent = model.xi_tilde
     if locs is None:
         raise ParseError(f"{args.model}: model has no embedded locations")
-    if latent.shape[0] == 0:
-        raise ParseError(f"{args.model}: model has no latent field")
     if args.h == "auto":
         h = select_bandwidth(latent, locs, family=args.kernel)
     else:

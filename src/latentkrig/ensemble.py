@@ -20,6 +20,10 @@ products are built once per frame, by whichever member asks first, and
 every other member slices them. Each side builds its Laplacian from its
 own sites' coordinates. A subframe member builds its own statistics, so
 it is bitwise a fit of the subframe.
+
+``load_ensemble`` is the one model-document reader: it reads an
+ensemble document, or a fit document as an ensemble of one whose member
+is the loaded fit and whose xi_tilde is the stored xi_hat.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .factors import (FactorModelFit, _matrix_doc, _matrix_from_doc,
                       _read_document, _write_document, assemble_latent,
                       fit_factors, fit_from_document)
 from .stdata import (LocationSet, Partition, SpatioTemporalFrame,
-                     locations_from_doc, locations_to_doc, random_partition)
+                     random_partition)
 
 DEFAULT_J = 100
 
@@ -52,8 +56,10 @@ class EnsembleFit:
     member fields, is derived the first time it is read: each field is
     assembled from the member's frame inside ``_util.ordered_map`` and
     summed in member order, and no member keeps it. An ensemble loaded
-    from a document, or built by divide_and_conquer_fit, has no members
-    and carries a stored xi_tilde, as a loaded fit carries its readouts.
+    from an ensemble document, or built by divide_and_conquer_fit, has no
+    members and carries a stored xi_tilde, as a loaded fit carries its
+    readouts; one loaded from a fit document keeps that fit as its one
+    member and carries its stored xi_hat.
     per_location_counts is derived: J at every site.
     """
 
@@ -218,9 +224,8 @@ def divide_and_conquer_fit(frame: SpatioTemporalFrame, q: int,
     return ens
 
 
-def ensemble_to_document(ens: EnsembleFit,
-                         locations: LocationSet | None = None) -> dict:
-    doc = {
+def ensemble_to_document(ens: EnsembleFit) -> dict:
+    return {
         "format": "latentkrig-ensemble",
         "version": 1,
         "J": ens.J,
@@ -230,12 +235,9 @@ def ensemble_to_document(ens: EnsembleFit,
         "per_location_counts": [int(c) for c in ens.per_location_counts],
         "xi_tilde": _matrix_doc(ens.xi_tilde),
     }
-    if locations is not None:
-        doc["locations"] = locations_to_doc(locations)
-    return doc
 
 
-def ensemble_from_document(doc: dict) -> tuple[EnsembleFit, LocationSet | None]:
+def ensemble_from_document(doc: dict) -> EnsembleFit:
     ens = EnsembleFit(J=int(doc["J"]),
                       member_seeds=tuple(int(s) for s in doc["member_seeds"]),
                       d_hats=tuple(int(d) for d in doc["d_hats"]),
@@ -243,27 +245,27 @@ def ensemble_from_document(doc: dict) -> tuple[EnsembleFit, LocationSet | None]:
     ens.xi_tilde = _matrix_from_doc(doc, "xi_tilde")
     if doc["per_location_counts"] != ens.per_location_counts.tolist():
         raise ValueError(f"per_location_counts must be J={ens.J} at every site")
-    locs = locations_from_doc(doc["locations"]) if "locations" in doc else None
-    return ens, locs
+    return ens
+
+
+def _one_fit_from_document(doc: dict) -> EnsembleFit:
+    """A fit document's fit as an ensemble of one, whose xi_tilde is the
+    stored xi_hat."""
+    fit = fit_from_document(doc)
+    ens = EnsembleFit(J=1, member_seeds=(), d_hats=(fit.d_hat,), tau=fit.tau,
+                      members=(fit,))
+    ens.xi_tilde = fit.xi_hat
+    return ens
 
 
 def save_ensemble(ens: EnsembleFit, path: str | Path,
                   locations: LocationSet | None = None) -> None:
-    _write_document(path, ensemble_to_document(ens, locations))
+    _write_document(path, ensemble_to_document(ens), locations)
 
 
 def load_ensemble(path: str | Path) -> tuple[EnsembleFit, LocationSet | None]:
-    return _read_document(path, {"latentkrig-ensemble": ensemble_from_document})
-
-
-def _load_model(path) -> tuple[EnsembleFit, LocationSet | None]:
-    """A fit or ensemble document as an ensemble; a fit is one of one."""
-    def one(doc: dict) -> tuple[EnsembleFit, LocationSet | None]:
-        fit, locs = fit_from_document(doc)
-        ens = EnsembleFit(J=1, member_seeds=(), d_hats=(fit.d_hat,),
-                          tau=fit.tau, members=(fit,))
-        ens.xi_tilde = fit.xi_hat
-        return ens, locs
-
-    return _read_document(path, {"latentkrig-fit": one,
+    """The model and embedded locations of a fit or an ensemble document,
+    as an ensemble: a fit is an ensemble of one. Any other kind of
+    document is a ParseError."""
+    return _read_document(path, {"latentkrig-fit": _one_fit_from_document,
                                  "latentkrig-ensemble": ensemble_from_document})

@@ -341,19 +341,26 @@ def _matrix_doc(a: np.ndarray) -> dict:
             "data": a.reshape(-1).tolist()}
 
 
-def _matrix_from_doc(doc: dict, key: str) -> np.ndarray:
-    """The matrix block doc[key], whose every entry must be finite."""
+def _matrix_from_doc(doc: dict, key: str, rows: int | None = None,
+                     cols: int | None = None) -> np.ndarray:
+    """The matrix block doc[key], whose every entry must be finite, with
+    rows rows and cols columns where those are given."""
     block = doc[key]
-    a = np.array(block["data"], dtype=np.float64).reshape(block["rows"], block["cols"])
+    try:
+        a = np.array(block["data"], dtype=np.float64).reshape(block["rows"], block["cols"])
+    except (TypeError, KeyError, ValueError):
+        raise ValueError(f"{key} is not a matrix block") from None
     if not np.isfinite(a).all():
         raise ParseError(f"{key} holds a non-finite number")
+    want = (a.shape[0] if rows is None else rows, a.shape[1] if cols is None else cols)
+    if a.shape != want:
+        raise ValueError(f"{key} is {a.shape[0]} x {a.shape[1]}, expected {want[0]} x {want[1]}")
     return a
 
 
-def fit_to_document(fit: FactorModelFit,
-                    locations: LocationSet | None = None) -> dict:
-    """JSON-ready dict for a fit and its latent field, optionally with sites."""
-    doc = {
+def fit_to_document(fit: FactorModelFit) -> dict:
+    """JSON-ready dict for a fit and its latent field."""
+    return {
         "format": "latentkrig-fit",
         "version": 1,
         "partition": {"set1": list(fit.partition.set1),
@@ -368,50 +375,63 @@ def fit_to_document(fit: FactorModelFit,
         "x_star_hat": _matrix_doc(fit.x_star_hat),
         "xi_hat": _matrix_doc(fit.xi_hat),
     }
-    if locations is not None:
-        doc["locations"] = locations_to_doc(locations)
-    return doc
 
 
-def fit_from_document(doc: dict) -> tuple[FactorModelFit, LocationSet | None]:
+def fit_from_document(doc: dict) -> FactorModelFit:
+    """The fit a fit document holds, its blocks checked against its
+    partition, d_hat and one another."""
     part = Partition(set1=tuple(doc["partition"]["set1"]),
                      set2=tuple(doc["partition"]["set2"]))
+    d = int(doc["d_hat"])
     fit = FactorModelFit(
         partition=part,
-        A1_hat=_matrix_from_doc(doc, "A1_hat"),
-        A2_hat=_matrix_from_doc(doc, "A2_hat"),
-        d_hat=int(doc["d_hat"]),
+        A1_hat=_matrix_from_doc(doc, "A1_hat", len(part.set1), d),
+        A2_hat=_matrix_from_doc(doc, "A2_hat", len(part.set2), d),
+        d_hat=d,
         eigenvalues=np.array(doc["eigenvalues"], dtype=np.float64),
         tau=float(doc["tau"]),
         k0=int(doc["k0"]),
     )
-    fit.x_hat = _matrix_from_doc(doc, "x_hat")
-    fit.x_star_hat = _matrix_from_doc(doc, "x_star_hat")
-    fit.xi_hat = (_matrix_from_doc(doc, "xi_hat") if doc.get("xi_hat") is not None
-                  else np.zeros((0, part.p)))
-    locs = locations_from_doc(doc["locations"]) if "locations" in doc else None
-    return fit, locs
+    if fit.eigenvalues.shape != (len(part.set1),):
+        raise ValueError(f"eigenvalues must hold {len(part.set1)} numbers")
+    fit.xi_hat = _matrix_from_doc(doc, "xi_hat", None, part.p)
+    n = fit.xi_hat.shape[0]
+    fit.x_hat = _matrix_from_doc(doc, "x_hat", n, d)
+    fit.x_star_hat = _matrix_from_doc(doc, "x_star_hat", n, d)
+    return fit
 
 
 def save_fit(fit: FactorModelFit, path, locations: LocationSet | None = None) -> None:
-    _write_document(path, fit_to_document(fit, locations))
+    _write_document(path, fit_to_document(fit), locations)
 
 
-def _write_document(path, doc: dict) -> None:
-    """Compact JSON plus a newline, UTF-8: the one writer of model documents."""
+def _write_document(path, doc: dict, locations: LocationSet | None) -> None:
+    """Compact JSON plus a newline, UTF-8, with the locations block, when
+    given, as the last key: the one writer of model documents."""
+    if locations is not None:
+        doc = {**doc, "locations": locations_to_doc(locations)}
     Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
 
 
 def _read_document(path, builds: dict):
-    """builds[kind](doc) on the JSON object in ``path``, whose "format" is
-    that kind, else ParseError naming the file: the one place a model
-    document's kind is checked. A package error keeps its class."""
+    """(builds[kind](doc), locations) of the JSON object in ``path``, whose
+    "format" is that kind, else ParseError naming the file: the one place
+    a model document's kind and locations block are read. The locations,
+    None if the document has none, must number the model's latent field
+    columns. A package error keeps its class."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         kind = doc.get("format") if isinstance(doc, dict) else None
         if not isinstance(kind, str) or kind not in builds:
             raise ValueError(f"expected a {' or '.join(builds)} document")
-        return builds[kind](doc)
+        model = builds[kind](doc)
+        locs = locations_from_doc(doc["locations"]) if "locations" in doc else None
+        width = (model.xi_hat if isinstance(model, FactorModelFit)
+                 else model.xi_tilde).shape[1]
+        if locs is not None and locs.p != width:
+            raise ValueError(f"the latent field has {width} columns for "
+                             f"{locs.p} locations")
+        return model, locs
     except LatentKrigError as exc:
         raise type(exc)(f"{path}: {exc}") from None
     except KeyError as exc:
@@ -421,4 +441,6 @@ def _read_document(path, builds: dict):
 
 
 def load_fit(path) -> tuple[FactorModelFit, LocationSet | None]:
+    """The fit and embedded locations of a fit document; any other kind
+    of document is a ParseError."""
     return _read_document(path, {"latentkrig-fit": fit_from_document})

@@ -65,8 +65,9 @@ def _raw_kernel(locations: LocationSet, sites, family: str, dist=None):
                                    locations.distance_metric, locations.radius)
 
         def gaussian(h):  # exp(-0.5 * (dist / h) ** 2), in place
-            k = np.divide(dist, h)
-            np.square(k, out=k)
+            with np.errstate(over="ignore"):  # an inf argument weighs 0
+                k = np.divide(dist, h)
+                np.square(k, out=k)
             np.multiply(-0.5, k, out=k)
             return np.exp(k, out=k)
         return gaussian
@@ -74,11 +75,13 @@ def _raw_kernel(locations: LocationSet, sites, family: str, dist=None):
         raise ValueError(f"unknown kernel family {family!r}")
     if locations.distance_metric != "euclidean":
         raise ValueError("epanechnikov_2d requires planar coordinates")
-    disp = locations.coords.T[:, None, :] - sites.T[:, :, None]  # (2, m, p)
+    with np.errstate(over="ignore"):
+        disp = locations.coords.T[:, None, :] - sites.T[:, :, None]  # (2, m, p)
 
     def factor(axis: int, h):  # max(1 - (disp / h) ** 2, 0) on one axis, in place
-        f = np.divide(disp[axis], h)
-        np.square(f, out=f)
+        with np.errstate(over="ignore"):  # an inf argument weighs 0
+            f = np.divide(disp[axis], h)
+            np.square(f, out=f)
         np.subtract(1.0, f, out=f)
         return np.clip(f, 0.0, None, out=f)
 

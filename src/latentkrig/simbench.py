@@ -207,6 +207,9 @@ def _loo_bandwidth(locs, vt, u, family) -> float:
     diam = float(dist.max())
     if med_nn <= 0.0 or diam <= 0.0:
         raise ValueError("degenerate geometry: coincident locations")
+    if not np.isfinite(diam):
+        raise ValueError("degenerate geometry: the domain diameter "
+                         "overflows a float")
     grid = np.geomspace(0.1 * med_nn, 2.0 * diam, BANDWIDTH_GRID_SIZE)
     errs = np.empty(grid.size)
     for gi, h in enumerate(grid):

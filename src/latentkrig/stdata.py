@@ -22,6 +22,7 @@ time, and raises the error of the first bad row as ``path:line``.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
 import datetime
@@ -133,12 +134,14 @@ def distance_matrix(coords_a: np.ndarray, coords_b: np.ndarray,
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != 2 or b.shape[1] != 2:
         raise InvalidCoordinate("coordinates must be (r, 2) arrays")
     if metric == "euclidean":
-        # two (r, c) arrays in place of (r, c, 2) ones; bitwise the same sum
-        d2 = a[:, None, 0] - b[None, :, 0]
-        dy = a[:, None, 1] - b[None, :, 1]
-        d2 *= d2
-        dy *= dy
-        d2 += dy
+        # two (r, c) arrays in place of (r, c, 2) ones; bitwise the same
+        # sum. A distance too large for a float is inf, without a warning.
+        with np.errstate(over="ignore"):
+            d2 = a[:, None, 0] - b[None, :, 0]
+            dy = a[:, None, 1] - b[None, :, 1]
+            d2 *= d2
+            dy *= dy
+            d2 += dy
         return np.sqrt(d2, out=d2)
     if metric == "great_circle":
         if np.any(np.abs(a[:, 1]) > 90.0) or np.any(np.abs(b[:, 1]) > 90.0):
@@ -379,7 +382,10 @@ def _csv_blocks(fh, path: Path) -> Iterator[list]:
     csv.reader would split otherwise on, one csv.reader tokenizes the rest
     of the file. A row of another width than the header's ends the block
     before it; the next request reads the rest of the file, so a csv
-    error further down comes first, and then names the row's line."""
+    error further down comes first, and then names the row's line. A
+    UTF-8 byte-order mark at the start of the file is skipped."""
+    if fh.peek(3).startswith(codecs.BOM_UTF8):  # as Excel's "CSV UTF-8" writes
+        fh.read(3)
     w, records = None, 0
     while lines := list(itertools.islice(fh, _CSV_BLOCK)):
         if (columns := _plain_columns(b"".join(lines), w)) is None:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -622,6 +623,44 @@ def test_numerical_exit_code(data_dir, tmp_path, capsys):
     assert "no kernel mass" in err
 
 
+@pytest.mark.parametrize("far, argv, want", [
+    (False, ("krige-space", "{model}", "--at", "0,0", "--h", "1e-160"), 3),
+    (False, ("krige-space", "{model}", "--at", "0,0", "--h", "1e-310"), 3),
+    (False, ("krige-space", "{model}", "--at", "0,0", "--h", "1e-160",
+             "--kernel", "epanechnikov_2d"), 3),
+    (False, ("krige-space", "{model}", "--at", "1e200,0", "--h", "0.5"), 3),
+    (True, ("fit", "{data}", "--tau", "1", "--seed", "1", "--out", "{out}"), 0),
+    (True, ("fit", "{data}", "--tau-grid", "0:1:3", "--seed", "1",
+            "--out", "{out}"), 2),
+    (True, ("krige-space", "{model}", "--at", "0,0", "--h", "auto"), 2),
+], ids=["gaussian-square", "gaussian-divide", "epanechnikov", "far-site",
+        "far-location-fit", "far-location-tau-grid", "far-location-auto-h"])
+def test_overflowing_distances_write_at_most_one_stderr_line(
+        tmp_path, capsys, far, argv, want):
+    """An overflowing distance or kernel argument weighs 0 without a numpy
+    warning; a domain whose diameter overflows is degenerate geometry."""
+    data, model = tmp_path / "panel", tmp_path / "fit.json"
+    assert run(capsys, "simulate", "--n", "40", "--p", "12", "--seed", "1",
+               "--out", str(data))[0] == 0
+    if far:  # site 1 at x1 = 1e300
+        rows = (data / "locations.csv").read_text().splitlines()
+        loc, _, x2 = rows[2].split(",")
+        rows[2] = f"{loc},1e300,{x2}"
+        (data / "locations.csv").write_text("\n".join(rows) + "\n")
+    assert run(capsys, "fit", str(data), "--tau", "0", "--seed", "1",
+               "--out", str(model))[0] == 0
+    argv = [a.format(data=data, model=model, out=tmp_path / "out.json")
+            for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, *argv)
+    assert code == want
+    assert err.count("\n") == (0 if want == 0 else 1), err
+    if want == 2:
+        assert err.endswith("degenerate geometry: the domain diameter "
+                            "overflows a float\n")
+
+
 def test_bad_point_spec(data_dir, tmp_path, capsys):
     model = tmp_path / "fit.json"
     run(capsys, "fit", str(data_dir), "--tau", "0.0", "--seed", "3",
@@ -642,19 +681,60 @@ def test_bad_point_spec(data_dir, tmp_path, capsys):
                        f"{point!r}\n")
 
 
-def test_krige_space_rejects_fit_without_latent_field(data_dir, tmp_path,
-                                                     capsys):
-    model = tmp_path / "fit.json"
-    run(capsys, "fit", str(data_dir), "--tau", "0.0", "--seed", "3",
-        "--out", str(model))
-    doc = json.loads(model.read_text())
+def _small_partition(doc):
+    doc["partition"] = {"set1": [0, 1], "set2": [2, 3]}
+    return f"A1_hat is 8 x {doc['d_hat']}, expected 2 x {doc['d_hat']}"
+
+
+def _short_spectrum(doc):
+    doc["eigenvalues"] = doc["eigenvalues"][:-1]
+    return "eigenvalues must hold 8 numbers"
+
+
+def _short_readout(doc):
+    block = doc["x_star_hat"]
+    block["rows"] -= 1
+    del block["data"][-block["cols"]:]
+    return f"x_star_hat is 59 x {doc['d_hat']}, expected 60 x {doc['d_hat']}"
+
+
+def _lose_a_site(doc):
+    locs = doc["locations"]
+    locs["ids"], locs["coords"] = locs["ids"][1:], locs["coords"][1:]
+    return "the latent field has 16 columns for 15 locations"
+
+
+def _null_field(doc):
+    doc["xi_hat"] = None
+    return "xi_hat is not a matrix block"
+
+
+def _no_field(doc):
     del doc["xi_hat"]
+    return "model document lacks key 'xi_hat'"
+
+
+@pytest.mark.parametrize("ensemble, edit", [
+    # the first two loaded, and krige-space exited 0; the ensemble's lost
+    # site exited 2 without naming the file, and a missing xi_hat read as
+    # a field with no rows
+    (False, _small_partition), (False, _short_spectrum),
+    (False, _short_readout), (False, _lose_a_site), (True, _lose_a_site),
+    (False, _null_field), (False, _no_field),
+], ids=["fit-partition", "fit-eigenvalues", "fit-readout", "fit-lost-site",
+        "ensemble-lost-site", "fit-null-field", "fit-no-field"])
+def test_krige_space_rejects_a_document_at_odds_with_itself(
+        data_dir, tmp_path, capsys, ensemble, edit):
+    model = tmp_path / "model.json"
+    run(capsys, "fit", str(data_dir), "--tau", "0.0", "--seed", "3",
+        *(["--ensemble", "2"] if ensemble else []), "--out", str(model))
+    doc = json.loads(model.read_text())
+    message = edit(doc)
     model.write_text(json.dumps(doc))
-    assert load_fit(model)[0].xi_hat.shape == (0, 16)
     code, stdout, err = run(capsys, "krige-space", str(model),
                             "--at", "0,0", "--h", "0.5")
-    assert code == 2 and stdout == ""
-    assert err == f"error: krige-space: {model}: model has no latent field\n"
+    assert (code, stdout) == (2, "")
+    assert err == f"error: krige-space: {model}: {message}\n"
 
 
 @pytest.mark.parametrize("kind", ["latentkrig-frame", None, 1])

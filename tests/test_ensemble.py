@@ -402,14 +402,39 @@ def test_ensemble_document_counts_must_be_j_everywhere(tmp_path):
 
 def test_model_loaders_check_the_document_kind(tmp_path):
     frame, *_ = rank_k_frame(30, 8, k=1, seed=27, noise=0.3)
-    fit_path, ens_path = tmp_path / "fit.json", tmp_path / "ens.json"
-    save_fit(fit_factors(frame, random_partition(8, 3), 0.0), fit_path)
-    save_ensemble(aggregate_fit(frame, J=2, tau=0.0), ens_path)
-    for loader, path, want in ((load_fit, ens_path, "latentkrig-fit"),
-                               (load_ensemble, fit_path, "latentkrig-ensemble")):
+    ens_path, other = tmp_path / "ens.json", tmp_path / "other.json"
+    doc = ensemble_to_document(aggregate_fit(frame, J=2, tau=0.0))
+    ens_path.write_text(json.dumps(doc))
+    other.write_text(json.dumps({**doc, "format": "latentkrig-frame"}))
+    for loader, path, want in (
+            (load_fit, ens_path, "latentkrig-fit"),
+            (load_ensemble, other, "latentkrig-fit or latentkrig-ensemble")):
         with pytest.raises(ParseError) as info:
             loader(path)
         assert str(info.value) == f"{path}: expected a {want} document"
+
+
+def test_load_ensemble_reads_a_fit_document_as_an_ensemble_of_one(tmp_path):
+    frame, *_ = rank_k_frame(80, 10, k=2, seed=56, noise=0.5)
+    path = tmp_path / "fit.json"
+    save_fit(fit_factors(frame, random_partition(10, 4), 0.5, p_star=4), path,
+             frame.locations)
+    fit, fit_locs = load_fit(path)
+    ens, locs = load_ensemble(path)
+    assert (ens.J, ens.member_seeds, ens.d_hats, ens.tau) == (
+        1, (), (fit.d_hat,), 0.5)
+    assert locs.ids == fit_locs.ids and len(ens.members) == 1
+    assert locs.coords.tobytes() == fit_locs.coords.tobytes()
+    member = ens.members[0]
+    assert member.partition == fit.partition
+    assert (member.d_hat, member.tau, member.k0) == (fit.d_hat, fit.tau, fit.k0)
+    for name in ("A1_hat", "A2_hat", "eigenvalues", "x_hat", "x_star_hat",
+                 "xi_hat"):
+        assert np.array_equal(getattr(member, name), getattr(fit, name)), name
+    stored = json.loads(path.read_text())["xi_hat"]
+    assert ens.xi_tilde.tobytes() == np.array(stored["data"]).tobytes()
+    assert forecast(frame, ens, [1, 2], j0=3).tobytes() == \
+        forecast(frame, fit, [1, 2], j0=3).tobytes()
 
 
 @pytest.mark.parametrize("with_locations", [False, True])

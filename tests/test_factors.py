@@ -24,6 +24,7 @@ from latentkrig.errors import (
     TooFewLocations,
 )
 from latentkrig.factors import fit_to_document
+from latentkrig.stdata import locations_to_doc
 
 from conftest import grid_locations, noise_frame, rank_k_frame
 from oracles import blockwise_gram_matrices, dense_laplacian, penalized_eigvecs
@@ -445,5 +446,6 @@ def test_fit_document_is_compact_json(tmp_path):
     fit = fit_factors(frame, random_partition(8, 3), tau=0.25, k0=1, p_star=3)
     path = tmp_path / "fit.json"
     save_fit(fit, path, locations=frame.locations)
-    want = json.dumps(fit_to_document(fit, frame.locations)) + "\n"
+    want = json.dumps({**fit_to_document(fit),
+                       "locations": locations_to_doc(frame.locations)}) + "\n"
     assert path.read_bytes() == want.encode("utf-8")

@@ -301,6 +301,37 @@ def _write(path, text):
     return path
 
 
+@pytest.mark.parametrize("quoted", [False, True])
+def test_byte_order_mark_is_skipped(tmp_path, quoted):
+    """Excel's "CSV UTF-8" export starts each file with EF BB BF; a marked
+    file, plain or read by csv.reader, loads as the unmarked one."""
+    rng = np.random.default_rng(8)
+    frame = SpatioTemporalFrame(locations=grid_locations(3),
+                                obs=rng.standard_normal((4, 3)),
+                                covariates=rng.standard_normal((4, 3, 2)))
+    paths = save_frame(frame, tmp_path / "plain")
+    marked = {}
+    for name, path in paths.items():
+        text = path.read_text(encoding="utf-8")
+        if quoted:
+            head, _, rest = text.partition(",")
+            text = f'"{head}",{rest}'
+        _write(path, text)
+        marked[name] = tmp_path / f"marked_{path.name}"
+        marked[name].write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    want = load_frame(paths["locations"], paths["observations"], paths["covariates"])
+    got = load_frame(marked["locations"], marked["observations"], marked["covariates"])
+    assert got.locations.ids == want.locations.ids
+    for a, b in ((got.locations.coords, want.locations.coords),
+                 (got.obs, want.obs), (got.covariates, want.covariates)):
+        assert a.tobytes() == b.tobytes()
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xef\xbb\xbf" + (b'"id",x1,x2' if quoted else b"id,x1,x2")
+                    + b"\ns0,0,0\ns1,x,0\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(bad))}:3: "):
+        load_locations(bad)
+
+
 def test_load_locations_errors(tmp_path):
     bad_header = _write(tmp_path / "a.csv", "id,lon,lat\ns1,0,0\n")
     with pytest.raises(ParseError):
@@ -636,8 +667,7 @@ def test_column_reader_bad_headers_and_oversized_field(tmp_path):
     import csv
     from latentkrig import stdata
     for name, text in [("empty", ""), ("blank", "\n"), ("header", "t,id,val\n1,s0,1\n"),
-                       ("wide", "t,id,value,z\n1,s0,1,2\n"),
-                       ("bom", "\ufefft,id,value\n1,s0,1\n")]:
+                       ("wide", "t,id,value,z\n1,s0,1,2\n")]:
         path = _write(tmp_path / f"{name}.csv", text)
         got = _outcomes(stdata._read_long_form, path)
         assert got == _outcomes(_per_row_reference, path), name
