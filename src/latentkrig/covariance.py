@@ -77,6 +77,25 @@ def _check_lags(frame: SpatioTemporalFrame, partition: Partition, k0: int) -> No
     _check_width(frame, partition)
 
 
+def _pairwise(ra: np.ndarray, rm: np.ndarray, counts: np.ndarray,
+              ca: np.ndarray | None = None,
+              cm: np.ndarray | None = None) -> np.ndarray:
+    """The masked covariance of zero-filled columns ra x ca from their
+    observed-cell indicators rm, cm and joint counts; ca, cm default to
+    ra, rm. Every masked covariance in the package is this formula."""
+    if np.any(counts < 2):
+        raise InsufficientOverlap(
+            "some location pair has fewer than 2 joint observations")
+    same = ca is None
+    if same:
+        # a copy: numpy sends x.T @ x to syrk, which rounds unlike the general product
+        ca, cm = ra.copy(), rm
+    sum_xy = ra.T @ ca
+    sum_x = ra.T @ cm
+    sum_y = sum_x.T if same else rm.T @ ca
+    return (sum_xy - sum_x * sum_y / counts) / counts
+
+
 def masked_pairwise(obs: np.ndarray, missing: np.ndarray, rows, cols) -> np.ndarray:
     """Covariance block of obs columns rows x cols tolerating missing cells.
 
@@ -92,18 +111,32 @@ def masked_pairwise(obs: np.ndarray, missing: np.ndarray, rows, cols) -> np.ndar
         raise ValueError("rows and cols must be nonempty")
     ra = np.where(missing[:, ridx], 0.0, obs[:, ridx])
     rm = (~missing[:, ridx]).astype(np.float64)
-    same = ridx == cidx
-    # a copy: numpy sends x.T @ x to syrk, which rounds unlike the general product
-    ca = ra.copy() if same else np.where(missing[:, cidx], 0.0, obs[:, cidx])
-    cm = rm if same else (~missing[:, cidx]).astype(np.float64)
-    counts = rm.T @ cm
-    if np.any(counts < 2):
-        raise InsufficientOverlap(
-            "some location pair has fewer than 2 joint observations")
-    sum_xy = ra.T @ ca
-    sum_x = ra.T @ cm
-    sum_y = sum_x.T if same else rm.T @ ca
-    return (sum_xy - sum_x * sum_y / counts) / counts
+    if ridx == cidx:
+        return _pairwise(ra, rm, rm.T @ rm)
+    ca = np.where(missing[:, cidx], 0.0, obs[:, cidx])
+    cm = (~missing[:, cidx]).astype(np.float64)
+    return _pairwise(ra, rm, rm.T @ cm, ca, cm)
+
+
+def _masked_panel(obs: np.ndarray, missing: np.ndarray) -> tuple:
+    """Statistics shared by the full masked covariances over row subsets
+    of one panel: the zero-filled panel and the observed-cell indicator,
+    each stored transposed, and the all-row pair counts."""
+    seen_t = np.ascontiguousarray(~missing.T, dtype=np.float64)
+    return np.where(missing, 0.0, obs).T.copy(), seen_t, seen_t @ seen_t.T
+
+
+def _masked_rows(panel: tuple, have: np.ndarray, lost: np.ndarray) -> np.ndarray:
+    """masked_pairwise(obs[have], missing[have], all, all), bitwise, from
+    the panel's ``_masked_panel`` statistics; ``lost`` are the other rows.
+
+    The pair counts are the all-row counts less those over ``lost``, exact
+    integers. A gather from the transposed arrays has the memory order of
+    masked_pairwise's column gathers, so both products round alike."""
+    zero_t, seen_t, pairs = panel
+    gone = seen_t.take(lost, axis=1)
+    return _pairwise(zero_t.take(have, axis=1).T, seen_t.take(have, axis=1).T,
+                     pairs - gone @ gone.T)
 
 
 def _autocovariances(frame: SpatioTemporalFrame, cols, max_lag: int,

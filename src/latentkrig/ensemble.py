@@ -41,8 +41,8 @@ from .errors import BlockTooLarge
 from .factors import (FactorModelFit, _matrix_doc, _matrix_from_doc,
                       _read_document, _write_document, assemble_latent,
                       fit_factors, fit_from_document)
-from .stdata import (LocationSet, Partition, SpatioTemporalFrame,
-                     random_partition)
+from .stdata import (LocationSet, Partition, SpatioTemporalFrame, _doc_field,
+                     _ints, random_partition)
 
 DEFAULT_J = 100
 
@@ -238,10 +238,11 @@ def ensemble_to_document(ens: EnsembleFit) -> dict:
 
 
 def ensemble_from_document(doc: dict) -> EnsembleFit:
-    ens = EnsembleFit(J=int(doc["J"]),
-                      member_seeds=tuple(int(s) for s in doc["member_seeds"]),
-                      d_hats=tuple(int(d) for d in doc["d_hats"]),
-                      tau=float(doc["tau"]))
+    ens = EnsembleFit(J=_doc_field(doc, "J", int, "an integer"),
+                      member_seeds=_doc_field(doc, "member_seeds", _ints,
+                                              "a list of integers"),
+                      d_hats=_doc_field(doc, "d_hats", _ints, "a list of integers"),
+                      tau=_doc_field(doc, "tau", float, "a number"))
     ens.xi_tilde = _matrix_from_doc(doc, "xi_tilde")
     if doc["per_location_counts"] != ens.per_location_counts.tolist():
         raise ValueError(f"per_location_counts must be J={ens.J} at every site")

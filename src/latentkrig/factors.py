@@ -33,8 +33,9 @@ import numpy as np
 from .covariance import _check_lags, _check_width, _lag, _lag_gram
 from .errors import (LatentKrigError, NotSymmetric, ParseError, RankDeficient,
                      TooFewEigenvalues, TooFewLocations)
-from .stdata import (LocationSet, Partition, SpatioTemporalFrame,
-                     distance_matrix, locations_from_doc, locations_to_doc)
+from .stdata import (LocationSet, Partition, SpatioTemporalFrame, _doc_field,
+                     _ints, _object, distance_matrix, locations_from_doc,
+                     locations_to_doc)
 
 _SIGN_EPS = 1e-12
 _EIG_FLOOR = 1e-300
@@ -380,17 +381,18 @@ def fit_to_document(fit: FactorModelFit) -> dict:
 def fit_from_document(doc: dict) -> FactorModelFit:
     """The fit a fit document holds, its blocks checked against its
     partition, d_hat and one another."""
-    part = Partition(set1=tuple(doc["partition"]["set1"]),
-                     set2=tuple(doc["partition"]["set2"]))
-    d = int(doc["d_hat"])
+    sets = _doc_field(doc, "partition", _object, "an object")
+    part = Partition(set1=_doc_field(sets, "set1", _ints, "a list of sites"),
+                     set2=_doc_field(sets, "set2", _ints, "a list of sites"))
+    d = _doc_field(doc, "d_hat", int, "an integer")
     fit = FactorModelFit(
         partition=part,
         A1_hat=_matrix_from_doc(doc, "A1_hat", len(part.set1), d),
         A2_hat=_matrix_from_doc(doc, "A2_hat", len(part.set2), d),
         d_hat=d,
         eigenvalues=np.array(doc["eigenvalues"], dtype=np.float64),
-        tau=float(doc["tau"]),
-        k0=int(doc["k0"]),
+        tau=_doc_field(doc, "tau", float, "a number"),
+        k0=_doc_field(doc, "k0", int, "an integer"),
     )
     if fit.eigenvalues.shape != (len(part.set1),):
         raise ValueError(f"eigenvalues must hold {len(part.set1)} numbers")
@@ -425,7 +427,8 @@ def _read_document(path, builds: dict):
         if not isinstance(kind, str) or kind not in builds:
             raise ValueError(f"expected a {' or '.join(builds)} document")
         model = builds[kind](doc)
-        locs = locations_from_doc(doc["locations"]) if "locations" in doc else None
+        locs = (locations_from_doc(_doc_field(doc, "locations", _object, "an object"))
+                if "locations" in doc else None)
         width = (model.xi_hat if isinstance(model, FactorModelFit)
                  else model.xi_tilde).shape[1]
         if locs is not None and locs.p != width:

@@ -15,6 +15,10 @@ Missing cells are recovered with the best linear predictor of the cell
 given the observations available at the same time point. Covariances are
 estimated pairwise over the times the target location is observed, once per
 site, and each group of its cells sharing an availability row is one solve.
+Every site's covariance reads one set of masked panel statistics built once
+per frame: the zero-filled panel, the observed-cell indicator and the
+all-row pair counts, from which a site's counts are downdated by its own
+missing rows.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import masked_pairwise
+from .covariance import _masked_panel, _masked_rows
 from .errors import EmptyKernelWindow
 from .stdata import LocationSet, SpatioTemporalFrame, _sealed, distance_matrix
 
@@ -121,11 +125,15 @@ def impute_missing(frame: SpatioTemporalFrame) -> SpatioTemporalFrame:
 
     For a missing cell (t, i) the predictor is
     Cov(y(s_i), y^a) Var(y^a)^{-1} y^a over the locations a observed at
-    time t. Covariance entries come from ``masked_pairwise`` on the
+    time t. Covariance entries are those of ``masked_pairwise`` on the
     subpanel of time points where location i is observed, so every entry
     conditions on the information actually available about the target.
-    That p x p covariance is estimated once per target site; the cells of
-    a site that share an availability row share one eigensolve and gain.
+    That p x p covariance is estimated once per target site, bitwise, from
+    the frame's shared masked statistics: the site's pair counts are the
+    all-row counts less those over its missing rows, and its two sums are
+    products over its observed rows of the shared zero-filled panel and
+    indicator. The cells of a site that share an availability row share
+    one eigensolve and gain.
     Pairwise-complete estimates need not be PSD, and directions of
     Var(y^a) estimated below its own sampling-noise floor must not be
     inverted. The spectrum of Var(y^a) is floored at max(1e-8 * trace /
@@ -143,6 +151,7 @@ def impute_missing(frame: SpatioTemporalFrame) -> SpatioTemporalFrame:
     if frame.is_complete:
         return frame
     obs = np.array(frame.obs)
+    panel = _masked_panel(frame.obs, frame.missing)
     filled: list[tuple[int, str]] = []
     groups = floored = non_psd = non_psd_cells = 0
     for i in range(frame.p):
@@ -150,19 +159,20 @@ def impute_missing(frame: SpatioTemporalFrame) -> SpatioTemporalFrame:
         if miss_t.size == 0:
             continue
         have_t = np.nonzero(~frame.missing[:, i])[0]
-        cov = masked_pairwise(frame.obs[have_t], frame.missing[have_t],
-                              range(frame.p), range(frame.p))
+        cov = _masked_rows(panel, have_t, miss_t)
         cov = 0.5 * (cov + cov.T)
         by_row: dict[bytes, list[int]] = {}
         for t in miss_t:
             by_row.setdefault(frame.missing[t].tobytes(), []).append(int(t))
         for ts in by_row.values():
             avail = np.nonzero(~frame.missing[ts[0]])[0]
-            c, v = cov[i, avail], cov[np.ix_(avail, avail)]
+            c, v = cov[i, avail], cov.take(avail, 0).take(avail, 1)
             evals, evecs = np.linalg.eigh(v)
-            dim = v.shape[0]
+            dim, mid = v.shape[0], v.shape[0] // 2
+            # the median of the ascending spectrum, as np.median reads it
+            median = evals[mid] if dim % 2 else (evals[mid - 1] + evals[mid]) / 2
             ridge = max(1e-8 * np.trace(v) / dim, 1e-300)
-            floor = max(ridge, float(np.median(evals)) * dim / len(have_t))
+            floor = max(ridge, float(median) * dim / len(have_t))
             if evals[0] < floor:
                 floored += 1
                 if evals[0] <= 1e-12 * max(evals[-1], 0.0):
@@ -171,7 +181,7 @@ def impute_missing(frame: SpatioTemporalFrame) -> SpatioTemporalFrame:
                 gain = evecs @ ((evecs.T @ c) / np.maximum(evals, floor))
             else:
                 gain = np.linalg.solve(v, c)
-            obs[ts, i] = frame.obs[np.ix_(ts, avail)] @ gain
+            obs[ts, i] = frame.obs[ts].take(avail, 1) @ gain
         groups += len(by_row)
         filled.extend((int(t), frame.locations.ids[i]) for t in miss_t)
     if non_psd:

@@ -607,11 +607,31 @@ def locations_to_doc(locs: LocationSet) -> dict:
     }
 
 
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError("not an object")
+    return value
+
+
+def _ints(values) -> tuple[int, ...]:
+    return tuple(int(v) for v in values)
+
+
+def _doc_field(doc: dict, key: str, read, what: str):
+    """read(doc[key]) for a document field; a value read rejects raises
+    ValueError("<key> must be <what>"), and a missing key stays a KeyError."""
+    value = doc[key]
+    try:
+        return read(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be {what}") from None
+
+
 def locations_from_doc(doc: dict) -> LocationSet:
-    return LocationSet(ids=tuple(doc["ids"]),
+    return LocationSet(ids=_doc_field(doc, "ids", tuple, "a list of ids"),
                        coords=np.array(doc["coords"], dtype=np.float64),
                        distance_metric=doc["distance_metric"],
-                       radius=float(doc["radius"]))
+                       radius=_doc_field(doc, "radius", float, "a number"))
 
 
 # ---- CSV output ----

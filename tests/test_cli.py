@@ -737,6 +737,49 @@ def test_krige_space_rejects_a_document_at_odds_with_itself(
     assert err == f"error: krige-space: {model}: {message}\n"
 
 
+_NULL_FIELDS = [
+    # the first ten exited 2 with a message naming no key, such as
+    # "'NoneType' object is not subscriptable"
+    (False, "partition", "partition must be an object"),
+    (False, "locations", "locations must be an object"),
+    (False, "locations.ids", "ids must be a list of ids"),
+    (False, "d_hat", "d_hat must be an integer"),
+    (False, "tau", "tau must be a number"),
+    (True, "J", "J must be an integer"),
+    (True, "tau", "tau must be a number"),
+    (True, "member_seeds", "member_seeds must be a list of integers"),
+    (True, "d_hats", "d_hats must be a list of integers"),
+    (True, "locations", "locations must be an object"),
+    (False, "partition.set1", "set1 must be a list of sites"),
+    (False, "partition.set2.0", "set2 must be a list of sites"),
+    (False, "k0", "k0 must be an integer"),
+    (True, "locations.radius", "radius must be a number"),
+    (False, "eigenvalues", "eigenvalues must hold 8 numbers"),
+    (False, "locations.coords", "coords must be a (p, 2) array"),
+    (True, "per_location_counts", "per_location_counts must be J=2 at every site"),
+]
+
+
+@pytest.mark.parametrize("ensemble, key, message", _NULL_FIELDS, ids=[
+    f"{'ensemble' if ensemble else 'fit'}-{key}" for ensemble, key, _ in _NULL_FIELDS])
+def test_krige_space_names_a_null_document_field(data_dir, tmp_path, capsys,
+                                                 ensemble, key, message):
+    model = tmp_path / "model.json"
+    run(capsys, "fit", str(data_dir), "--tau", "0.0", "--seed", "3",
+        *(["--ensemble", "2"] if ensemble else []), "--out", str(model))
+    doc = json.loads(model.read_text())
+    *outer, field = key.split(".")
+    block = doc
+    for name in outer:
+        block = block[name]
+    block[int(field) if isinstance(block, list) else field] = None
+    model.write_text(json.dumps(doc))
+    code, stdout, err = run(capsys, "krige-space", str(model),
+                            "--at", "0,0", "--h", "0.5")
+    assert (code, stdout) == (2, "")
+    assert err == f"error: krige-space: {model}: {message}\n"
+
+
 @pytest.mark.parametrize("kind", ["latentkrig-frame", None, 1])
 def test_krige_space_rejects_another_kind_of_document(data_dir, tmp_path,
                                                       capsys, kind):

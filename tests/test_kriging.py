@@ -348,9 +348,10 @@ def test_impute_matches_per_cell_reference(build):
     assert filled.filled_cells == ref_cells
 
 
-def test_impute_one_covariance_per_site_one_eigh_per_group(monkeypatch):
+def test_impute_one_shared_build_one_covariance_per_site_one_eigh_per_group(
+        monkeypatch):
     frame = _outage_frame()
-    calls = {"eigh": 0, "masked_pairwise": 0}
+    calls = {"eigh": 0, "_masked_panel": 0, "_masked_rows": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -359,13 +360,81 @@ def test_impute_one_covariance_per_site_one_eigh_per_group(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
-    monkeypatch.setattr(kriging, "masked_pairwise",
-                        counted("masked_pairwise", kriging.masked_pairwise))
+    for name in ("_masked_panel", "_masked_rows"):
+        monkeypatch.setattr(kriging, name, counted(name, getattr(kriging, name)))
     impute_missing(frame)
     groups = _avail_groups(frame)
     assert len(groups) < int(frame.missing.sum())  # the outage shares rows
+    assert calls["_masked_panel"] == 1
+    assert calls["_masked_rows"] == int(frame.missing.any(axis=0).sum())
     assert calls["eigh"] == len(groups)
-    assert calls["masked_pairwise"] == int(frame.missing.any(axis=0).sum())
+
+
+def _impute_per_site(frame, dims):
+    """impute_missing as it was before the shared masked statistics: one
+    masked_pairwise per site, np.median and np.ix_ gathers. Every
+    group's dimension is added to ``dims``."""
+    obs = np.array(frame.obs)
+    filled = []
+    for i in range(frame.p):
+        miss_t = np.nonzero(frame.missing[:, i])[0]
+        if miss_t.size == 0:
+            continue
+        have_t = np.nonzero(~frame.missing[:, i])[0]
+        cov = masked_pairwise(frame.obs[have_t], frame.missing[have_t],
+                              range(frame.p), range(frame.p))
+        cov = 0.5 * (cov + cov.T)
+        by_row = {}
+        for t in miss_t:
+            by_row.setdefault(frame.missing[t].tobytes(), []).append(int(t))
+        for ts in by_row.values():
+            avail = np.nonzero(~frame.missing[ts[0]])[0]
+            c, v = cov[i, avail], cov[np.ix_(avail, avail)]
+            evals, evecs = np.linalg.eigh(v)
+            dim = v.shape[0]
+            dims.add(dim)
+            ridge = max(1e-8 * np.trace(v) / dim, 1e-300)
+            floor = max(ridge, float(np.median(evals)) * dim / len(have_t))
+            if evals[0] < floor:
+                gain = evecs @ ((evecs.T @ c) / np.maximum(evals, floor))
+            else:
+                gain = np.linalg.solve(v, c)
+            obs[ts, i] = frame.obs[np.ix_(ts, avail)] @ gain
+        filled.extend((int(t), frame.locations.ids[i]) for t in miss_t)
+    return obs, tuple(filled)
+
+
+def _random_gappy_frame(p, seed):
+    # n from under p to about 3p, up to 40 scattered cells plus an outage
+    # block; the first half of the sites stay observed, so every row has
+    # the half that SpatioTemporalFrame asks for
+    rng = np.random.default_rng([42, seed])
+    n = int(rng.integers(2 * p // 3 + 20, 3 * p + 30))
+    keep = max(2, -(-p // 2))
+    obs = rng.standard_normal((n, p)) + rng.standard_normal((n, 1))
+    mask = np.zeros((n, p), dtype=bool)
+    cells = min(int(rng.integers(5, 41)), n * p // 25)
+    mask.ravel()[rng.choice(n * p, cells, replace=False)] = True
+    start = int(rng.integers(0, n - 5))
+    sites = keep + rng.choice(p - keep, min(3, p - keep), replace=False)
+    mask[start:start + 5, sites] = True
+    mask[:, :keep] = False
+    obs[mask] = np.nan
+    return SpatioTemporalFrame(locations=grid_locations(p), obs=obs)
+
+
+def test_impute_is_bitwise_the_per_site_covariance_loop():
+    frames = [_outage_frame(), _long_frame(), _twin_frame(), _gappy_sim_frame()]
+    frames += [_random_gappy_frame(int(p), seed)  # p from 4 to 120
+               for seed, p in enumerate(np.geomspace(4, 120, 24))]
+    dims = set()
+    for frame in frames:
+        ref_obs, ref_cells = _impute_per_site(frame, dims)
+        filled = impute_missing(frame)
+        assert np.array_equal(filled.obs, ref_obs)
+        assert filled.filled_cells == ref_cells
+    # both branches of the median: odd and even numbers of available sites
+    assert {d % 2 for d in dims} == {0, 1}
 
 
 @pytest.mark.parametrize("build", [_outage_frame, _long_frame, _gappy_sim_frame])
