@@ -9,7 +9,6 @@ and imputation of missing cells. Averaging the estimate over many
 random site splits never hurts the per-cell squared error.
 """
 
-from .covariance import masked_pairwise
 from .ensemble import (EnsembleFit, aggregate_fit, aggregate_over_partitions,
                        assign_blocks, divide_and_conquer_fit, load_ensemble,
                        save_ensemble)
@@ -20,8 +19,8 @@ from .errors import (BlockTooLarge, DuplicateCell, EmptyKernelWindow,
                      RankDeficient, SingularDesign, SingularInnovation,
                      TooFewEigenvalues, TooFewLocations, UnknownLocation)
 from .factors import (FactorModelFit, assemble_latent, build_laplacian,
-                      default_p_star, estimate_d, fit_factors, gram_matrices,
-                      load_fit, save_fit, subspace_distance)
+                      default_p_star, estimate_d, fit_factors, save_fit,
+                      subspace_distance)
 from .forecast import (estimate_sigma_x, forecast, forecast_ensemble,
                        recursive_toeplitz_inverse)
 from .kriging import KernelSpec, impute_missing, kernel_weights, krige_space

@@ -22,6 +22,9 @@ C_j = Y_c[j:]' Y_c[:n-j] / n, and the partition-free products C_j C_j'.
 A partition reads S = C_0[S1, S2] and its lag-j blocks from C_j, so J
 random partitions of one panel cost one set of p x p products, not J
 sets of half-panel products.
+
+Imputation's pairwise-complete covariances of a gappy panel likewise read
+one set of masked statistics per frame (``_masked_panel``, ``_masked_rows``).
 """
 
 from __future__ import annotations
@@ -77,45 +80,16 @@ def _check_lags(frame: SpatioTemporalFrame, partition: Partition, k0: int) -> No
     _check_width(frame, partition)
 
 
-def _pairwise(ra: np.ndarray, rm: np.ndarray, counts: np.ndarray,
-              ca: np.ndarray | None = None,
-              cm: np.ndarray | None = None) -> np.ndarray:
-    """The masked covariance of zero-filled columns ra x ca from their
-    observed-cell indicators rm, cm and joint counts; ca, cm default to
-    ra, rm. Every masked covariance in the package is this formula."""
+def _pairwise(ra: np.ndarray, rm: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The masked covariance of the zero-filled columns ra with themselves,
+    from their observed-cell indicators rm and joint counts."""
     if np.any(counts < 2):
         raise InsufficientOverlap(
             "some location pair has fewer than 2 joint observations")
-    same = ca is None
-    if same:
-        # a copy: numpy sends x.T @ x to syrk, which rounds unlike the general product
-        ca, cm = ra.copy(), rm
-    sum_xy = ra.T @ ca
-    sum_x = ra.T @ cm
-    sum_y = sum_x.T if same else rm.T @ ca
-    return (sum_xy - sum_x * sum_y / counts) / counts
-
-
-def masked_pairwise(obs: np.ndarray, missing: np.ndarray, rows, cols) -> np.ndarray:
-    """Covariance block of obs columns rows x cols tolerating missing cells.
-
-    Entry (i, j) is the sample covariance of columns rows[i] and cols[j]
-    over the time points where both are observed (missing False), with
-    means taken on that same joint subset and divisor equal to the joint
-    count. Any pair with fewer than two joint observations raises
-    InsufficientOverlap.
-    """
-    ridx = list(rows)
-    cidx = list(cols)
-    if not ridx or not cidx:
-        raise ValueError("rows and cols must be nonempty")
-    ra = np.where(missing[:, ridx], 0.0, obs[:, ridx])
-    rm = (~missing[:, ridx]).astype(np.float64)
-    if ridx == cidx:
-        return _pairwise(ra, rm, rm.T @ rm)
-    ca = np.where(missing[:, cidx], 0.0, obs[:, cidx])
-    cm = (~missing[:, cidx]).astype(np.float64)
-    return _pairwise(ra, rm, rm.T @ cm, ca, cm)
+    # a copy: numpy sends x.T @ x to syrk, which rounds unlike the general product
+    sum_xy = ra.T @ ra.copy()
+    sum_x = ra.T @ rm
+    return (sum_xy - sum_x * sum_x.T / counts) / counts
 
 
 def _masked_panel(obs: np.ndarray, missing: np.ndarray) -> tuple:
@@ -127,12 +101,14 @@ def _masked_panel(obs: np.ndarray, missing: np.ndarray) -> tuple:
 
 
 def _masked_rows(panel: tuple, have: np.ndarray, lost: np.ndarray) -> np.ndarray:
-    """masked_pairwise(obs[have], missing[have], all, all), bitwise, from
+    """The masked covariance of every column over the rows ``have``, from
     the panel's ``_masked_panel`` statistics; ``lost`` are the other rows.
 
-    The pair counts are the all-row counts less those over ``lost``, exact
-    integers. A gather from the transposed arrays has the memory order of
-    masked_pairwise's column gathers, so both products round alike."""
+    Entry (i, j) is the covariance of columns i and j over the rows both
+    observe, means and divisor on that joint count (InsufficientOverlap
+    below 2): all-row counts less those over ``lost``, exact integers. A
+    gather from the transposed arrays has the memory order of a column
+    gather of the subpanel, so the products round as on that subpanel."""
     zero_t, seen_t, pairs = panel
     gone = seen_t.take(lost, axis=1)
     return _pairwise(zero_t.take(have, axis=1).T, seen_t.take(have, axis=1).T,

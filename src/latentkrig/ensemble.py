@@ -14,12 +14,12 @@ FactorModelFit, and a single fit is an ensemble of one. One engine,
 ``_fit_members``, fits every member (a Partition of all the sites, or a
 (sites, Partition) pair fitted on those sites' subframe), and one
 in-order reducer, ``_mean_in_order``, averages member fields and
-forecasts. Members of one frame share its panel statistics: the
-centered panel, its lag covariances and their partition-free Gram
-products are built once per frame, by whichever member asks first, and
-every other member slices them. Each side builds its Laplacian from its
-own sites' coordinates. A subframe member builds its own statistics, so
-it is bitwise a fit of the subframe.
+forecasts, handing back member 0's as it passes. Members of one frame
+share its panel statistics: the centered panel, its lag covariances and
+their partition-free Gram products are built once per frame, by
+whichever member asks first, and every other member slices them. Each
+side builds its Laplacian from its own sites' coordinates. A subframe
+member builds its own statistics, so it is bitwise a fit of the subframe.
 
 ``load_ensemble`` is the one model-document reader: it reads an
 ensemble document, or a fit document as an ensemble of one whose member
@@ -28,6 +28,7 @@ is the loaded fit and whose xi_tilde is the stored xi_hat.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
@@ -37,12 +38,12 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import _util
-from .errors import BlockTooLarge
+from .errors import BlockTooLarge, LatentKrigError, ParseError
 from .factors import (FactorModelFit, _matrix_doc, _matrix_from_doc,
-                      _read_document, _write_document, assemble_latent,
-                      fit_factors, fit_from_document)
+                      _write_document, assemble_latent, fit_factors,
+                      fit_from_document)
 from .stdata import (LocationSet, Partition, SpatioTemporalFrame, _doc_field,
-                     _ints, random_partition)
+                     _ints, _object, locations_from_doc, random_partition)
 
 DEFAULT_J = 100
 
@@ -78,6 +79,10 @@ class EnsembleFit:
 
     @cached_property
     def xi_tilde(self) -> np.ndarray:
+        return self._first_and_mean()[1]
+
+    def _first_and_mean(self) -> tuple[np.ndarray, np.ndarray]:
+        """Member 0's field and the mean field, each member's assembled once."""
         if not self.members:
             raise ValueError("an ensemble without members needs a stored xi_tilde")
         return _mean_in_order(_util.ordered_map(lambda m: assemble_latent(
@@ -89,17 +94,17 @@ class EnsembleFit:
         return np.full(self.xi_tilde.shape[1], self.J, dtype=np.int64)
 
 
-def _mean_in_order(arrays: Iterable[np.ndarray]) -> np.ndarray:
-    """The mean of arrays summed in order as they arrive: bitwise np.mean
-    of their stack, without holding it. No input is written."""
-    total, count = None, 0
+def _mean_in_order(arrays: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The first of arrays and their mean, summed in order as they arrive:
+    the mean is bitwise np.mean of their stack, without holding it. No
+    input is written."""
+    arrays = iter(arrays)
+    first = next(arrays)
+    total, count = first.copy(), 1
     for a in arrays:
-        if total is None:
-            total = a.copy()
-        else:
-            total += a
+        total += a
         count += 1
-    return total / count
+    return first, total / count
 
 
 def _fit_members(frame: SpatioTemporalFrame,
@@ -218,7 +223,7 @@ def divide_and_conquer_fit(frame: SpatioTemporalFrame, q: int,
             yield fit.xi_hat[:, :k]
 
     for block in blocks:
-        xi_tilde[:, list(block)] = _mean_in_order(block_fields(len(block)))
+        xi_tilde[:, list(block)] = _mean_in_order(block_fields(len(block)))[1]
     ens = EnsembleFit(J=J, member_seeds=tuple(seeds), d_hats=tuple(d_hats), tau=tau)
     ens.xi_tilde = xi_tilde
     return ens
@@ -266,7 +271,29 @@ def save_ensemble(ens: EnsembleFit, path: str | Path,
 
 def load_ensemble(path: str | Path) -> tuple[EnsembleFit, LocationSet | None]:
     """The model and embedded locations of a fit or an ensemble document,
-    as an ensemble: a fit is an ensemble of one. Any other kind of
-    document is a ParseError."""
-    return _read_document(path, {"latentkrig-fit": _one_fit_from_document,
-                                 "latentkrig-ensemble": ensemble_from_document})
+    as an ensemble (a fit is an ensemble of one). Any other kind or
+    version, or locations not numbering the field's columns, is a
+    ParseError naming the file; a package error keeps its class."""
+    builds = {"latentkrig-fit": _one_fit_from_document,
+              "latentkrig-ensemble": ensemble_from_document}
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        kind = doc.get("format") if isinstance(doc, dict) else None
+        if not isinstance(kind, str) or kind not in builds:
+            raise ValueError(f"expected a {' or '.join(builds)} document")
+        if type(doc["version"]) is not int or doc["version"] != 1:
+            raise ValueError("version must be 1")
+        ens = builds[kind](doc)
+        locs = (locations_from_doc(_doc_field(doc, "locations", _object, "an object"))
+                if "locations" in doc else None)
+        width = ens.xi_tilde.shape[1]
+        if locs is not None and locs.p != width:
+            raise ValueError(f"the latent field has {width} columns for "
+                             f"{locs.p} locations")
+        return ens, locs
+    except LatentKrigError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+    except KeyError as exc:
+        raise ParseError(f"{path}: model document lacks key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from None

@@ -31,11 +31,10 @@ from pathlib import Path
 import numpy as np
 
 from .covariance import _check_lags, _check_width, _lag, _lag_gram
-from .errors import (LatentKrigError, NotSymmetric, ParseError, RankDeficient,
+from .errors import (NotSymmetric, ParseError, RankDeficient,
                      TooFewEigenvalues, TooFewLocations)
 from .stdata import (LocationSet, Partition, SpatioTemporalFrame, _doc_field,
-                     _ints, _object, distance_matrix, locations_from_doc,
-                     locations_to_doc)
+                     _ints, _object, distance_matrix, locations_to_doc)
 
 _SIGN_EPS = 1e-12
 _EIG_FLOOR = 1e-300
@@ -182,9 +181,10 @@ class FactorModelFit:
                                self.A2_hat)
 
 
-def gram_matrices(frame: SpatioTemporalFrame, partition: Partition,
-                  k0: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """The two Gram matrices (M1, M2) fed to the penalized eigensolver.
+def _side_gram(frame: SpatioTemporalFrame, partition: Partition, k0: int,
+               side: int) -> np.ndarray:
+    """The Gram matrix M1 (side 1) or M2 (side 2) fed to the penalized
+    eigensolver, built without the other side's products.
 
     With S = C_0[S1, S2] and the frame's shared lag covariances C_j,
 
@@ -195,19 +195,9 @@ def gram_matrices(frame: SpatioTemporalFrame, partition: Partition,
     the set-1 autocovariance and lead cross-covariance terms, which is
     C_j[S1, :] C_j[S1, :]'. It is a slice of the partition-free C_j C_j',
     so each partition pays for two lag products per lag, not four. Every
-    caller, one partition or many, uses this formula, so a single fit
-    and an ensemble member on the same frame agree bitwise.
-
-    Each is built alone by _side_gram, which every fit uses too, one
-    side at a time.
-    """
-    return _side_gram(frame, partition, k0, 1), _side_gram(frame, partition, k0, 2)
-
-
-def _side_gram(frame: SpatioTemporalFrame, partition: Partition, k0: int,
-               side: int) -> np.ndarray:
-    """M1 (side 1) or M2 (side 2) of gram_matrices, without the other's
-    products. A lag term is summed before it is added, as in the formula."""
+    fit, one partition or many, uses this formula, so a single fit and an
+    ensemble member on the same frame agree bitwise. A lag term is summed
+    before it is added, as in the formula."""
     if int(k0) != k0 or k0 < 0:
         raise ValueError("k0 must be an integer >= 0")
     k0 = int(k0)
@@ -396,6 +386,8 @@ def fit_from_document(doc: dict) -> FactorModelFit:
     )
     if fit.eigenvalues.shape != (len(part.set1),):
         raise ValueError(f"eigenvalues must hold {len(part.set1)} numbers")
+    if not np.isfinite(fit.eigenvalues).all():
+        raise ParseError("eigenvalues holds a non-finite number")
     fit.xi_hat = _matrix_from_doc(doc, "xi_hat", None, part.p)
     n = fit.xi_hat.shape[0]
     fit.x_hat = _matrix_from_doc(doc, "x_hat", n, d)
@@ -413,37 +405,3 @@ def _write_document(path, doc: dict, locations: LocationSet | None) -> None:
     if locations is not None:
         doc = {**doc, "locations": locations_to_doc(locations)}
     Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
-
-
-def _read_document(path, builds: dict):
-    """(builds[kind](doc), locations) of the JSON object in ``path``, whose
-    "format" is that kind, else ParseError naming the file: the one place
-    a model document's kind and locations block are read. The locations,
-    None if the document has none, must number the model's latent field
-    columns. A package error keeps its class."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        kind = doc.get("format") if isinstance(doc, dict) else None
-        if not isinstance(kind, str) or kind not in builds:
-            raise ValueError(f"expected a {' or '.join(builds)} document")
-        model = builds[kind](doc)
-        locs = (locations_from_doc(_doc_field(doc, "locations", _object, "an object"))
-                if "locations" in doc else None)
-        width = (model.xi_hat if isinstance(model, FactorModelFit)
-                 else model.xi_tilde).shape[1]
-        if locs is not None and locs.p != width:
-            raise ValueError(f"the latent field has {width} columns for "
-                             f"{locs.p} locations")
-        return model, locs
-    except LatentKrigError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
-    except KeyError as exc:
-        raise ParseError(f"{path}: model document lacks key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: {exc}") from None
-
-
-def load_fit(path) -> tuple[FactorModelFit, LocationSet | None]:
-    """The fit and embedded locations of a fit document; any other kind
-    of document is a ParseError."""
-    return _read_document(path, {"latentkrig-fit": fit_from_document})

@@ -122,26 +122,10 @@ def _forecast_args(n: int, j, j0, ridge: float) -> tuple[list[int], int]:
     return horizons, j0
 
 
-def forecast(frame: SpatioTemporalFrame, model: FactorModelFit | EnsembleFit,
-             j: int | Sequence[int], j0: int = 6, ridge: float = 0.0) -> np.ndarray:
-    """j-step-ahead prediction of the panel at every location.
-
-    j is one horizon, giving a (p,) array, or a sequence of horizons,
-    giving a (len(j), p) array. Each side of a fit's partition is
-    predicted from its own factor readouts: x_hat(j) = R W_{j0}^{-1} X
-    with X stacking the raw readouts at times n, n-1, ..., n-j0, then
-    y_hat = A x_hat(j). A fit is forecast as a one-member ensemble: the
-    arguments are checked once, each member is predicted inside one
-    ``_util.ordered_map`` on LATENT_KRIG_THREADS threads, and the
-    predictions are averaged in member order. Requires every j >= 1 and
-    max(j) + j0 < n/2 so all needed lags are identifiable, and every
-    member's partition to split the frame's sites.
-
-    Sample lag covariances are not jointly PSD, so W can be numerically
-    singular; by default that surfaces as SingularInnovation. A positive
-    ridge adds ridge*I to the lag-0 block before the recursion (opt-in,
-    never silent).
-    """
+def _forecasts(frame: SpatioTemporalFrame, model: FactorModelFit | EnsembleFit,
+               j, j0: int, ridge: float) -> tuple[np.ndarray, np.ndarray]:
+    """Member 0's and the model's (len(j), p) predictions, each member
+    predicted once: forecast's work, with member 0's reading kept."""
     horizons, j0 = _forecast_args(frame.n, j, j0, ridge)
     members = model.members if isinstance(model, EnsembleFit) else (model,)
     if not members:
@@ -165,7 +149,30 @@ def forecast(frame: SpatioTemporalFrame, model: FactorModelFit | EnsembleFit,
                 out[row, list(cols)] = a @ (r @ w_x)
         return out
 
-    out = _mean_in_order(_util.ordered_map(predict, members))
+    return _mean_in_order(_util.ordered_map(predict, members))
+
+
+def forecast(frame: SpatioTemporalFrame, model: FactorModelFit | EnsembleFit,
+             j: int | Sequence[int], j0: int = 6, ridge: float = 0.0) -> np.ndarray:
+    """j-step-ahead prediction of the panel at every location.
+
+    j is one horizon, giving a (p,) array, or a sequence of horizons,
+    giving a (len(j), p) array. Each side of a fit's partition is
+    predicted from its own factor readouts: x_hat(j) = R W_{j0}^{-1} X
+    with X stacking the raw readouts at times n, n-1, ..., n-j0, then
+    y_hat = A x_hat(j). A fit is forecast as a one-member ensemble: the
+    arguments are checked once, each member is predicted inside one
+    ``_util.ordered_map`` on LATENT_KRIG_THREADS threads, and the
+    predictions are averaged in member order. Requires every j >= 1 and
+    max(j) + j0 < n/2 so all needed lags are identifiable, and every
+    member's partition to split the frame's sites.
+
+    Sample lag covariances are not jointly PSD, so W can be numerically
+    singular; by default that surfaces as SingularInnovation. A positive
+    ridge adds ridge*I to the lag-0 block before the recursion (opt-in,
+    never silent).
+    """
+    out = _forecasts(frame, model, j, j0, ridge)[1]
     return out[0] if np.ndim(j) == 0 else out
 
 

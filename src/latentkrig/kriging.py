@@ -18,7 +18,8 @@ site, and each group of its cells sharing an availability row is one solve.
 Every site's covariance reads one set of masked panel statistics built once
 per frame: the zero-filled panel, the observed-cell indicator and the
 all-row pair counts, from which a site's counts are downdated by its own
-missing rows.
+missing rows. The subpanel route they replace, ``masked_pairwise``, is
+kept in tests/oracles.py as their oracle.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def impute_missing(frame: SpatioTemporalFrame) -> SpatioTemporalFrame:
 
     For a missing cell (t, i) the predictor is
     Cov(y(s_i), y^a) Var(y^a)^{-1} y^a over the locations a observed at
-    time t. Covariance entries are those of ``masked_pairwise`` on the
+    time t. Covariance entries are pairwise-complete covariances on the
     subpanel of time points where location i is observed, so every entry
     conditions on the information actually available about the target.
     That p x p covariance is estimated once per target site, bitwise, from

@@ -32,7 +32,7 @@ from . import _util
 from .errors import EmptyKernelWindow, TooFewLocations
 from .factors import _fit_grid, fit_factors, subspace_distance
 from .ensemble import aggregate_fit
-from .forecast import forecast
+from .forecast import _forecasts
 from .kriging import KernelSpec, _raw_kernel, kernel_weights, krige_space
 from .stdata import (LocationSet, SpatioTemporalFrame, _write_csv,
                      pairwise_distances, random_partition)
@@ -336,8 +336,9 @@ def _replicate_mse_table1(draw, tau_cv, seed, J, j0) -> list[dict]:
 
 def _replicate_fig2(draw, tau_cv, seed, J, j0) -> list[dict]:
     ens = aggregate_fit(draw.frame, J, tau_cv, rng_seed=seed)
-    return [dict(tau=tau_cv, mse_xi_hat=mse_xi(ens.members[0].xi_hat, draw.xi),
-                 mse_xi_tilde=mse_xi(ens.xi_tilde, draw.xi),
+    xi_hat, xi_tilde = ens._first_and_mean()  # member 0's field, and the mean
+    return [dict(tau=tau_cv, mse_xi_hat=mse_xi(xi_hat, draw.xi),
+                 mse_xi_tilde=mse_xi(xi_tilde, draw.xi),
                  d_hat_mean=float(np.mean(ens.d_hats)))]
 
 
@@ -354,14 +355,14 @@ def _replicate_table2(draw, tau_cv, seed, J, j0) -> list[dict]:
     horizons = tuple(range(1, draw.config.n_future + 1))
     ens = aggregate_fit(frame, J, tau_cv, rng_seed=seed)
     space, time = [], []
-    for model, latent in ((ens.members[0], ens.members[0].xi_hat),
-                          (ens, ens.xi_tilde)):  # member 0, then the aggregate
+    # member 0, then the aggregate; each member is assembled and forecast once
+    for latent, rows in zip(ens._first_and_mean(),
+                            _forecasts(frame, ens, horizons, j0, 0.0)):
         kernel = KernelSpec(family="gaussian",
                             h=select_bandwidth(latent, frame.locations))
         pred = krige_space(latent, frame.locations,
                            draw.holdout_locations.coords, kernel)
         space.append(mspe_space(pred, draw.holdout_y))
-        rows = forecast(frame, model, horizons, j0)
         time.append(tuple(_mean_sq(rows[k], draw.future_y[ell - 1], "mspe_time")
                           for k, ell in enumerate(horizons)))
     return [dict(tau=tau_cv, mspe_space_hat=space[0], mspe_space_tilde=space[1],

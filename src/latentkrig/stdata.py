@@ -627,10 +627,17 @@ def _doc_field(doc: dict, key: str, read, what: str):
         raise ValueError(f"{key} must be {what}") from None
 
 
+def _metric(value) -> str:
+    if value not in _METRICS:
+        raise ValueError("not a metric")
+    return value
+
+
 def locations_from_doc(doc: dict) -> LocationSet:
     return LocationSet(ids=_doc_field(doc, "ids", tuple, "a list of ids"),
                        coords=np.array(doc["coords"], dtype=np.float64),
-                       distance_metric=doc["distance_metric"],
+                       distance_metric=_doc_field(doc, "distance_metric", _metric,
+                                                  " or ".join(_METRICS)),
                        radius=_doc_field(doc, "radius", float, "a number"))
 
 

@@ -8,6 +8,7 @@ Toeplitz matrix live here, as references for criterion 1 and the
 forecast unit tests. The dense best-linear-predictor route for spatial
 kriging, the general best linear predictor, the p x p lagged
 autocovariances, a partition's cross-set and lagged covariance blocks,
+the masked covariance of any two column sets over a subpanel's rows,
 the one-tau penalized eigensolve, the Gram matrices built block by block
 from each partition's own half-panel covariances, a subset's Laplacian
 sliced from the weights of every site, the generator's signal-to-noise
@@ -20,9 +21,10 @@ from itertools import combinations
 import numpy as np
 
 from latentkrig import LocationSet, Partition, SpatioTemporalFrame, krige_space
-from latentkrig.covariance import _autocovariances, _check_lags, _lag
-from latentkrig.errors import (NotPositiveDefinite, NotSymmetric,
-                               NumericalError)
+from latentkrig.covariance import (_autocovariances, _check_lags, _lag,
+                                   _pairwise)
+from latentkrig.errors import (InsufficientOverlap, NotPositiveDefinite,
+                               NotSymmetric, NumericalError)
 from latentkrig.factors import _eig_desc, _top_vectors
 from latentkrig.forecast import _REL_SINGULAR
 from latentkrig.simbench import FACTOR_STATIONARY_VARS, loading_values
@@ -146,10 +148,40 @@ def lagged_covariances(frame: SpatioTemporalFrame, partition: Partition,
             for c in (_lag(frame, j) for j in range(1, k0 + 1))]
 
 
+def masked_pairwise(obs: np.ndarray, missing: np.ndarray, rows, cols) -> np.ndarray:
+    """Covariance block of obs columns rows x cols tolerating missing cells.
+
+    Entry (i, j) is the sample covariance of columns rows[i] and cols[j]
+    over the time points where both are observed (missing False), with
+    means taken on that same joint subset and divisor equal to the joint
+    count. Any pair with fewer than two joint observations raises
+    InsufficientOverlap. The package reads only the rows == cols block
+    over a subpanel's rows, through _masked_rows; that block is
+    _pairwise's arithmetic on the subpanel's column gathers, so the two
+    agree bitwise.
+    """
+    ridx = list(rows)
+    cidx = list(cols)
+    if not ridx or not cidx:
+        raise ValueError("rows and cols must be nonempty")
+    ra = np.where(missing[:, ridx], 0.0, obs[:, ridx])
+    rm = (~missing[:, ridx]).astype(np.float64)
+    if ridx == cidx:
+        return _pairwise(ra, rm, rm.T @ rm)
+    ca = np.where(missing[:, cidx], 0.0, obs[:, cidx])
+    cm = (~missing[:, cidx]).astype(np.float64)
+    counts = rm.T @ cm
+    if np.any(counts < 2):
+        raise InsufficientOverlap(
+            "some location pair has fewer than 2 joint observations")
+    sum_x, sum_y = ra.T @ cm, rm.T @ ca
+    return (ra.T @ ca - sum_x * sum_y / counts) / counts
+
+
 def blockwise_gram_matrices(frame: SpatioTemporalFrame, partition: Partition,
                             k0: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """gram_matrices from the blocks of each lag, every block formed from
-    its own centered half-panel columns:
+    """The Gram matrices (M1, M2) of factors._side_gram from the blocks of
+    each lag, every block formed from its own centered half-panel columns:
 
         M1 = S S' + sum_j [S_1(j) S_1(j)' + S_12(j) S_12(j)' + S_12(-j) S_12(-j)']
         M2 = S' S + sum_j [S_2(j) S_2(j)' + S_12(j)' S_12(j) + S_12(-j)' S_12(-j)]

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from latentkrig import (SimConfig, forecast_ensemble, load_ensemble, load_fit,
+from latentkrig import (SimConfig, forecast_ensemble, load_ensemble,
                         load_frame, select_tau, simulate)
 from latentkrig import cli
 from latentkrig import _util
@@ -112,8 +112,8 @@ def test_fit_single_and_krige(data_dir, tmp_path, capsys):
     assert code == 0
     assert "tau=0.0" in stdout
     assert any(line.startswith("d_hat=") for line in stdout.splitlines())
-    fit, locs = load_fit(model)
-    assert locs is not None
+    ens, locs = load_ensemble(model)
+    assert len(ens.members) == 1 and locs is not None
 
     # kriging to stdout, negative coordinate after --at
     code, stdout, _ = run(capsys, "krige-space", str(model),
@@ -209,7 +209,7 @@ def test_single_fit_is_member_zero_of_its_seed(data_dir, tmp_path, capsys,
                "--out", str(fit_path))[0] == 0
     assert run(capsys, "fit", str(data_dir), *flags, "--ensemble", "1",
                "--out", str(ens_path))[0] == 0
-    assert np.array_equal(load_fit(fit_path)[0].xi_hat,
+    assert np.array_equal(load_ensemble(fit_path)[0].members[0].xi_hat,
                           load_ensemble(ens_path)[0].xi_tilde)
 
     plain, j_one = tmp_path / "plain.csv", tmp_path / "j_one.csv"
@@ -714,6 +714,21 @@ def _no_field(doc):
     return "model document lacks key 'xi_hat'"
 
 
+def _later_version(doc):
+    doc["version"] = 7
+    return "version must be 1"
+
+
+def _no_version(doc):
+    del doc["version"]
+    return "model document lacks key 'version'"
+
+
+def _nan_eigenvalue(doc):
+    doc["eigenvalues"][1] = float("nan")
+    return "eigenvalues holds a non-finite number"
+
+
 @pytest.mark.parametrize("ensemble, edit", [
     # the first two loaded, and krige-space exited 0; the ensemble's lost
     # site exited 2 without naming the file, and a missing xi_hat read as
@@ -721,8 +736,11 @@ def _no_field(doc):
     (False, _small_partition), (False, _short_spectrum),
     (False, _short_readout), (False, _lose_a_site), (True, _lose_a_site),
     (False, _null_field), (False, _no_field),
+    # these three loaded, as version 1 or with a NaN in the spectrum
+    (False, _later_version), (True, _no_version), (False, _nan_eigenvalue),
 ], ids=["fit-partition", "fit-eigenvalues", "fit-readout", "fit-lost-site",
-        "ensemble-lost-site", "fit-null-field", "fit-no-field"])
+        "ensemble-lost-site", "fit-null-field", "fit-no-field",
+        "fit-later-version", "ensemble-no-version", "fit-nan-eigenvalue"])
 def test_krige_space_rejects_a_document_at_odds_with_itself(
         data_dir, tmp_path, capsys, ensemble, edit):
     model = tmp_path / "model.json"
@@ -757,6 +775,12 @@ _NULL_FIELDS = [
     (False, "eigenvalues", "eigenvalues must hold 8 numbers"),
     (False, "locations.coords", "coords must be a (p, 2) array"),
     (True, "per_location_counts", "per_location_counts must be J=2 at every site"),
+    # these loaded as version 1, and the null metric exited 2 with
+    # "unknown metric None"
+    (False, "version", "version must be 1"),
+    (True, "version", "version must be 1"),
+    (False, "locations.distance_metric",
+     "distance_metric must be euclidean or great_circle"),
 ]
 
 

@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
 
-from latentkrig import (
-    Partition,
-    SpatioTemporalFrame,
-    fit_factors,
-    masked_pairwise,
-)
+from latentkrig import Partition, SpatioTemporalFrame, fit_factors
 from latentkrig.errors import InsufficientOverlap, LagTooLarge, MissingDataError
 
 from conftest import grid_locations, noise_frame, rank_k_frame
-from oracles import cross_covariance, lagged_auto_covariance, lagged_covariances
+from oracles import (cross_covariance, lagged_auto_covariance,
+                     lagged_covariances, masked_pairwise)
 
 
 def brute_cross(y1, y2):

@@ -15,7 +15,6 @@ from latentkrig import (
     forecast,
     forecast_ensemble,
     load_ensemble,
-    load_fit,
     random_partition,
     save_ensemble,
     save_fit,
@@ -137,8 +136,9 @@ def test_mean_in_order_is_the_stacked_mean():
     for J in (1, 2, 7, 50):
         fields = [rng.standard_normal((6, 5)) for _ in range(J)]
         kept = [f.copy() for f in fields]
-        mean = _mean_in_order(iter(fields))
+        first, mean = _mean_in_order(iter(fields))
         assert mean.tobytes() == np.mean(np.stack(fields), axis=0).tobytes()
+        assert first is fields[0]  # handed back as it passed, not copied
         # the inputs are read, never written
         assert all(np.array_equal(f, k) for f, k in zip(fields, kept))
 
@@ -402,29 +402,25 @@ def test_ensemble_document_counts_must_be_j_everywhere(tmp_path):
 
 def test_model_loaders_check_the_document_kind(tmp_path):
     frame, *_ = rank_k_frame(30, 8, k=1, seed=27, noise=0.3)
-    ens_path, other = tmp_path / "ens.json", tmp_path / "other.json"
+    other = tmp_path / "other.json"
     doc = ensemble_to_document(aggregate_fit(frame, J=2, tau=0.0))
-    ens_path.write_text(json.dumps(doc))
     other.write_text(json.dumps({**doc, "format": "latentkrig-frame"}))
-    for loader, path, want in (
-            (load_fit, ens_path, "latentkrig-fit"),
-            (load_ensemble, other, "latentkrig-fit or latentkrig-ensemble")):
-        with pytest.raises(ParseError) as info:
-            loader(path)
-        assert str(info.value) == f"{path}: expected a {want} document"
+    with pytest.raises(ParseError) as info:
+        load_ensemble(other)
+    assert str(info.value) == (f"{other}: expected a latentkrig-fit or "
+                               f"latentkrig-ensemble document")
 
 
 def test_load_ensemble_reads_a_fit_document_as_an_ensemble_of_one(tmp_path):
     frame, *_ = rank_k_frame(80, 10, k=2, seed=56, noise=0.5)
     path = tmp_path / "fit.json"
-    save_fit(fit_factors(frame, random_partition(10, 4), 0.5, p_star=4), path,
-             frame.locations)
-    fit, fit_locs = load_fit(path)
+    fit = fit_factors(frame, random_partition(10, 4), 0.5, p_star=4)
+    save_fit(fit, path, frame.locations)
     ens, locs = load_ensemble(path)
     assert (ens.J, ens.member_seeds, ens.d_hats, ens.tau) == (
         1, (), (fit.d_hat,), 0.5)
-    assert locs.ids == fit_locs.ids and len(ens.members) == 1
-    assert locs.coords.tobytes() == fit_locs.coords.tobytes()
+    assert locs.ids == frame.locations.ids and len(ens.members) == 1
+    assert locs.coords.tobytes() == frame.locations.coords.tobytes()
     member = ens.members[0]
     assert member.partition == fit.partition
     assert (member.d_hat, member.tau, member.k0) == (fit.d_hat, fit.tau, fit.k0)
@@ -455,12 +451,12 @@ def test_model_document_key_order(tmp_path, with_locations):
         ens_path.read_text()
 
 
-@pytest.mark.parametrize("loader", [load_fit, load_ensemble])
+@pytest.mark.parametrize("kind", ["fit", "ensemble"])
 @pytest.mark.parametrize("case", ["array", "string", "number",
                                   "missing key", "mistyped field"])
-def test_model_loaders_raise_parse_error_naming_path(tmp_path, loader, case):
+def test_model_loaders_raise_parse_error_naming_path(tmp_path, kind, case):
     frame, *_ = rank_k_frame(30, 8, k=1, seed=27, noise=0.3)
-    if loader is load_fit:
+    if kind == "fit":
         doc = fit_to_document(fit_factors(frame, random_partition(8, 3), 0.0))
     else:
         doc = ensemble_to_document(aggregate_fit(frame, J=2, tau=0.0))
@@ -472,7 +468,7 @@ def test_model_loaders_raise_parse_error_naming_path(tmp_path, loader, case):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(docs.get(case, doc)))
     with pytest.raises(ParseError) as info:
-        loader(path)
+        load_ensemble(path)
     assert str(info.value).startswith(f"{path}: ")
     if case == "missing key":
         assert "lacks key 'tau'" in str(info.value)

@@ -11,8 +11,7 @@ from latentkrig import (
     default_p_star,
     estimate_d,
     fit_factors,
-    gram_matrices,
-    load_fit,
+    load_ensemble,
     random_partition,
     save_fit,
     subspace_distance,
@@ -23,7 +22,7 @@ from latentkrig.errors import (
     TooFewEigenvalues,
     TooFewLocations,
 )
-from latentkrig.factors import fit_to_document
+from latentkrig.factors import _side_gram, fit_to_document
 from latentkrig.stdata import locations_to_doc
 
 from conftest import grid_locations, noise_frame, rank_k_frame
@@ -176,8 +175,8 @@ def test_gram_matrices_match_the_blockwise_oracle(k0):
                                     obs=frame.obs + np.arange(float(p)))
         rest = tuple(i for i in range(p) if i not in (0, 4, 9))
         for part in (random_partition(p, 2), Partition(set1=(0, 4, 9), set2=rest)):
-            for got, want in zip(gram_matrices(frame, part, k0),
-                                 blockwise_gram_matrices(frame, part, k0)):
+            got_both = (_side_gram(frame, part, k0, side) for side in (1, 2))
+            for got, want in zip(got_both, blockwise_gram_matrices(frame, part, k0)):
                 assert got.shape == want.shape
                 np.testing.assert_allclose(got, want, rtol=1e-12,
                                            atol=1e-12 * np.abs(want).max())
@@ -187,7 +186,7 @@ def test_gram_matrices_symmetric_psd():
     frame = noise_frame(30, 10, seed=12)
     part = random_partition(10, 1)
     for k0 in (0, 2):
-        m1, m2 = gram_matrices(frame, part, k0)
+        m1, m2 = (_side_gram(frame, part, k0, side) for side in (1, 2))
         assert m1.shape == (5, 5) and m2.shape == (5, 5)
         np.testing.assert_allclose(m1, m1.T, atol=1e-12)
         np.testing.assert_allclose(m2, m2.T, atol=1e-12)
@@ -231,7 +230,7 @@ def test_fit_guards():
             fit_factors(frame, part, tau=tau, d_override=2)
     for k0 in (-1, 0.5):
         with pytest.raises(ValueError, match="k0 must be an integer >= 0"):
-            gram_matrices(frame, part, k0)
+            _side_gram(frame, part, k0, 1)
     with pytest.raises(TooFewLocations):
         fit_factors(frame, part, tau=0.0)  # p < 8 without p_star
     fit = fit_factors(frame, part, tau=0.0, d_override=2)
@@ -270,7 +269,7 @@ def test_tau_pulls_vectors_toward_smoothness():
     # (constant over locations)
     frame = noise_frame(50, 10, seed=17)
     part = Partition(set1=tuple(range(5)), set2=tuple(range(5, 10)))
-    m1, _ = gram_matrices(frame, part, 0)
+    m1 = _side_gram(frame, part, 0, 1)
     lap = build_laplacian(frame.locations, part.set1)
     vecs, _ = penalized_eigvecs(m1, lap, 1e6, 1)
     flat = np.full(5, 1.0 / np.sqrt(5.0))
@@ -311,7 +310,7 @@ def test_tau_sweep_is_bitwise_the_per_tau_solve(k0, p_star, grid, d_override=Non
     from latentkrig.factors import _fit_grid
     frame, *_ = rank_k_frame(60, 24, k=3, seed=21, noise=0.7)
     part = random_partition(24, 5)
-    m1, m2 = gram_matrices(frame, part, k0)
+    m1, m2 = (_side_gram(frame, part, k0, side) for side in (1, 2))
     lap1, lap2 = (build_laplacian(frame.locations, s) for s in (part.set1, part.set2))
     swept = _fit_grid(frame, part, grid, k0, p_star, d_override)
     assert len(swept) == len(grid)
@@ -375,7 +374,7 @@ def test_fits_write_to_no_input():
     fit_factors(frame, part, tau=1.0, k0=2)  # builds the shared statistics
     shared = [frame.obs, frame.locations.coords, *frame._memo._values.values()]
     before = [a.tobytes() for a in shared]
-    m1, _ = gram_matrices(frame, part, 2)
+    m1 = _side_gram(frame, part, 2, 1)
     lap = build_laplacian(frame.locations, part.set1)
     m = m1 + 1e-12 * np.triu(m1)  # within tolerance, but not symmetric
     inputs = [m, lap]
@@ -430,7 +429,8 @@ def test_fit_save_load_round_trip(tmp_path):
     fit = fit_factors(frame, part, tau=0.25, k0=1, p_star=3)
     path = tmp_path / "fit.json"
     save_fit(fit, path, locations=frame.locations)
-    back, locs = load_fit(path)
+    ens, locs = load_ensemble(path)
+    back = ens.members[0]
     assert locs is not None and locs.ids == frame.locations.ids
     assert back.partition.set1 == fit.partition.set1
     assert back.d_hat == fit.d_hat

@@ -16,7 +16,6 @@ from latentkrig import (
     simulate,
 )
 from latentkrig import kriging
-from latentkrig.covariance import masked_pairwise
 from latentkrig.errors import (
     EmptyKernelWindow,
     InsufficientOverlap,
@@ -25,7 +24,8 @@ from latentkrig.errors import (
 )
 
 from conftest import grid_locations, noise_frame, rank_k_frame
-from oracles import NonInvertible, best_linear_predictor, verify_dual_route
+from oracles import (NonInvertible, best_linear_predictor, masked_pairwise,
+                     verify_dual_route)
 
 
 # ---- kernels ----

@@ -548,6 +548,47 @@ def test_run_table_is_the_library_pipeline(monkeypatch, table):
     assert reports == want
 
 
+# rows of each replicate at (60, 20), J = 5, as written by the route that
+# formed member 0's field and forecast a second time (float.hex)
+_REPLICATE_ROWS = {
+    "_replicate_fig2": dict(
+        tau="0x1.0000000000000p-1", mse_xi_hat="0x1.fe194ba8acac6p-3",
+        mse_xi_tilde="0x1.ab3f356d3b477p-3", d_hat_mean="0x1.6666666666666p+0"),
+    "_replicate_table2": dict(
+        tau="0x1.0000000000000p-1", mspe_space_hat="0x1.3c524d698c231p+0",
+        mspe_space_tilde="0x1.2d239c72d0009p+0",
+        mspe_time=("0x1.63e14bf60becep+0", "0x1.7463aed113e95p+0"),
+        mspe_time_tilde=("0x1.5064ce7a4d5bep+0", "0x1.6f916f1eeff13p+0"),
+        d_hat_mean="0x1.0000000000000p+0"),
+}
+
+
+@pytest.mark.parametrize("name", list(_REPLICATE_ROWS))
+def test_replicates_assemble_and_forecast_each_member_once(monkeypatch, name):
+    # member 0's field and forecast come out of the ensemble's one in-order
+    # reduction, so a replicate forms J fields and J member forecasts
+    import sys
+    from latentkrig import ensemble, factors, simbench
+    forecast_mod = sys.modules["latentkrig.forecast"]
+    calls = {"assemble": 0, "sigma_x": 0}
+
+    def counted(mod, attr, key):
+        real = getattr(mod, attr)
+        monkeypatch.setattr(mod, attr, lambda *a, **k: calls.__setitem__(
+            key, calls[key] + 1) or real(*a, **k))
+
+    counted(ensemble, "assemble_latent", "assemble")
+    counted(factors, "assemble_latent", "assemble")
+    counted(forecast_mod, "estimate_sigma_x", "sigma_x")
+    draw = simulate(SimConfig(60, 20, 4, n_future=2, holdout_sites=10))
+    rows = getattr(simbench, name)(draw, 0.5, 7, 5, 6)
+    forecasts = 5 if name == "_replicate_table2" else 0
+    assert calls == {"assemble": 5, "sigma_x": 2 * forecasts}  # two sides each
+    hexed = [{k: tuple(x.hex() for x in v) if isinstance(v, tuple) else v.hex()
+              for k, v in row.items()} for row in rows]
+    assert hexed == [_REPLICATE_ROWS[name]]
+
+
 def test_summarize_reports_means():
     rows = [
         MetricReport(n=10, p=4, replicate=0, tau=0.0, mse_xi_hat=1.0),
