@@ -11,7 +11,7 @@ random site splits never hurts the per-cell squared error.
 
 from .ensemble import (EnsembleFit, aggregate_fit, aggregate_over_partitions,
                        assign_blocks, divide_and_conquer_fit, load_ensemble,
-                       save_ensemble)
+                       save_ensemble, save_fit)
 from .errors import (BlockTooLarge, DuplicateCell, EmptyKernelWindow,
                      InsufficientOverlap, InvalidCoordinate, LagTooLarge,
                      LatentKrigError, MissingDataError, NotPositiveDefinite,
@@ -19,7 +19,7 @@ from .errors import (BlockTooLarge, DuplicateCell, EmptyKernelWindow,
                      RankDeficient, SingularDesign, SingularInnovation,
                      TooFewEigenvalues, TooFewLocations, UnknownLocation)
 from .factors import (FactorModelFit, assemble_latent, build_laplacian,
-                      default_p_star, estimate_d, fit_factors, save_fit,
+                      default_p_star, estimate_d, fit_factors,
                       subspace_distance)
 from .forecast import (estimate_sigma_x, forecast, forecast_ensemble,
                        recursive_toeplitz_inverse)

@@ -32,16 +32,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .ensemble import aggregate_fit, load_ensemble, save_ensemble
+from .ensemble import aggregate_fit, load_ensemble, save_ensemble, save_fit
 from .errors import (EXIT_NUMERICAL, EXIT_VALIDATION, LatentKrigError,
                      ParseError, PeriodTooLarge)
-from .factors import save_fit
 from .forecast import _forecast_args, forecast_ensemble
 from .kriging import _FAMILIES, KernelSpec, impute_missing, krige_space
 from .simbench import (TABLE_IDS, SimConfig, run_table, select_bandwidth,
                        select_tau)
 from .simbench import simulate as simulate_op
-from .stdata import (_METRICS, SpatioTemporalFrame, _fmt, _write_csv,
+from .stdata import (_METRICS, SpatioTemporalFrame, _fmt, _write_locations,
                      _write_long_form, load_frame, load_observation_table,
                      save_frame)
 
@@ -149,13 +148,9 @@ def cmd_simulate(args) -> int:
     if draw.future_y is not None:
         long_form("future_y.csv", cfg.n + 1, ids, draw.future_y)
     if draw.holdout_locations is not None:
-        hl = out / "holdout_locations.csv"
-        hids = draw.holdout_locations.ids
-        _write_csv(hl, ["id", "x1", "x2"],
-                   ((hids[i], _fmt(c[0]), _fmt(c[1]))
-                    for i, c in enumerate(draw.holdout_locations.coords)))
-        written.append(hl)
-        long_form("holdout_y.csv", 1, hids, draw.holdout_y)
+        written.append(out / "holdout_locations.csv")
+        _write_locations(written[-1], draw.holdout_locations)
+        long_form("holdout_y.csv", 1, draw.holdout_locations.ids, draw.holdout_y)
     for path in written:
         print(f"wrote {path}")
     return 0

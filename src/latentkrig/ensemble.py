@@ -21,14 +21,17 @@ whichever member asks first, and every other member slices them. Each
 side builds its Laplacian from its own sites' coordinates. A subframe
 member builds its own statistics, so it is bitwise a fit of the subframe.
 
-``load_ensemble`` is the one model-document reader: it reads an
-ensemble document, or a fit document as an ensemble of one whose member
-is the loaded fit and whose xi_tilde is the stored xi_hat.
+This module owns the model-document format. One writer appends the
+locations block as the last key, and ``load_ensemble``, the one reader,
+reads a fit document as an ensemble of one. Every field passes one
+keyed reader of its JSON type and range, every numeric array one reader
+of its shape and finiteness, and each names the key it rejects.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
@@ -39,11 +42,9 @@ import numpy as np
 
 from . import _util
 from .errors import BlockTooLarge, LatentKrigError, ParseError
-from .factors import (FactorModelFit, _matrix_doc, _matrix_from_doc,
-                      _write_document, assemble_latent, fit_factors,
-                      fit_from_document)
-from .stdata import (LocationSet, Partition, SpatioTemporalFrame, _doc_field,
-                     _ints, _object, locations_from_doc, random_partition)
+from .factors import FactorModelFit, assemble_latent, fit_factors
+from .stdata import (_METRICS, LocationSet, Partition, SpatioTemporalFrame,
+                     random_partition)
 
 DEFAULT_J = 100
 
@@ -229,71 +230,182 @@ def divide_and_conquer_fit(frame: SpatioTemporalFrame, q: int,
     return ens
 
 
+# ---- the model document ----
+
+def _matrix_doc(a: np.ndarray) -> dict:
+    a = np.asarray(a, dtype=np.float64)
+    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]),
+            "data": a.reshape(-1).tolist()}
+
+
+def locations_to_doc(locs: LocationSet) -> dict:
+    return {"ids": list(locs.ids), "coords": locs.coords.tolist(),
+            "distance_metric": locs.distance_metric, "radius": float(locs.radius)}
+
+
+def fit_to_document(fit: FactorModelFit) -> dict:
+    """JSON-ready dict for a fit and its latent field."""
+    return {"format": "latentkrig-fit", "version": 1,
+            "partition": {"set1": list(fit.partition.set1),
+                          "set2": list(fit.partition.set2)},
+            "d_hat": int(fit.d_hat), "tau": float(fit.tau), "k0": int(fit.k0),
+            "eigenvalues": [float(v) for v in fit.eigenvalues],
+            **{key: _matrix_doc(getattr(fit, key)) for key in
+               ("A1_hat", "A2_hat", "x_hat", "x_star_hat", "xi_hat")}}
+
+
 def ensemble_to_document(ens: EnsembleFit) -> dict:
-    return {
-        "format": "latentkrig-ensemble",
-        "version": 1,
-        "J": ens.J,
-        "tau": ens.tau,
-        "member_seeds": list(ens.member_seeds),
-        "d_hats": list(ens.d_hats),
-        "per_location_counts": [int(c) for c in ens.per_location_counts],
-        "xi_tilde": _matrix_doc(ens.xi_tilde),
-    }
+    return {"format": "latentkrig-ensemble", "version": 1, "J": ens.J,
+            "tau": ens.tau, "member_seeds": list(ens.member_seeds),
+            "d_hats": list(ens.d_hats),
+            "per_location_counts": [int(c) for c in ens.per_location_counts],
+            "xi_tilde": _matrix_doc(ens.xi_tilde)}
+
+
+def _write_document(path, doc: dict, locations: LocationSet | None) -> None:
+    """The one writer of model documents: compact UTF-8 JSON plus a newline,
+    with the locations block, when given, as the last key."""
+    if locations is not None:
+        doc = {**doc, "locations": locations_to_doc(locations)}
+    Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
+
+
+def save_fit(fit: FactorModelFit, path, locations: LocationSet | None = None) -> None:
+    _write_document(path, fit_to_document(fit), locations)
+
+
+def save_ensemble(ens: EnsembleFit, path, locations: LocationSet | None = None) -> None:
+    _write_document(path, ensemble_to_document(ens), locations)
+
+
+def _int(low: float):
+    return lambda v: type(v) is int and v >= low
+
+
+def _list(item):
+    return lambda v: type(v) is list and all(map(item, v))
+
+
+_KINDS = ("latentkrig-fit", "latentkrig-ensemble")
+_MAX = sys.float_info.max  # a JSON number no larger converts to a finite float
+
+# What each field of a model document must be, and the test of its JSON
+# value; the ranges are those the estimator enforces.
+_FIELDS = {
+    "version": ("1", lambda v: type(v) is int and v == 1),
+    "partition": ("an object", lambda v: type(v) is dict),
+    "set1": ("a list of sites", _list(_int(0))),
+    "set2": ("a list of sites", _list(_int(0))),
+    "d_hat": ("an integer >= 1", _int(1)),
+    "tau": ("a finite number >= 0", lambda v: type(v) in (int, float) and 0 <= v <= _MAX),
+    "k0": ("an integer >= 0", _int(0)),
+    "J": ("an integer >= 1", _int(1)),
+    "member_seeds": ("a list of integers", _list(lambda v: type(v) is int)),
+    "d_hats": ("a list of integers >= 1", _list(_int(1))),
+    "locations": ("an object", lambda v: type(v) is dict),
+    "ids": ("a list of strings", _list(lambda v: type(v) is str)),
+    "distance_metric": (" or ".join(_METRICS), lambda v: v in _METRICS),
+    "radius": ("a finite number > 0", lambda v: type(v) in (int, float) and 0 < v <= _MAX),
+}
+
+
+def _field(doc: dict, key: str, what: str | None = None, ok=None):
+    """doc[key], which must pass key's test in _FIELDS, or ok when given;
+    else ValueError("<key> must be <what>"). A missing key stays a KeyError."""
+    value = doc[key]
+    what, ok = _FIELDS[key] if ok is None else (what, ok)
+    if not ok(value):
+        raise ValueError(f"{key} must be {what}")
+    return value
+
+
+def _array(doc: dict, key: str, shape: tuple, block: bool = False) -> np.ndarray:
+    """doc[key], a list of numbers or of equal-length rows of them, or with
+    block a matrix block of rows * cols numbers row by row, parsed by one
+    numpy call into a float array of ``shape`` (None matches any length)
+    whose every entry is finite; else a ValueError naming key."""
+    value, what = doc[key], "a matrix block" if block else "an array of numbers"
+    try:
+        if block:
+            dims = value["rows"], value["cols"]
+            if not all(map(_int(0), dims)):
+                raise ValueError
+            value = np.reshape(value["data"], dims)
+        a = np.asarray(value)
+        if a.dtype.kind not in "iuf" or a.ndim != len(shape):
+            raise ValueError
+    except (TypeError, KeyError, ValueError):  # ragged, not a block, not numbers
+        raise ValueError(f"{key} is not {what}") from None
+    want = tuple(g if w is None else w for g, w in zip(a.shape, shape))
+    if a.shape != want:
+        got, want = (" x ".join(map(str, s)) if len(s) > 1 else f"{s[0]} long"
+                     for s in (a.shape, want))
+        raise ValueError(f"{key} is {got}, expected {want}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{key} holds a non-finite number")
+    return a.astype(np.float64, copy=False)
+
+
+def fit_from_document(doc: dict) -> FactorModelFit:
+    """A fit document's fit, its blocks checked against one another."""
+    sets = _field(doc, "partition")
+    part = Partition(set1=_field(sets, "set1"), set2=_field(sets, "set2"))
+    d, p1 = _field(doc, "d_hat"), len(part.set1)
+    fit = FactorModelFit(
+        partition=part, A1_hat=_array(doc, "A1_hat", (p1, d), block=True),
+        A2_hat=_array(doc, "A2_hat", (part.p - p1, d), block=True), d_hat=d,
+        eigenvalues=_array(doc, "eigenvalues", (p1,)),
+        tau=float(_field(doc, "tau")), k0=_field(doc, "k0"))
+    fit.xi_hat = _array(doc, "xi_hat", (None, part.p), block=True)
+    n = fit.xi_hat.shape[0]
+    fit.x_hat = _array(doc, "x_hat", (n, d), block=True)
+    fit.x_star_hat = _array(doc, "x_star_hat", (n, d), block=True)
+    return fit
 
 
 def ensemble_from_document(doc: dict) -> EnsembleFit:
-    ens = EnsembleFit(J=_doc_field(doc, "J", int, "an integer"),
-                      member_seeds=_doc_field(doc, "member_seeds", _ints,
-                                              "a list of integers"),
-                      d_hats=_doc_field(doc, "d_hats", _ints, "a list of integers"),
-                      tau=_doc_field(doc, "tau", float, "a number"))
-    ens.xi_tilde = _matrix_from_doc(doc, "xi_tilde")
-    if doc["per_location_counts"] != ens.per_location_counts.tolist():
-        raise ValueError(f"per_location_counts must be J={ens.J} at every site")
+    ens = EnsembleFit(J=_field(doc, "J"),
+                      member_seeds=tuple(_field(doc, "member_seeds")),
+                      d_hats=tuple(_field(doc, "d_hats")), tau=_field(doc, "tau"))
+    ens.xi_tilde = _array(doc, "xi_tilde", (None, None), block=True)
+    _field(doc, "per_location_counts", f"J={ens.J} at every site",
+           lambda v: _list(_int(1))(v) and v == ens.per_location_counts.tolist())
     return ens
 
 
-def _one_fit_from_document(doc: dict) -> EnsembleFit:
-    """A fit document's fit as an ensemble of one, whose xi_tilde is the
-    stored xi_hat."""
-    fit = fit_from_document(doc)
-    ens = EnsembleFit(J=1, member_seeds=(), d_hats=(fit.d_hat,), tau=fit.tau,
-                      members=(fit,))
-    ens.xi_tilde = fit.xi_hat
-    return ens
-
-
-def save_ensemble(ens: EnsembleFit, path: str | Path,
-                  locations: LocationSet | None = None) -> None:
-    _write_document(path, ensemble_to_document(ens), locations)
+def locations_from_doc(doc: dict) -> LocationSet:
+    ids = _field(doc, "ids")
+    return LocationSet(ids=tuple(ids), coords=_array(doc, "coords", (len(ids), 2)),
+                       distance_metric=_field(doc, "distance_metric"),
+                       radius=float(_field(doc, "radius")))
 
 
 def load_ensemble(path: str | Path) -> tuple[EnsembleFit, LocationSet | None]:
     """The model and embedded locations of a fit or an ensemble document,
-    as an ensemble (a fit is an ensemble of one). Any other kind or
-    version, or locations not numbering the field's columns, is a
-    ParseError naming the file; a package error keeps its class."""
-    builds = {"latentkrig-fit": _one_fit_from_document,
-              "latentkrig-ensemble": ensemble_from_document}
+    as an ensemble: a fit is an ensemble of one, whose member is the fit
+    and whose xi_tilde is its xi_hat. Any other kind or version, a field
+    that fails its check, or locations not numbering the field's columns
+    is a ParseError naming the file; a package error keeps its class."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        kind = doc.get("format") if isinstance(doc, dict) else None
-        if not isinstance(kind, str) or kind not in builds:
-            raise ValueError(f"expected a {' or '.join(builds)} document")
-        if type(doc["version"]) is not int or doc["version"] != 1:
-            raise ValueError("version must be 1")
-        ens = builds[kind](doc)
-        locs = (locations_from_doc(_doc_field(doc, "locations", _object, "an object"))
+        if not isinstance(doc, dict) or doc.get("format") not in _KINDS:
+            raise ValueError(f"expected a {' or '.join(_KINDS)} document")
+        _field(doc, "version")
+        if doc["format"] == "latentkrig-ensemble":
+            ens = ensemble_from_document(doc)
+        else:
+            fit = fit_from_document(doc)
+            ens = EnsembleFit(J=1, member_seeds=(), d_hats=(fit.d_hat,),
+                              tau=fit.tau, members=(fit,))
+            ens.xi_tilde = fit.xi_hat
+        locs = (locations_from_doc(_field(doc, "locations"))
                 if "locations" in doc else None)
-        width = ens.xi_tilde.shape[1]
-        if locs is not None and locs.p != width:
-            raise ValueError(f"the latent field has {width} columns for "
-                             f"{locs.p} locations")
+        if locs is not None and locs.p != (width := ens.xi_tilde.shape[1]):
+            raise ValueError(f"the latent field has {width} columns for {locs.p} locations")
         return ens, locs
     except LatentKrigError as exc:
         raise type(exc)(f"{path}: {exc}") from None
     except KeyError as exc:
         raise ParseError(f"{path}: model document lacks key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:  # JSON nested too deep
         raise ParseError(f"{path}: {exc}") from None

@@ -18,23 +18,21 @@ where L1 is the graph Laplacian of set 1 with weights w_ij =
 1 / (1 + dist(s_i, s_j)). The penalty tau * a' L a = tau/2 * sum w_ij
 (a_i - a_j)^2 favours loading vectors that vary smoothly over space.
 M2 mirrors M1 with transposed blocks. The factor count is estimated by
-the eigenvalue ratio method on the spectrum of M1 - tau * L1.
+the eigenvalue ratio method on the spectrum of M1 - tau * L1. A fit's
+model document is written and read by ``ensemble``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
 from .covariance import _check_lags, _check_width, _lag, _lag_gram
-from .errors import (NotSymmetric, ParseError, RankDeficient,
-                     TooFewEigenvalues, TooFewLocations)
-from .stdata import (LocationSet, Partition, SpatioTemporalFrame, _doc_field,
-                     _ints, _object, distance_matrix, locations_to_doc)
+from .errors import (NotSymmetric, RankDeficient, TooFewEigenvalues,
+                     TooFewLocations)
+from .stdata import LocationSet, Partition, SpatioTemporalFrame, distance_matrix
 
 _SIGN_EPS = 1e-12
 _EIG_FLOOR = 1e-300
@@ -323,85 +321,3 @@ def subspace_distance(B1: np.ndarray, B2: np.ndarray) -> float:
     val = 1.0 - overlap / max(q1.shape[1], q2.shape[1])
     return float(np.sqrt(max(val, 0.0)))
 
-
-# ---- serialization ----
-
-def _matrix_doc(a: np.ndarray) -> dict:
-    a = np.asarray(a, dtype=np.float64)
-    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]),
-            "data": a.reshape(-1).tolist()}
-
-
-def _matrix_from_doc(doc: dict, key: str, rows: int | None = None,
-                     cols: int | None = None) -> np.ndarray:
-    """The matrix block doc[key], whose every entry must be finite, with
-    rows rows and cols columns where those are given."""
-    block = doc[key]
-    try:
-        a = np.array(block["data"], dtype=np.float64).reshape(block["rows"], block["cols"])
-    except (TypeError, KeyError, ValueError):
-        raise ValueError(f"{key} is not a matrix block") from None
-    if not np.isfinite(a).all():
-        raise ParseError(f"{key} holds a non-finite number")
-    want = (a.shape[0] if rows is None else rows, a.shape[1] if cols is None else cols)
-    if a.shape != want:
-        raise ValueError(f"{key} is {a.shape[0]} x {a.shape[1]}, expected {want[0]} x {want[1]}")
-    return a
-
-
-def fit_to_document(fit: FactorModelFit) -> dict:
-    """JSON-ready dict for a fit and its latent field."""
-    return {
-        "format": "latentkrig-fit",
-        "version": 1,
-        "partition": {"set1": list(fit.partition.set1),
-                      "set2": list(fit.partition.set2)},
-        "d_hat": int(fit.d_hat),
-        "tau": float(fit.tau),
-        "k0": int(fit.k0),
-        "eigenvalues": [float(v) for v in fit.eigenvalues],
-        "A1_hat": _matrix_doc(fit.A1_hat),
-        "A2_hat": _matrix_doc(fit.A2_hat),
-        "x_hat": _matrix_doc(fit.x_hat),
-        "x_star_hat": _matrix_doc(fit.x_star_hat),
-        "xi_hat": _matrix_doc(fit.xi_hat),
-    }
-
-
-def fit_from_document(doc: dict) -> FactorModelFit:
-    """The fit a fit document holds, its blocks checked against its
-    partition, d_hat and one another."""
-    sets = _doc_field(doc, "partition", _object, "an object")
-    part = Partition(set1=_doc_field(sets, "set1", _ints, "a list of sites"),
-                     set2=_doc_field(sets, "set2", _ints, "a list of sites"))
-    d = _doc_field(doc, "d_hat", int, "an integer")
-    fit = FactorModelFit(
-        partition=part,
-        A1_hat=_matrix_from_doc(doc, "A1_hat", len(part.set1), d),
-        A2_hat=_matrix_from_doc(doc, "A2_hat", len(part.set2), d),
-        d_hat=d,
-        eigenvalues=np.array(doc["eigenvalues"], dtype=np.float64),
-        tau=_doc_field(doc, "tau", float, "a number"),
-        k0=_doc_field(doc, "k0", int, "an integer"),
-    )
-    if fit.eigenvalues.shape != (len(part.set1),):
-        raise ValueError(f"eigenvalues must hold {len(part.set1)} numbers")
-    if not np.isfinite(fit.eigenvalues).all():
-        raise ParseError("eigenvalues holds a non-finite number")
-    fit.xi_hat = _matrix_from_doc(doc, "xi_hat", None, part.p)
-    n = fit.xi_hat.shape[0]
-    fit.x_hat = _matrix_from_doc(doc, "x_hat", n, d)
-    fit.x_star_hat = _matrix_from_doc(doc, "x_star_hat", n, d)
-    return fit
-
-
-def save_fit(fit: FactorModelFit, path, locations: LocationSet | None = None) -> None:
-    _write_document(path, fit_to_document(fit), locations)
-
-
-def _write_document(path, doc: dict, locations: LocationSet | None) -> None:
-    """Compact JSON plus a newline, UTF-8, with the locations block, when
-    given, as the last key: the one writer of model documents."""
-    if locations is not None:
-        doc = {**doc, "locations": locations_to_doc(locations)}
-    Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")

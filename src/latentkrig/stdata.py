@@ -17,7 +17,8 @@ CSV formats (headers mandatory, exact):
   cover every (t, id) cell with numeric entries.
 
 One reader serves all three: it reads a file once, a block of rows at a
-time, and raises the error of the first bad row as ``path:line``.
+time, and raises the error of the first bad row as ``path:line``. A
+model document's locations block is written and read by ``ensemble``.
 """
 
 from __future__ import annotations
@@ -596,51 +597,6 @@ def load_observation_table(path) -> tuple[list, tuple[str, ...], np.ndarray]:
     return sorted(rank), tuple(id_index), obs
 
 
-# ---- location serialization (shared by the model document formats) ----
-
-def locations_to_doc(locs: LocationSet) -> dict:
-    return {
-        "ids": list(locs.ids),
-        "coords": locs.coords.tolist(),
-        "distance_metric": locs.distance_metric,
-        "radius": float(locs.radius),
-    }
-
-
-def _object(value) -> dict:
-    if not isinstance(value, dict):
-        raise TypeError("not an object")
-    return value
-
-
-def _ints(values) -> tuple[int, ...]:
-    return tuple(int(v) for v in values)
-
-
-def _doc_field(doc: dict, key: str, read, what: str):
-    """read(doc[key]) for a document field; a value read rejects raises
-    ValueError("<key> must be <what>"), and a missing key stays a KeyError."""
-    value = doc[key]
-    try:
-        return read(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{key} must be {what}") from None
-
-
-def _metric(value) -> str:
-    if value not in _METRICS:
-        raise ValueError("not a metric")
-    return value
-
-
-def locations_from_doc(doc: dict) -> LocationSet:
-    return LocationSet(ids=_doc_field(doc, "ids", tuple, "a list of ids"),
-                       coords=np.array(doc["coords"], dtype=np.float64),
-                       distance_metric=_doc_field(doc, "distance_metric", _metric,
-                                                  " or ".join(_METRICS)),
-                       radius=_doc_field(doc, "radius", float, "a number"))
-
-
 # ---- CSV output ----
 
 def _fmt(value: float) -> str:
@@ -660,6 +616,13 @@ def _csv_field(value: str) -> str:
     buf = io.StringIO()
     csv.writer(buf).writerow([value, ""])
     return buf.getvalue()[:-3]
+
+
+def _write_locations(path: Path, locations: LocationSet) -> None:
+    """The ``id,x1,x2`` file of a location set, coordinates by repr."""
+    _write_csv(path, ["id", "x1", "x2"],
+               ([loc_id] + [_fmt(c) for c in locations.coords[i]]
+                for i, loc_id in enumerate(locations.ids)))
 
 
 def _write_long_form(path: Path, header: list[str], stamps, ids,
@@ -688,9 +651,7 @@ def save_frame(frame: SpatioTemporalFrame, out_dir) -> dict[str, Path]:
     out.mkdir(parents=True, exist_ok=True)
     paths = {"locations": out / "locations.csv",
              "observations": out / "observations.csv"}
-    _write_csv(paths["locations"], ["id", "x1", "x2"],
-               ([loc_id] + [_fmt(c) for c in frame.locations.coords[i]]
-                for i, loc_id in enumerate(frame.locations.ids)))
+    _write_locations(paths["locations"], frame.locations)
     stamps = range(1, frame.n + 1)
     _write_long_form(paths["observations"], ["t", "id", "value"], stamps,
                      frame.locations.ids, frame.obs[:, :, None])

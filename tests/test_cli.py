@@ -688,7 +688,7 @@ def _small_partition(doc):
 
 def _short_spectrum(doc):
     doc["eigenvalues"] = doc["eigenvalues"][:-1]
-    return "eigenvalues must hold 8 numbers"
+    return "eigenvalues is 7 long, expected 8 long"
 
 
 def _short_readout(doc):
@@ -755,25 +755,27 @@ def test_krige_space_rejects_a_document_at_odds_with_itself(
     assert err == f"error: krige-space: {model}: {message}\n"
 
 
+# A row's key is a dotted path into the document, which the test sets to
+# null, or, after "=", to that JSON value.
 _NULL_FIELDS = [
     # the first ten exited 2 with a message naming no key, such as
     # "'NoneType' object is not subscriptable"
     (False, "partition", "partition must be an object"),
     (False, "locations", "locations must be an object"),
-    (False, "locations.ids", "ids must be a list of ids"),
-    (False, "d_hat", "d_hat must be an integer"),
-    (False, "tau", "tau must be a number"),
-    (True, "J", "J must be an integer"),
-    (True, "tau", "tau must be a number"),
+    (False, "locations.ids", "ids must be a list of strings"),
+    (False, "d_hat", "d_hat must be an integer >= 1"),
+    (False, "tau", "tau must be a finite number >= 0"),
+    (True, "J", "J must be an integer >= 1"),
+    (True, "tau", "tau must be a finite number >= 0"),
     (True, "member_seeds", "member_seeds must be a list of integers"),
-    (True, "d_hats", "d_hats must be a list of integers"),
+    (True, "d_hats", "d_hats must be a list of integers >= 1"),
     (True, "locations", "locations must be an object"),
     (False, "partition.set1", "set1 must be a list of sites"),
     (False, "partition.set2.0", "set2 must be a list of sites"),
-    (False, "k0", "k0 must be an integer"),
-    (True, "locations.radius", "radius must be a number"),
-    (False, "eigenvalues", "eigenvalues must hold 8 numbers"),
-    (False, "locations.coords", "coords must be a (p, 2) array"),
+    (False, "k0", "k0 must be an integer >= 0"),
+    (True, "locations.radius", "radius must be a finite number > 0"),
+    (False, "eigenvalues", "eigenvalues is not an array of numbers"),
+    (False, "locations.coords", "coords is not an array of numbers"),
     (True, "per_location_counts", "per_location_counts must be J=2 at every site"),
     # these loaded as version 1, and the null metric exited 2 with
     # "unknown metric None"
@@ -781,22 +783,44 @@ _NULL_FIELDS = [
     (True, "version", "version must be 1"),
     (False, "locations.distance_metric",
      "distance_metric must be euclidean or great_circle"),
+    # these loaded (k0 1.7 as 1), and krige-space exited 0
+    (False, "tau=-1", "tau must be a finite number >= 0"),
+    (False, 'tau="0.5"', "tau must be a finite number >= 0"),
+    (False, "tau=1e999", "tau must be a finite number >= 0"),
+    (False, "k0=-3", "k0 must be an integer >= 0"),
+    (False, 'k0="1"', "k0 must be an integer >= 0"),
+    (False, "k0=1.7", "k0 must be an integer >= 0"),
+    (False, 'partition.set1=["0", "1", "2", "3", "4", "5", "6", "7"]',
+     "set1 must be a list of sites"),
+    (False, 'locations.radius="10"', "radius must be a finite number > 0"),
+    (False, "locations.radius=-5", "radius must be a finite number > 0"),
+    (True, "tau=-2", "tau must be a finite number >= 0"),
+    (True, 'd_hats=["3", 2]', "d_hats must be a list of integers >= 1"),
+    (True, "d_hats=[0, -1]", "d_hats must be a list of integers >= 1"),
+    # these exited 2 with "could not convert string to float: 'a'"
+    (False, 'eigenvalues.1="a"', "eigenvalues is not an array of numbers"),
+    (False, 'locations.coords.1.0="a"', "coords is not an array of numbers"),
+    # a whole number too large for a float: an OverflowError would exit 1
+    (False, "tau=1" + "0" * 400, "tau must be a finite number >= 0"),
 ]
 
 
 @pytest.mark.parametrize("ensemble, key, message", _NULL_FIELDS, ids=[
-    f"{'ensemble' if ensemble else 'fit'}-{key}" for ensemble, key, _ in _NULL_FIELDS])
+    f"{'ensemble' if ensemble else 'fit'}-{key[:40]}"
+    for ensemble, key, _ in _NULL_FIELDS])
 def test_krige_space_names_a_null_document_field(data_dir, tmp_path, capsys,
                                                  ensemble, key, message):
     model = tmp_path / "model.json"
     run(capsys, "fit", str(data_dir), "--tau", "0.0", "--seed", "3",
         *(["--ensemble", "2"] if ensemble else []), "--out", str(model))
     doc = json.loads(model.read_text())
+    key, _, value = key.partition("=")
     *outer, field = key.split(".")
     block = doc
     for name in outer:
-        block = block[name]
-    block[int(field) if isinstance(block, list) else field] = None
+        block = block[int(name) if isinstance(block, list) else name]
+    block[int(field) if isinstance(block, list) else field] = (
+        json.loads(value) if value else None)
     model.write_text(json.dumps(doc))
     code, stdout, err = run(capsys, "krige-space", str(model),
                             "--at", "0,0", "--h", "0.5")
@@ -834,7 +858,7 @@ def _keep_one_site(locs):
 
 @pytest.mark.parametrize("ensemble, edit, message", [
     (False, _repeat_an_id, "location ids must be unique"),
-    (True, _negative_radius, "radius must be positive"),
+    (True, _negative_radius, "radius must be a finite number > 0"),
     (False, _keep_one_site, "need at least 2 locations"),
 ], ids=["fit-repeated-id", "ensemble-radius", "fit-one-site"])
 def test_krige_space_names_the_model_in_location_errors(data_dir, tmp_path,
@@ -877,7 +901,9 @@ def test_krige_space_rejects_a_non_finite_model_entry(data_dir, tmp_path,
 
 @pytest.mark.parametrize("case", ["array", "string", "number",
                                   "fit without d_hat",
-                                  "ensemble without xi_tilde"])
+                                  "ensemble without xi_tilde",
+                                  # json.loads raised RecursionError: exit 1
+                                  "deeply nested"])
 def test_krige_space_rejects_malformed_model(data_dir, tmp_path, capsys, case):
     fit_path, ens_path = tmp_path / "fit.json", tmp_path / "ens.json"
     run(capsys, "fit", str(data_dir), "--tau", "0.0", "--seed", "3",
@@ -890,7 +916,8 @@ def test_krige_space_rejects_malformed_model(data_dir, tmp_path, capsys, case):
     docs = {"array": [1, 2], "string": "latentkrig-fit", "number": 3.5,
             "fit without d_hat": fit_doc, "ensemble without xi_tilde": ens_doc}
     model = tmp_path / "bad.json"
-    model.write_text(json.dumps(docs[case]))
+    model.write_text("[" * 100_000 if case == "deeply nested"
+                     else json.dumps(docs[case]))
     code, stdout, err = run(capsys, "krige-space", str(model),
                             "--at", "0,0", "--h", "0.5")
     assert code == 2
@@ -899,3 +926,38 @@ def test_krige_space_rejects_malformed_model(data_dir, tmp_path, capsys, case):
     assert err.count("\n") == 1 and "Traceback" not in err
     if case.startswith("fit") or case.startswith("ensemble"):
         assert "lacks key" in err and repr(case.split()[-1]) in err
+
+
+def _key_paths(node, path=()):
+    """The path of every dict key in a JSON value, a parent before its keys."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield path + (key,)
+            yield from _key_paths(value, path + (key,))
+
+
+@pytest.mark.parametrize("value", [None, "x", -1], ids=["null", "string", "minus-one"])
+@pytest.mark.parametrize("ensemble", [False, True], ids=["fit", "ensemble"])
+def test_krige_space_exits_0_or_2_whatever_one_document_key_holds(
+        data_dir, tmp_path, capsys, ensemble, value):
+    # every key a saved document has, those of fields added later too
+    model = tmp_path / "model.json"
+    run(capsys, "fit", str(data_dir), "--tau", "0.0", "--seed", "3",
+        *(["--ensemble", "2"] if ensemble else []), "--out", str(model))
+    text = model.read_text()
+    paths = list(_key_paths(json.loads(text)))
+    assert {("locations", "radius"), ("xi_tilde" if ensemble else "xi_hat", "rows")
+            } <= set(paths)
+    assert ensemble or ("partition", "set1") in paths
+    for path in paths:
+        doc = json.loads(text)
+        block = doc
+        for key in path[:-1]:
+            block = block[key]
+        block[path[-1]] = value
+        model.write_text(json.dumps(doc))
+        code, stdout, err = run(capsys, "krige-space", str(model),
+                                "--at", "0,0", "--h", "0.5")
+        assert code in (0, 2), (path, err)
+        assert code == 0 or (stdout == "" and err.count("\n") == 1 and
+                             err.startswith(f"error: krige-space: {model}: ")), (path, err)

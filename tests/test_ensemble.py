@@ -23,8 +23,7 @@ from latentkrig import (
 from latentkrig import ensemble
 from latentkrig._util import member_seeds
 from latentkrig.ensemble import (_fit_members, _mean_in_order,
-                                 ensemble_to_document)
-from latentkrig.factors import fit_to_document
+                                 ensemble_to_document, fit_to_document)
 from latentkrig.errors import BlockTooLarge, ParseError
 
 from conftest import rank_k_frame

@@ -22,8 +22,8 @@ from latentkrig.errors import (
     TooFewEigenvalues,
     TooFewLocations,
 )
-from latentkrig.factors import _side_gram, fit_to_document
-from latentkrig.stdata import locations_to_doc
+from latentkrig.ensemble import fit_to_document, locations_to_doc
+from latentkrig.factors import _side_gram
 
 from conftest import grid_locations, noise_frame, rank_k_frame
 from oracles import blockwise_gram_matrices, dense_laplacian, penalized_eigvecs

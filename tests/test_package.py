@@ -54,8 +54,14 @@ def test_every_function_the_traced_benchmark_counts_is_a_module_global():
     for qualname in ("ensemble.aggregate_over_partitions", "stdata.load_frame",
                      "stdata.save_frame", "stdata.distance_matrix",
                      "factors.fit_factors", "forecast.forecast",
-                     "forecast.forecast_ensemble", "kriging.impute_missing"):
+                     "forecast.forecast_ensemble", "kriging.impute_missing",
+                     "ensemble.save_ensemble", "ensemble.load_ensemble"):
         module, name = qualname.split(".")
         fn = vars(sys.modules[f"latentkrig.{module}"]).get(name)
         assert inspect.isfunction(fn), qualname
         assert fn.__module__ == f"latentkrig.{module}", qualname
+    # the doc_bytes counter reads the written file's size off save_ensemble's
+    # second positional argument, named path
+    params = list(inspect.signature(latentkrig.ensemble.save_ensemble).parameters.values())
+    assert params[1].name == "path"
+    assert params[1].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD

@@ -23,12 +23,8 @@ from latentkrig.errors import (
     TooFewLocations,
     UnknownLocation,
 )
-from latentkrig.stdata import (
-    load_observation_table,
-    locations_from_doc,
-    locations_to_doc,
-    pairwise_distances,
-)
+from latentkrig.ensemble import locations_from_doc, locations_to_doc
+from latentkrig.stdata import load_observation_table, pairwise_distances
 
 from conftest import grid_locations
 
